@@ -28,8 +28,8 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, flow_to_color
-from .fusion import FusionParams, fuse_frame_detailed, fuse_video
-from .metrics import l1_distance, psnr, ssim, video_report
+from .fusion import FusionParams, fuse_video, iter_fused_frames
+from .metrics import video_report
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -215,28 +215,15 @@ def _json_value(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def _frame_rows(truth: VideoCube, cube: VideoCube) -> list[dict]:
-    rows = []
-    for k in range(truth.frames):
-        a, b = cube.samples[k], truth.samples[k]
-        rows.append(
-            {
-                "k": k + 1,
-                "psnr_db": _json_value(psnr(a, b)),
-                "ssim": ssim(a, b),
-                "l1": l1_distance(a, b),
-            }
-        )
-    return rows
-
-
-def _mean_block(truth: VideoCube, cube: VideoCube) -> dict:
-    return {
-        "psnr_db": _json_value(video_report("psnr", cube, truth).mean),
-        "ssim": video_report("ssim", cube, truth).mean,
-        "l1": video_report("l1", cube, truth).mean,
-        "lpips": "unavailable",
-    }
+def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
+    """Per-frame rows and their mean block, computing each metric once per frame."""
+    psnrs, ssims, l1s = (video_report(name, cube, truth) for name in ("psnr", "ssim", "l1"))
+    rows = [
+        {"k": k, "psnr_db": _json_value(p), "ssim": s, "l1": l1}
+        for k, (p, s, l1) in enumerate(zip(psnrs.values, ssims.values, l1s.values), start=1)
+    ]
+    mean = {"psnr_db": _json_value(psnrs.mean), "ssim": ssims.mean, "l1": l1s.mean, "lpips": "unavailable"}
+    return rows, mean
 
 
 @dataclass(frozen=True)
@@ -266,19 +253,22 @@ def _check_finite(cube: VideoCube, stage: str) -> None:
         raise NumericalError(f"{stage} produced non-finite values")
 
 
-def _dump_fusion_intermediates(out: Path, m: HybridMeasurement, x_mid: VideoCube, cfg: PipelineConfig) -> None:
+def _fuse(out: Path, m: HybridMeasurement, x_mid: VideoCube, cfg: PipelineConfig) -> VideoCube:
+    """Fuse the block; with dump_intermediates, write each frame's flows and
+    visibility map under out/intermediates as that frame is fused."""
+    if not cfg.dump_intermediates:
+        return fuse_video(m, x_mid, cfg.fusion)
     dump = out / "intermediates"
     dump.mkdir(exist_ok=True)
-    for k in range(1, m.schedule.B + 1):
-        detail = fuse_frame_detailed(
-            m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, m.schedule.B,
-            dataclasses.replace(cfg.fusion, chain_flows=False),
-        )
+    fused = np.empty_like(x_mid.samples)
+    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
         save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
         save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
         export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
         export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
         export_pgm(Frame(detail.visibility.values), dump / f"visibility_{k:03d}.pgm")
+        fused[k - 1] = detail.output.samples
+    return VideoCube(fused)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -316,7 +306,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _check_finite(x_mid, "reconstruction")
     save_tensor(x_mid, out / "intermediate.khcv")
 
-    fused = fuse_video(m, x_mid, cfg.fusion)
+    fused = _fuse(out, m, x_mid, cfg)
     _check_finite(fused, "fusion")
     save_tensor(fused, out / "fused.khcv")
 
@@ -325,16 +315,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         seq.mkdir(exist_ok=True)
         for k in range(B):
             export_pgm(Frame(fused.samples[k]), seq / f"fused_{k + 1:03d}.pgm")
-    if cfg.dump_intermediates:
-        _dump_fusion_intermediates(out, m, x_mid, cfg)
 
     start = (scene.frames - B) // 2
     truth = VideoCube(scene.samples[start : start + B])
+    per_frame, mean = _score(truth, fused)
     report = {
         "config": cfg.to_dict(),
-        "per_frame": _frame_rows(truth, fused),
-        "mean": _mean_block(truth, fused),
-        "intermediate_mean": _mean_block(truth, x_mid),
+        "per_frame": per_frame,
+        "mean": mean,
+        "intermediate_mean": _score(truth, x_mid)[1],
     }
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
@@ -519,11 +508,9 @@ def fuse(manifest_path, intermediate_path, config_path, out_dir, dump):
             raise DataError(f"{intermediate_path} holds a {type(data).__name__}, expected a video cube")
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        fused = fuse_video(m, data, cfg.fusion)
+        fused = _fuse(out, m, data, cfg)
         _check_finite(fused, "fusion")
         save_tensor(fused, out / "fused.khcv")
-        if cfg.dump_intermediates:
-            _dump_fusion_intermediates(out, m, data, cfg)
         click.echo(f"wrote {out / 'fused.khcv'}")
 
     _guarded(body)
@@ -598,10 +585,8 @@ def metrics(reference, candidate, out_path):
             raise DataError(
                 f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}"
             )
-        report = {
-            "per_frame": _frame_rows(truth, probe),
-            "mean": _mean_block(truth, probe),
-        }
+        per_frame, mean = _score(truth, probe)
+        report = {"per_frame": per_frame, "mean": mean}
         text = json.dumps(report, indent=2)
         click.echo(text)
         if out_path is not None:

@@ -6,6 +6,9 @@ makes that warp match the target.  The solver builds binomially filtered
 image pyramids, relaxes the classic Horn-Schunck equations at each level
 with the data term linearized around the current warp, and upsamples the
 field between levels.
+
+The data term (warp, image gradients and the Horn-Schunck denominator) is
+formed in float64; the Jacobi sweeps that relax the field run in float32.
 """
 
 from __future__ import annotations
@@ -31,16 +34,15 @@ _MIN_COARSE_SIDE = 8
 # binomial 5-tap prefilter applied before every 2x downsample
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
-# original Horn-Schunck neighborhood average: cardinal 1/6, diagonal 1/12
-_HS_AVG = np.array([[1.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 1.0]]) / 12.0
-
 
 @dataclass(frozen=True)
 class FlowParams:
     """Settings for the pyramidal Horn-Schunck solver.
 
     alpha weighs the smoothness term against the data term on the [0, 1]
-    intensity scale; larger values give smoother fields.
+    intensity scale; larger values give smoother fields.  Each level runs
+    warps_per_level linearizations of the data term (float64), each relaxed
+    by iters_per_level Jacobi sweeps (float32).
     """
 
     pyramid_levels: int = 3
@@ -113,10 +115,6 @@ def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def _neighborhood_avg(field: np.ndarray) -> np.ndarray:
-    return ndimage.correlate(field, _HS_AVG, mode="nearest")
-
-
 def _relax_level(
     target: np.ndarray,
     source: np.ndarray,
@@ -124,23 +122,72 @@ def _relax_level(
     v: np.ndarray,
     params: FlowParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run warps_per_level linearizations of the data term at one level."""
+    """Run warps_per_level linearizations of the data term at one level.
+
+    Each linearization fixes, with D = alpha^2 + fx^2 + fy^2,
+        a = fx / D,  b = fy / D,  c = (ft - fx*u0 - fy*v0) / D
+    and every Jacobi sweep then sets t = a*u_bar + b*v_bar + c and
+    (u, v) = (u_bar - fx*t, v_bar - fy*t), where the bar is the original
+    Horn-Schunck neighborhood average (cardinal 1/6, diagonal 1/12) with
+    replicate borders.  The sweeps run in place in float32 on one padded
+    (u, v) buffer.
+    """
+    h, w = target.shape
     alpha_sq = params.alpha * params.alpha
+    # Each padded plane is also read flat, where a neighbor is a fixed offset
+    # (+-1 across, +-row down), so every stencil operand is one contiguous
+    # run.  The run [lo, hi) spans the interior rows end to end; what a sweep
+    # writes into border columns is replaced by the next sweep's border copy.
+    row = w + 2
+    plane = (h + 2) * row
+    lo, hi = row + 1, plane - row - 1
+    n = hi - lo
+    padded = np.empty((2, h + 2, w + 2), np.float32)
+    field = padded[:, 1:-1, 1:-1]
+    field[0] = u
+    field[1] = v
+    flat = padded.reshape(2, plane)
+    grad = np.zeros_like(padded)
+    coef = np.zeros_like(padded)
+    c = np.zeros((h + 2, w + 2), np.float32)
+    grad_run = grad.reshape(2, plane)[:, lo:hi]
+    coef_run = coef.reshape(2, plane)[:, lo:hi]
+    c_run = c.reshape(plane)[lo:hi]
+    pairs = np.empty((2, n + 2 * row), np.float32)
+    avg = np.empty((2, n), np.float32)
+    tmp = np.empty((2, n), np.float32)
+    t = np.empty(n, np.float32)
     for _ in range(params.warps_per_level):
-        warped = _warp_by_flow(source, u, v)
-        avg_img = 0.5 * (target + warped)
-        fx, fy = _central_diff(avg_img)
-        ft = warped - target
+        u0 = field[0].astype(np.float64)
+        v0 = field[1].astype(np.float64)
+        warped = _warp_by_flow(source, u0, v0)
+        fx, fy = _central_diff(0.5 * (target + warped))
         denom = alpha_sq + fx * fx + fy * fy
-        u0 = u.copy()
-        v0 = v.copy()
+        grad[0, 1:-1, 1:-1] = fx
+        grad[1, 1:-1, 1:-1] = fy
+        coef[0, 1:-1, 1:-1] = fx / denom
+        coef[1, 1:-1, 1:-1] = fy / denom
+        c[1:-1, 1:-1] = (warped - target - fx * u0 - fy * v0) / denom
         for _ in range(params.iters_per_level):
-            u_bar = _neighborhood_avg(u)
-            v_bar = _neighborhood_avg(v)
-            t = (fx * (u_bar - u0) + fy * (v_bar - v0) + ft) / denom
-            u = u_bar - fx * t
-            v = v_bar - fy * t
-    return u, v
+            padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
+            padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
+            padded[:, :, 0] = padded[:, :, 1]
+            padded[:, :, -1] = padded[:, :, -2]
+            # avg = (diagonal sum + 2 * cardinal sum) / 12; pairs holds the
+            # left + right sums of the rows above, at and below the run
+            np.add(flat[:, lo - row - 1 : hi + row - 1], flat[:, lo - row + 1 : hi + row + 1], out=pairs)
+            np.add(pairs[:, :n], pairs[:, 2 * row :], out=avg)
+            np.add(flat[:, lo - row : hi - row], flat[:, lo + row : hi + row], out=tmp)
+            tmp += pairs[:, row : row + n]
+            tmp += tmp
+            avg += tmp
+            avg *= np.float32(1.0 / 12.0)
+            np.multiply(coef_run, avg, out=tmp)
+            np.add(tmp[0], tmp[1], out=t)
+            t += c_run
+            np.multiply(grad_run, t, out=tmp)
+            np.subtract(avg, tmp, out=flat[:, lo:hi])
+    return field[0], field[1]
 
 
 def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None) -> FlowField:
@@ -185,7 +232,7 @@ def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None
             u = _resize_bilinear(u, targets[level].shape) * 2.0
             v = _resize_bilinear(v, targets[level].shape) * 2.0
         u, v = _relax_level(targets[level], sources[level], u, v, params)
-    return FlowField(u.astype(np.float32), v.astype(np.float32))
+    return FlowField(u, v)
 
 
 def compose_flows(steps: Sequence[FlowField]) -> FlowField:

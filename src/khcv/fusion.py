@@ -11,6 +11,7 @@ intermediate reconstruction.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "normalize_brightness",
     "fuse_frame",
     "fuse_frame_detailed",
+    "iter_fused_frames",
     "fuse_video",
 ]
 
@@ -314,33 +316,44 @@ def _chain_fields(
     return left, right
 
 
+def iter_fused_frames(
+    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None
+) -> Iterator[FusedFrame]:
+    """Fuse the frames of a coded block one at a time, in order k = 1..B.
+
+    Shapes are checked, and with chain_flows the per-step fields estimated,
+    when this is called; each next() then fuses one more frame and returns
+    its FusedFrame, so callers can consume the records without holding all B.
+    """
+    params = params or FusionParams()
+    B = m.schedule.B
+    if x_mid.frames != B:
+        raise ValueError(f"intermediate cube has {x_mid.frames} frames, schedule says {B}")
+    if x_mid.samples.shape[1:] != m.y.samples.shape:
+        raise ValueError("intermediate frames must match the measurement size")
+    chains = _chain_fields(x_mid, m.z_left, m.z_right, params) if params.chain_flows else None
+
+    def frames() -> Iterator[FusedFrame]:
+        for k in range(1, B + 1):
+            step_flows = None
+            if chains is not None:
+                left, right = chains
+                # frame k walks left through k-1, ..., 1 and right through k+1, ..., B
+                step_flows = (left[:k][::-1], right[k - 1 :])
+            yield fuse_frame_detailed(
+                m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params, step_flows
+            )
+
+    return frames()
+
+
 def fuse_video(m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None) -> VideoCube:
     """Fuse every intermediate frame of a coded block with the key frames.
 
     With chain_flows enabled the per-step fields are estimated once and
     composed per frame, so the whole block costs 2B flow estimations.
     """
-    params = params or FusionParams()
-    if x_mid.frames != m.schedule.B:
-        raise ValueError(f"intermediate cube has {x_mid.frames} frames, schedule says {m.schedule.B}")
-    if x_mid.samples.shape[1:] != m.y.samples.shape:
-        raise ValueError("intermediate frames must match the measurement size")
-
-    chains = _chain_fields(x_mid, m.z_left, m.z_right, params) if params.chain_flows else None
     fused = np.empty_like(x_mid.samples)
-    for k in range(1, m.schedule.B + 1):
-        step_flows = None
-        if chains is not None:
-            left, right = chains
-            # frame k walks left through k-1, ..., 1 and right through k+1, ..., B
-            step_flows = (left[: k][::-1], right[k - 1 :])
-        fused[k - 1] = fuse_frame(
-            m.z_left,
-            m.z_right,
-            Frame(x_mid.samples[k - 1]),
-            k,
-            m.schedule.B,
-            params,
-            step_flows,
-        ).samples
+    for k, record in enumerate(iter_fused_frames(m, x_mid, params)):
+        fused[k] = record.output.samples
     return VideoCube(fused)

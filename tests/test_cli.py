@@ -1,10 +1,23 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from khcv import Frame, VideoCube, export_pgm, load_tensor, psnr, save_tensor
+from khcv import (
+    Frame,
+    VideoCube,
+    export_pgm,
+    fusion,
+    load_tensor,
+    psnr,
+    read_measurement,
+    save_tensor,
+    ssim,
+    video_report,
+)
 from khcv.cli import (
     ConfigError,
     DataError,
@@ -249,6 +262,47 @@ def test_run_pipeline_optional_outputs(tmp_path):
     assert (dump / "visibility_001.pgm").exists()
 
 
+def test_dumping_intermediates_fuses_the_block_once(tmp_path, monkeypatch):
+    calls = []
+    real = fusion.estimate_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "estimate_flow", counted)
+    raw, _ = base_config(tmp_path)
+    counts, fused = {}, {}
+    for dump in (False, True):
+        calls.clear()
+        cfg = PipelineConfig.from_dict({**raw, "dump_intermediates": dump, "out_dir": str(tmp_path / str(dump))})
+        result = run_pipeline(cfg)
+        counts[dump] = len(calls)
+        fused[dump] = (result.out_dir / "fused.khcv").read_bytes()
+    # per frame: one direct estimate and one refinement against each key
+    assert counts[True] == counts[False] == 4 * raw["B"]
+    assert fused[True] == fused[False]
+
+
+def test_dumped_flows_are_the_chained_ones_fusion_used(tmp_path):
+    raw, _ = base_config(tmp_path, dump_intermediates=True, fusion={"chain_flows": True})
+    cfg = PipelineConfig.from_dict(raw)
+    result = run_pipeline(cfg)
+    m = read_measurement(result.out_dir / "manifest.json")
+    x_mid = load_tensor(result.out_dir / "intermediate.khcv")
+    chained = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion))
+    direct = list(fusion.iter_fused_frames(m, x_mid, dataclasses.replace(cfg.fusion, chain_flows=False)))
+    dump = result.out_dir / "intermediates"
+    stored = [
+        (load_tensor(dump / f"flow_left_{k:03d}.khcv"), load_tensor(dump / f"flow_right_{k:03d}.khcv"))
+        for k in range(1, cfg.B + 1)
+    ]
+    assert stored == [(c.flow_left, c.flow_right) for c in chained]
+    assert stored != [(d.flow_left, d.flow_right) for d in direct]
+    fused = load_tensor(result.out_dir / "fused.khcv").samples
+    assert np.array_equal(fused, np.stack([c.output.samples for c in chained]))
+
+
 def test_run_pipeline_rejects_short_scene(tmp_path):
     raw, _ = base_config(tmp_path, B=16)
     cfg = PipelineConfig.from_dict(raw)
@@ -400,6 +454,37 @@ def test_cli_metrics_command(tmp_path):
     save_tensor(c, pc)
     result = CliRunner().invoke(main, ["metrics", str(pa), str(pc)])
     assert result.exit_code == 3
+
+
+def test_report_means_match_per_metric_video_reports(tmp_path):
+    truth = translating_scene(24, 24, 3, seed=2)
+    rng = np.random.default_rng(7)
+    noisy = np.clip(truth.samples + rng.normal(0.0, 0.05, truth.samples.shape), 0.0, 1.0).astype(np.float32)
+    one_exact = noisy.copy()
+    one_exact[0] = truth.samples[0]  # an infinite PSNR frame makes the mean PSNR infinite
+    pt = tmp_path / "truth.khcv"
+    save_tensor(truth, pt)
+    for name, samples in (("noisy", noisy), ("one_exact", one_exact)):
+        probe = VideoCube(samples)
+        pp, out = tmp_path / f"{name}.khcv", tmp_path / f"{name}.json"
+        save_tensor(probe, pp)
+        result = CliRunner().invoke(main, ["metrics", str(pt), str(pp), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        psnrs = [psnr(probe.samples[k], truth.samples[k]) for k in range(truth.frames)]
+        assert [row["psnr_db"] for row in report["per_frame"]] == ["inf" if math.isinf(p) else p for p in psnrs]
+        assert [row["ssim"] for row in report["per_frame"]] == [
+            ssim(probe.samples[k], truth.samples[k]) for k in range(truth.frames)
+        ]
+        mean = report["mean"]
+        expected_psnr = video_report("psnr", probe, truth).mean
+        assert mean == {
+            "psnr_db": "inf" if math.isinf(expected_psnr) else expected_psnr,
+            "ssim": video_report("ssim", probe, truth).mean,
+            "l1": video_report("l1", probe, truth).mean,
+            "lpips": "unavailable",
+        }
+        assert (mean["psnr_db"] == "inf") == (name == "one_exact")
 
 
 def test_cli_sweep_command(tmp_path):

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from khcv import FlowField, FlowParams, compose_flows, estimate_flow, flow_to_color, mean_epe, sample_bilinear
+from khcv import (
+    FlowField,
+    FlowParams,
+    Frame,
+    compose_flows,
+    estimate_flow,
+    flow,
+    flow_to_color,
+    mean_epe,
+    sample_bilinear,
+)
 
 from conftest import central_fraction_mask, shifted_pair, smooth_texture
 
@@ -81,6 +94,69 @@ def test_recovers_moving_blob():
     truth = constant_flow(h, w, 2.0, -1.0)
     support = target.samples > 0.15
     assert mean_epe(f, truth, support) < 0.3
+
+
+# Horn-Schunck neighborhood average: cardinal 1/6, diagonal 1/12
+_HS_AVG = np.array([[1.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 1.0]]) / 12.0
+
+
+def reference_flow(target, source, params):
+    """The pyramidal solver with its Jacobi sweeps as float64 ndimage.correlate calls."""
+    targets = [target.samples.astype(np.float64)]
+    sources = [source.samples.astype(np.float64)]
+    for _ in range(params.pyramid_levels - 1):
+        targets.append(flow._downsample(targets[-1]))
+        sources.append(flow._downsample(sources[-1]))
+    u = np.zeros_like(targets[-1])
+    v = np.zeros_like(targets[-1])
+    alpha_sq = params.alpha * params.alpha
+    for tgt, src in zip(targets[::-1], sources[::-1]):
+        if u.shape != tgt.shape:
+            u = flow._resize_bilinear(u, tgt.shape) * 2.0
+            v = flow._resize_bilinear(v, tgt.shape) * 2.0
+        for _ in range(params.warps_per_level):
+            warped = flow._warp_by_flow(src, u, v)
+            fx, fy = flow._central_diff(0.5 * (tgt + warped))
+            ft = warped - tgt
+            denom = alpha_sq + fx * fx + fy * fy
+            u0 = u.copy()
+            v0 = v.copy()
+            for _ in range(params.iters_per_level):
+                u_bar = ndimage.correlate(u, _HS_AVG, mode="nearest")
+                v_bar = ndimage.correlate(v, _HS_AVG, mode="nearest")
+                t = (fx * (u_bar - u0) + fy * (v_bar - v0) + ft) / denom
+                u = u_bar - fx * t
+                v = v_bar - fy * t
+    return u, v
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    levels=st.integers(1, 3),
+    extra_h=st.integers(0, 40),
+    extra_w=st.integers(0, 40),
+    alpha=st.floats(0.05, 0.5),  # from the flow default up past the fusion default 0.2
+    iters=st.integers(1, 60),
+    warps=st.integers(1, 3),
+    dx=st.integers(-2, 2),
+    dy=st.integers(-2, 2),
+    seed=st.integers(0, 1000),
+)
+def test_float32_sweeps_match_float64_reference(levels, extra_h, extra_w, alpha, iters, warps, dx, dy, seed):
+    # the smallest sides leave exactly 8 px at the coarsest level
+    min_side = 8 * 2 ** (levels - 1)
+    h, w = min_side + extra_h, min_side + extra_w
+    params = FlowParams(pyramid_levels=levels, alpha=alpha, iters_per_level=iters, warps_per_level=warps)
+    target, source = shifted_pair(h, w, dx=dx, dy=dy, seed=seed)
+    got = estimate_flow(target, source, params)
+    ref_u, ref_v = reference_flow(target, source, params)
+    assert np.abs(got.u - ref_u).max() <= 1e-4
+    assert np.abs(got.v - ref_v).max() <= 1e-4
+
+    again = estimate_flow(target, source, params)
+    assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
+    still = estimate_flow(target, Frame(target.samples.copy()), params)
+    assert not still.u.any() and not still.v.any()
 
 
 def test_rejects_too_small_images():
