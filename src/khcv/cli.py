@@ -29,7 +29,7 @@ from .capture import (
 )
 from .flow import FlowParams, flow_to_color
 from .fusion import FusionParams, fuse_video, iter_fused_frames
-from .metrics import video_report
+from .metrics import _encode_value, video_report
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -211,18 +211,14 @@ def load_scene(path) -> VideoCube:
     return data
 
 
-def _json_value(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
     """Per-frame rows and their mean block, computing each metric once per frame."""
     psnrs, ssims, l1s = (video_report(name, cube, truth) for name in ("psnr", "ssim", "l1"))
     rows = [
-        {"k": k, "psnr_db": _json_value(p), "ssim": s, "l1": l1}
+        {"k": k, "psnr_db": _encode_value(p), "ssim": s, "l1": l1}
         for k, (p, s, l1) in enumerate(zip(psnrs.values, ssims.values, l1s.values), start=1)
     ]
-    mean = {"psnr_db": _json_value(psnrs.mean), "ssim": ssims.mean, "l1": l1s.mean, "lpips": "unavailable"}
+    mean = {"psnr_db": _encode_value(psnrs.mean), "ssim": ssims.mean, "l1": l1s.mean, "lpips": "unavailable"}
     return rows, mean
 
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import correlate2d
+from scipy import ndimage
 
 from .tensors import FlowField, Frame, VideoCube
 
@@ -52,17 +52,27 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     offsets = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     taps = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    window = np.outer(taps, taps)
-    return window / window.sum()
+    return taps / taps.sum()
+
+
+def _window_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # the 2-D Gaussian window is the outer product of the 1-D taps, so one
+    # pass per axis gives the dense correlation; the crop keeps the "valid"
+    # region, which no border value reaches
+    half = taps.size // 2
+    out = ndimage.correlate1d(img, taps, axis=0)
+    out = ndimage.correlate1d(out, taps, axis=1)
+    return out[half:-half, half:-half]
 
 
 def ssim(a, b, peak: float = 1.0) -> float:
     """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5).
 
-    Local statistics are taken over the valid correlation region only, so no
+    The window is separable and applied as one 1-D pass per axis.  Local
+    statistics are taken over the valid correlation region only, so no
     padding bias enters near the borders.  Inputs must be at least 11 pixels
     in each dimension.
     """
@@ -74,12 +84,12 @@ def ssim(a, b, peak: float = 1.0) -> float:
     if min(a.shape) < _SSIM_WINDOW:
         raise ValueError(f"frames must be at least {_SSIM_WINDOW} px per side, got {a.shape}")
 
-    window = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-    mu_a = correlate2d(a, window, mode="valid")
-    mu_b = correlate2d(b, window, mode="valid")
-    mu_aa = correlate2d(a * a, window, mode="valid")
-    mu_bb = correlate2d(b * b, window, mode="valid")
-    mu_ab = correlate2d(a * b, window, mode="valid")
+    taps = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
+    mu_a = _window_mean(a, taps)
+    mu_b = _window_mean(b, taps)
+    mu_aa = _window_mean(a * a, taps)
+    mu_bb = _window_mean(b * b, taps)
+    mu_ab = _window_mean(a * b, taps)
 
     var_a = mu_aa - mu_a * mu_a
     var_b = mu_bb - mu_b * mu_b

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import correlate2d
 
 from khcv import FlowField, Frame, MetricReport, VideoCube, l1_distance, mean_epe, psnr, ssim, video_report
 
@@ -40,30 +41,39 @@ def test_ssim_self_is_one():
 
 
 def test_ssim_matches_windowed_oracle():
-    # brute-force local-statistics reference on a small image pair
-    rng = np.random.default_rng(0)
-    a = rng.random((14, 14))
-    b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
+    # brute-force local-statistics reference, then the same statistics as
+    # dense 11x11 valid-region correlations on non-square frames
     win = 11
     off = np.arange(win) - (win - 1) / 2
     taps = np.exp(-(off**2) / (2 * 1.5**2))
     w = np.outer(taps, taps)
     w /= w.sum()
     c1, c2 = 0.01**2, 0.03**2
-    scores = []
-    for i in range(a.shape[0] - win + 1):
-        for j in range(a.shape[1] - win + 1):
-            pa = a[i : i + win, j : j + win]
-            pb = b[i : i + win, j : j + win]
-            mu_a = (w * pa).sum()
-            mu_b = (w * pb).sum()
-            va = (w * pa * pa).sum() - mu_a**2
-            vb = (w * pb * pb).sum() - mu_b**2
-            cov = (w * pa * pb).sum() - mu_a * mu_b
-            scores.append(
-                (2 * mu_a * mu_b + c1) * (2 * cov + c2) / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
-            )
-    assert abs(ssim(a, b) - np.mean(scores)) < 1e-6
+    for shape in [(14, 14), (11, 64), (64, 11), (23, 40), (57, 31)]:
+        rng = np.random.default_rng(0)
+        a = rng.random(shape)
+        b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
+        scores = []
+        for i in range(a.shape[0] - win + 1):
+            for j in range(a.shape[1] - win + 1):
+                pa = a[i : i + win, j : j + win]
+                pb = b[i : i + win, j : j + win]
+                mu_a = (w * pa).sum()
+                mu_b = (w * pb).sum()
+                va = (w * pa * pa).sum() - mu_a**2
+                vb = (w * pb * pb).sum() - mu_b**2
+                cov = (w * pa * pb).sum() - mu_a * mu_b
+                scores.append(
+                    (2 * mu_a * mu_b + c1) * (2 * cov + c2) / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
+                )
+        assert abs(ssim(a, b) - np.mean(scores)) < 1e-6, shape
+
+        mu_a, mu_b, mu_aa, mu_bb, mu_ab = (correlate2d(x, w, mode="valid") for x in (a, b, a * a, b * b, a * b))
+        var_a, var_b, cov = mu_aa - mu_a * mu_a, mu_bb - mu_b * mu_b, mu_ab - mu_a * mu_b
+        dense = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+            (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        )
+        assert abs(ssim(a, b) - dense.mean()) < 1e-12, shape
 
 
 def test_ssim_penalizes_noise():

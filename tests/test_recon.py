@@ -2,7 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from khcv import recon
 from khcv import (
     CodingCube,
     Frame,
@@ -45,6 +48,104 @@ def test_tv_denoise_never_increases_tv():
         weight = float(rng.uniform(0.01, 0.5))
         out = tv_denoise(img, weight)
         assert total_variation(out) <= total_variation(img) + 1e-6
+
+
+def reference_tv_denoise(img, weight, inner_iters):
+    """The Chambolle dual loop in float64 with freshly allocated arrays."""
+
+    def grad(a):
+        gx = np.zeros_like(a)
+        gy = np.zeros_like(a)
+        gx[:, :-1] = a[:, 1:] - a[:, :-1]
+        gy[:-1, :] = a[1:, :] - a[:-1, :]
+        return gx, gy
+
+    def div(px, py):
+        d = np.zeros_like(px)
+        d[:, 0] += px[:, 0]
+        d[:, 1:] += px[:, 1:] - px[:, :-1]
+        d[0, :] += py[0, :]
+        d[1:, :] += py[1:, :] - py[:-1, :]
+        return d
+
+    tau = 0.25
+    px = np.zeros_like(img)
+    py = np.zeros_like(img)
+    scaled = img / weight
+    for _ in range(inner_iters):
+        gx, gy = grad(div(px, py) - scaled)
+        denom = 1.0 + tau * np.hypot(gx, gy)
+        px = (px + tau * gx) / denom
+        py = (py + tau * gy) / denom
+    return img - weight * div(px, py)
+
+
+def reference_gap_tv(y, c, params):
+    """The GAP-TV loop in float64 throughout, TV step by reference_tv_denoise."""
+    masks = c.samples.astype(np.float64)
+    meas = y.samples.astype(np.float64)
+    safe_cov = np.maximum((masks * masks).sum(axis=0), params.epsilon_r)
+    x = masks * (meas / safe_cov)
+    for _ in range(params.outer_iters):
+        x = x + masks * ((meas - (masks * x).sum(axis=0)) / safe_cov)
+        for k in range(x.shape[0]):
+            x[k] = reference_tv_denoise(x[k], params.tv_weight, params.tv_inner_iters)
+    return np.clip(x, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    weight=st.floats(0.01, 0.5),
+    inner_iters=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, w=40, weight=0.1, inner_iters=5, seed=0)
+@example(h=40, w=1, weight=0.1, inner_iters=5, seed=0)
+@example(h=1, w=1, weight=0.5, inner_iters=8, seed=0)
+def test_float32_tv_kernel_matches_float64_reference(h, w, weight, inner_iters, seed):
+    img = np.random.default_rng(seed).random((h, w))
+    ref = reference_tv_denoise(img, weight, inner_iters)
+    work = recon._tv_buffers((h, w))
+    got = img.copy()
+    recon._tv_denoise(got, weight, inner_iters, work)
+    assert np.abs(got - ref).max() <= 1e-6
+
+    # a second call through the same, now dirty, work planes repeats exactly
+    work.fill(np.nan)
+    again = img.copy()
+    recon._tv_denoise(again, weight, inner_iters, work)
+    assert again.tobytes() == got.tobytes()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    frames=st.integers(1, 4),
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
+    outer_iters=st.integers(1, 12),
+    weight=st.floats(0.01, 0.3),
+    inner_iters=st.integers(1, 6),
+    hole=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(frames=1, h=12, w=9, outer_iters=8, weight=0.07, inner_iters=5, hole=False, seed=0)
+@example(frames=4, h=16, w=16, outer_iters=10, weight=0.07, inner_iters=5, hole=True, seed=1)
+def test_gap_tv_matches_float64_reference(frames, h, w, outer_iters, weight, inner_iters, hole, seed, caplog):
+    rng = np.random.default_rng(seed)
+    planes = (rng.random((frames, h, w)) < 0.5).astype(np.uint8)
+    if hole:
+        planes[:, rng.integers(h), rng.integers(w)] = 0
+    masks = CodingCube(planes)
+    y = encode(VideoCube(rng.random((frames, h, w)).astype(np.float32)), masks)
+    params = GapTvParams(outer_iters=outer_iters, tv_weight=weight, tv_inner_iters=inner_iters)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="khcv.recon"):
+        got = gap_tv_reconstruct(y, masks, params)
+    assert np.abs(got.samples - reference_gap_tv(y, masks, params)).max() <= 1e-6
+    warned = any("zero mask coverage" in rec.message for rec in caplog.records)
+    assert warned == bool((planes.sum(axis=0) == 0).any())
 
 
 def test_tv_denoise_smooths_noise():
