@@ -29,7 +29,7 @@ from .capture import (
 )
 from .flow import FlowParams, flow_to_color
 from .fusion import FusionParams, fuse_video, iter_fused_frames
-from .metrics import _encode_value, video_report
+from .metrics import video_report
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -104,23 +104,11 @@ class PipelineConfig:
             fusion_kwargs = dict(raw.get("fusion", {}))
             if "flow" in raw:
                 fusion_kwargs["flow_params"] = FlowParams(**raw["flow"])
-            fusion_params = FusionParams(**fusion_kwargs)
-            gap_tv_params = GapTvParams(**raw.get("gap_tv", {}))
+            scalars = {k: v for k, v in raw.items() if k not in ("gap_tv", "fusion", "flow")}
             cfg = cls(
-                scene=raw["scene"],
-                B=raw.get("B", 16),
-                t_x=raw.get("t_x", 2083),
-                t_g=raw.get("t_g", 0),
-                gap_frames=raw.get("gap_frames", 0),
-                mask_seed=raw.get("mask_seed", 1),
-                mask_density=raw.get("mask_density", 0.5),
-                noise_sigma=raw.get("noise_sigma", 0.0),
-                noise_seed=raw.get("noise_seed", 1),
-                out_dir=raw.get("out_dir", "out"),
-                dump_intermediates=raw.get("dump_intermediates", False),
-                save_pgm=raw.get("save_pgm", False),
-                gap_tv=gap_tv_params,
-                fusion=fusion_params,
+                **scalars,
+                gap_tv=GapTvParams(**raw.get("gap_tv", {})),
+                fusion=FusionParams(**fusion_kwargs),
             )
             # validate schedule arithmetic, seeds and noise settings eagerly
             build_schedule(cfg.t_x, cfg.B, cfg.t_g)
@@ -150,30 +138,10 @@ class PipelineConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "scene": self.scene,
-            "B": self.B,
-            "t_x": self.t_x,
-            "t_g": self.t_g,
-            "gap_frames": self.gap_frames,
-            "mask_seed": self.mask_seed,
-            "mask_density": self.mask_density,
-            "noise_sigma": self.noise_sigma,
-            "noise_seed": self.noise_seed,
-            "out_dir": self.out_dir,
-            "dump_intermediates": self.dump_intermediates,
-            "save_pgm": self.save_pgm,
-            "gap_tv": dataclasses.asdict(self.gap_tv),
-            "fusion": {
-                "beta": self.fusion.beta,
-                "error_smooth_radius": self.fusion.error_smooth_radius,
-                "epsilon_blend": self.fusion.epsilon_blend,
-                "fallback_threshold": self.fusion.fallback_threshold,
-                "normalize_keys": self.fusion.normalize_keys,
-                "chain_flows": self.fusion.chain_flows,
-            },
-            "flow": dataclasses.asdict(self.fusion.flow_params),
-        }
+        """The from_dict form: fusion's flow_params move to a top-level "flow"."""
+        raw = dataclasses.asdict(self)
+        raw["flow"] = raw["fusion"].pop("flow_params")
+        return raw
 
 
 def _noise_model(cfg: PipelineConfig) -> NoiseModel:
@@ -211,6 +179,10 @@ def load_scene(path) -> VideoCube:
     return data
 
 
+def _encode_value(x: float):
+    return "inf" if math.isinf(x) else x
+
+
 def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
     """Per-frame rows and their mean block, computing each metric once per frame."""
     psnrs, ssims, l1s = (video_report(name, cube, truth) for name in ("psnr", "ssim", "l1"))
@@ -244,27 +216,61 @@ class PipelineResult:
         return math.inf if value == "inf" else float(value)
 
 
-def _check_finite(cube: VideoCube, stage: str) -> None:
-    if not np.isfinite(cube.samples).all():
-        raise NumericalError(f"{stage} produced non-finite values")
+def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
+    """Simulate the hybrid capture of a scene and write it under cfg.out_dir.
+
+    Returns the measurement and the path of its manifest.
+    """
+    needed = cfg.B + 2 + 2 * cfg.gap_frames
+    if scene.frames < needed:
+        raise DataError(
+            f"scene has {scene.frames} frames but B={cfg.B} with gap_frames={cfg.gap_frames} "
+            f"needs at least {needed}"
+        )
+    schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
+    masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)
+    m = simulate_capture(scene, masks, schedule, cfg.gap_frames, _noise_model(cfg))
+    manifest = write_measurement(
+        m, cfg.out_dir, seed=cfg.mask_seed,
+        extra={"noise_sigma": cfg.noise_sigma, "noise_seed": cfg.noise_seed},
+    )
+    return m, manifest
 
 
-def _fuse(out: Path, m: HybridMeasurement, x_mid: VideoCube, cfg: PipelineConfig) -> VideoCube:
-    """Fuse the block; with dump_intermediates, write each frame's flows and
-    visibility map under out/intermediates as that frame is fused."""
-    if not cfg.dump_intermediates:
-        return fuse_video(m, x_mid, cfg.fusion)
-    dump = out / "intermediates"
-    dump.mkdir(exist_ok=True)
-    fused = np.empty_like(x_mid.samples)
-    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
-        save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
-        save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
-        export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
-        export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
-        export_pgm(Frame(detail.visibility.values), dump / f"visibility_{k:03d}.pgm")
-        fused[k - 1] = detail.output.samples
-    return VideoCube(fused)
+def _reconstruct(cfg: PipelineConfig, m: HybridMeasurement) -> VideoCube:
+    """Reconstruct the coded block with GAP-TV and write intermediate.khcv."""
+    try:
+        x_mid = gap_tv_reconstruct(m.y, m.masks, cfg.gap_tv)
+    except FloatingPointError as exc:
+        raise NumericalError(str(exc)) from exc
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_tensor(x_mid, out / "intermediate.khcv")
+    return x_mid
+
+
+def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoCube:
+    """Fuse the block and write fused.khcv; with dump_intermediates, write each
+    frame's flows and visibility map under out/intermediates as that frame is
+    fused."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if cfg.dump_intermediates:
+        dump = out / "intermediates"
+        dump.mkdir(exist_ok=True)
+        fused = np.empty_like(x_mid.samples)
+        for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
+            save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
+            save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
+            export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
+            export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
+            export_pgm(Frame(detail.visibility.values), dump / f"visibility_{k:03d}.pgm")
+            fused[k - 1] = detail.output.samples
+        fused = VideoCube(fused)
+    else:
+        fused = fuse_video(m, x_mid, cfg.fusion)
+    save_tensor(fused, out / "fused.khcv")
+    return fused
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -276,35 +282,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """
     scene = load_scene(cfg.scene)
     B = cfg.B
-    needed = B + 2 + 2 * cfg.gap_frames
-    if scene.frames < needed:
-        raise DataError(
-            f"scene has {scene.frames} frames but B={B} with gap_frames={cfg.gap_frames} "
-            f"needs at least {needed}"
-        )
-
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    schedule = build_schedule(cfg.t_x, B, cfg.t_g)
-    masks = generate_masks(cfg.mask_seed, scene.height, scene.width, B, cfg.mask_density)
-    noise = _noise_model(cfg)
-    m = simulate_capture(scene, masks, schedule, cfg.gap_frames, noise)
-    write_measurement(
-        m, out, seed=cfg.mask_seed,
-        extra={"noise_sigma": cfg.noise_sigma, "noise_seed": cfg.noise_seed},
-    )
-
-    try:
-        x_mid = gap_tv_reconstruct(m.y, m.masks, cfg.gap_tv)
-    except FloatingPointError as exc:
-        raise NumericalError(str(exc)) from exc
-    _check_finite(x_mid, "reconstruction")
-    save_tensor(x_mid, out / "intermediate.khcv")
-
-    fused = _fuse(out, m, x_mid, cfg)
-    _check_finite(fused, "fusion")
-    save_tensor(fused, out / "fused.khcv")
+    m, _ = _capture(cfg, scene)
+    x_mid = _reconstruct(cfg, m)
+    fused = _fuse(cfg, m, x_mid)
 
     if cfg.save_pgm:
         seq = out / "fused_pgm"
@@ -401,16 +382,10 @@ def _guarded(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    except (DataError, FormatError, FileNotFoundError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         _fail(EXIT_DATA, str(exc))
-    except OSError as exc:
-        _fail(EXIT_DATA, str(exc))
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _fail(EXIT_NUMERIC, str(exc))
-    except FloatingPointError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_DATA, str(exc))
 
 
 def _load_config(config_path, out_dir, mask_seed, noise_seed, dump) -> PipelineConfig:
@@ -449,17 +424,7 @@ def simulate(config_path, out_dir, mask_seed, noise_seed):
 
     def body():
         cfg = _load_config(config_path, out_dir, mask_seed, noise_seed, False)
-        scene = load_scene(cfg.scene)
-        needed = cfg.B + 2 + 2 * cfg.gap_frames
-        if scene.frames < needed:
-            raise DataError(f"scene has {scene.frames} frames, need at least {needed}")
-        schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
-        masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)
-        m = simulate_capture(scene, masks, schedule, cfg.gap_frames, _noise_model(cfg))
-        manifest = write_measurement(
-            m, cfg.out_dir, seed=cfg.mask_seed,
-            extra={"noise_sigma": cfg.noise_sigma, "noise_seed": cfg.noise_seed},
-        )
+        _, manifest = _capture(cfg, load_scene(cfg.scene))
         click.echo(f"wrote {manifest}")
 
     _guarded(body)
@@ -474,15 +439,8 @@ def reconstruct(manifest_path, config_path, out_dir):
 
     def body():
         cfg = _load_config(config_path, out_dir, None, None, False)
-        m = read_measurement(manifest_path)
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            x_mid = gap_tv_reconstruct(m.y, m.masks, cfg.gap_tv)
-        except FloatingPointError as exc:
-            raise NumericalError(str(exc)) from exc
-        save_tensor(x_mid, out / "intermediate.khcv")
-        click.echo(f"wrote {out / 'intermediate.khcv'}")
+        _reconstruct(cfg, read_measurement(manifest_path))
+        click.echo(f"wrote {Path(cfg.out_dir) / 'intermediate.khcv'}")
 
     _guarded(body)
 
@@ -502,12 +460,8 @@ def fuse(manifest_path, intermediate_path, config_path, out_dir, dump):
         data = load_tensor(intermediate_path)
         if not isinstance(data, VideoCube):
             raise DataError(f"{intermediate_path} holds a {type(data).__name__}, expected a video cube")
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        fused = _fuse(out, m, data, cfg)
-        _check_finite(fused, "fusion")
-        save_tensor(fused, out / "fused.khcv")
-        click.echo(f"wrote {out / 'fused.khcv'}")
+        _fuse(cfg, m, data)
+        click.echo(f"wrote {Path(cfg.out_dir) / 'fused.khcv'}")
 
     _guarded(body)
 

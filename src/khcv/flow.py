@@ -14,7 +14,6 @@ formed in float64; the Jacobi sweeps that relax the field run in float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -24,7 +23,6 @@ from .tensors import FlowField, Frame
 __all__ = [
     "FlowParams",
     "estimate_flow",
-    "compose_flows",
     "flow_to_color",
     "sample_bilinear",
 ]
@@ -82,6 +80,7 @@ def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def _warp_by_flow(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Backward-warp img: out(p) = img(p + (u, v)(p)), sampled bilinearly."""
     h, w = img.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     return sample_bilinear(img, xx + u, yy + v)
@@ -233,31 +232,6 @@ def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None
             v = _resize_bilinear(v, targets[level].shape) * 2.0
         u, v = _relax_level(targets[level], sources[level], u, v, params)
     return FlowField(u, v)
-
-
-def compose_flows(steps: Sequence[FlowField]) -> FlowField:
-    """Chain per-step fields into one net field.
-
-    For steps [f1, f2, ...] the composition accumulates displacement along
-    the motion path: total(p) = f1(p) + rest(p + f1(p)), with the remaining
-    field sampled bilinearly (replicate borders).
-    """
-    if not steps:
-        raise ValueError("need at least one flow field to compose")
-    shape = steps[0].u.shape
-    for f in steps[1:]:
-        if f.u.shape != shape:
-            raise ValueError("all flow fields must share one shape")
-    total_u = steps[0].u.astype(np.float64)
-    total_v = steps[0].v.astype(np.float64)
-    h, w = shape
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    for f in steps[1:]:
-        xq = xx + total_u
-        yq = yy + total_v
-        total_u = total_u + sample_bilinear(f.u.astype(np.float64), xq, yq)
-        total_v = total_v + sample_bilinear(f.v.astype(np.float64), xq, yq)
-    return FlowField(total_u.astype(np.float32), total_v.astype(np.float32))
 
 
 def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarray:

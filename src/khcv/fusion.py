@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .capture import HybridMeasurement
-from .flow import FlowField, FlowParams, compose_flows, estimate_flow, sample_bilinear
+from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flow
 from .tensors import Frame, VideoCube
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "blend",
     "normalize_brightness",
     "fuse_frame",
-    "fuse_frame_detailed",
     "iter_fused_frames",
     "fuse_video",
 ]
@@ -48,8 +47,9 @@ class FusionParams:
     beta steepens the visibility sigmoid, error_smooth_radius sets the box
     filter radius used on photometric errors, fallback_threshold (None
     disables it) reverts pixels no key explains to the intermediate frame,
-    and chain_flows switches fuse_video from direct frame-to-key flow to
-    composing per-step fields along the block.
+    and normalize_keys rescales each key to the intermediate frame's mean
+    before flow estimation.  Flow always runs directly from each
+    intermediate frame to each key frame.
 
     The flow defaults here use a stronger smoothness weight than the flow
     module's own defaults: the fusion targets are GAP-TV outputs whose
@@ -61,7 +61,6 @@ class FusionParams:
     epsilon_blend: float = 1e-6
     fallback_threshold: float | None = 0.15
     normalize_keys: bool = True
-    chain_flows: bool = False
     flow_params: FlowParams = field(default_factory=lambda: FlowParams(alpha=0.2))
 
     def __post_init__(self):
@@ -105,10 +104,7 @@ def warp(image: Frame, f: FlowField) -> Frame:
     """
     if image.samples.shape != f.u.shape:
         raise ValueError(f"image {image.samples.shape} and flow {f.u.shape} disagree")
-    h, w = image.samples.shape
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    out = sample_bilinear(image.samples, xx + f.u, yy + f.v)
-    return Frame(out.astype(np.float32))
+    return Frame(_warp_by_flow(image.samples, f.u, f.v).astype(np.float32))
 
 
 def _central_crop(arr: np.ndarray, keep: float = 0.8) -> np.ndarray:
@@ -212,16 +208,15 @@ class FusedFrame:
     visibility: VisibleMap
 
 
-def fuse_frame_detailed(
+def fuse_frame(
     z_left: Frame,
     z_right: Frame,
     x_mid_k: Frame,
     k: int,
     B: int,
     params: FusionParams | None = None,
-    step_flows: tuple[list[FlowField], list[FlowField]] | None = None,
 ) -> FusedFrame:
-    """Fuse one intermediate frame with the two key frames, keeping intermediates.
+    """Fuse one intermediate frame with the two key frames.
 
     Args:
         z_left, z_right: uncoded key frames.
@@ -229,8 +224,6 @@ def fuse_frame_detailed(
         k: 1-based position of the frame inside the coded block.
         B: coded block length.
         params: fusion settings; defaults to FusionParams().
-        step_flows: optional (left_chain, right_chain) of per-step fields to
-            compose instead of estimating frame-to-key flow directly.
 
     Returns:
         FusedFrame holding the [0, 1]-clamped output and the flow, warp and
@@ -246,14 +239,8 @@ def fuse_frame_detailed(
         z_left = normalize_brightness(z_left, x_mid_k)
         z_right = normalize_brightness(z_right, x_mid_k)
 
-    if step_flows is not None:
-        left_chain, right_chain = step_flows
-        f_left = compose_flows(left_chain)
-        f_right = compose_flows(right_chain)
-    else:
-        f_left = estimate_flow(x_mid_k, z_left, params.flow_params)
-        f_right = estimate_flow(x_mid_k, z_right, params.flow_params)
-
+    f_left = estimate_flow(x_mid_k, z_left, params.flow_params)
+    f_right = estimate_flow(x_mid_k, z_right, params.flow_params)
     f_left = refine_flow(x_mid_k, z_left, f_left, params.flow_params)
     f_right = refine_flow(x_mid_k, z_right, f_right, params.flow_params)
     w_left = warp(z_left, f_left)
@@ -280,50 +267,14 @@ def fuse_frame_detailed(
     )
 
 
-def fuse_frame(
-    z_left: Frame,
-    z_right: Frame,
-    x_mid_k: Frame,
-    k: int,
-    B: int,
-    params: FusionParams | None = None,
-    step_flows: tuple[list[FlowField], list[FlowField]] | None = None,
-) -> Frame:
-    """Fused estimate of frame k; see fuse_frame_detailed for the mechanics."""
-    return fuse_frame_detailed(z_left, z_right, x_mid_k, k, B, params, step_flows).output
-
-
-def _chain_fields(
-    x_mid: VideoCube, z_left: Frame, z_right: Frame, params: FusionParams
-) -> tuple[list[FlowField], list[FlowField]]:
-    """Per-step flows along the block, estimated once and shared across k.
-
-    left[0] is frame 1 -> left key, left[i] is frame i+1 -> frame i;
-    right[i] is frame i+1 -> frame i+2, right[B-1] is frame B -> right key.
-    """
-    frames = [Frame(x_mid.samples[i]) for i in range(x_mid.frames)]
-    fp = params.flow_params
-    if params.normalize_keys:
-        z_left = normalize_brightness(z_left, frames[0])
-        z_right = normalize_brightness(z_right, frames[-1])
-    left = [estimate_flow(frames[0], z_left, fp)]
-    for i in range(1, x_mid.frames):
-        left.append(estimate_flow(frames[i], frames[i - 1], fp))
-    right = []
-    for i in range(x_mid.frames - 1):
-        right.append(estimate_flow(frames[i], frames[i + 1], fp))
-    right.append(estimate_flow(frames[-1], z_right, fp))
-    return left, right
-
-
 def iter_fused_frames(
     m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None
 ) -> Iterator[FusedFrame]:
     """Fuse the frames of a coded block one at a time, in order k = 1..B.
 
-    Shapes are checked, and with chain_flows the per-step fields estimated,
-    when this is called; each next() then fuses one more frame and returns
-    its FusedFrame, so callers can consume the records without holding all B.
+    Shapes are checked when this is called; each next() then runs fuse_frame
+    on one more frame and returns its FusedFrame, so callers can consume the
+    records without holding all B.
     """
     params = params or FusionParams()
     B = m.schedule.B
@@ -331,27 +282,19 @@ def iter_fused_frames(
         raise ValueError(f"intermediate cube has {x_mid.frames} frames, schedule says {B}")
     if x_mid.samples.shape[1:] != m.y.samples.shape:
         raise ValueError("intermediate frames must match the measurement size")
-    chains = _chain_fields(x_mid, m.z_left, m.z_right, params) if params.chain_flows else None
-
-    def frames() -> Iterator[FusedFrame]:
-        for k in range(1, B + 1):
-            step_flows = None
-            if chains is not None:
-                left, right = chains
-                # frame k walks left through k-1, ..., 1 and right through k+1, ..., B
-                step_flows = (left[:k][::-1], right[k - 1 :])
-            yield fuse_frame_detailed(
-                m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params, step_flows
-            )
-
-    return frames()
+    # fuse_frame is looked up in the module on every frame, so a wrapper
+    # installed on fusion.fuse_frame sees each call
+    return (
+        fuse_frame(m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params)
+        for k in range(1, B + 1)
+    )
 
 
 def fuse_video(m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None) -> VideoCube:
     """Fuse every intermediate frame of a coded block with the key frames.
 
-    With chain_flows enabled the per-step fields are estimated once and
-    composed per frame, so the whole block costs 2B flow estimations.
+    Each frame costs two flow estimations and two refinements, one of each
+    per key frame.
     """
     fused = np.empty_like(x_mid.samples)
     for k, record in enumerate(iter_fused_frames(m, x_mid, params)):

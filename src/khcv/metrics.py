@@ -1,10 +1,7 @@
-"""Image and flow quality metrics with JSON/CSV report serialization."""
+"""Image and flow quality metrics, per frame and per video."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,10 +123,6 @@ def mean_epe(f: FlowField, g: FlowField, mask: np.ndarray | None = None) -> floa
     return float(epe.mean())
 
 
-def _encode_value(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Per-frame values of one metric plus the assumed dynamic range."""
@@ -143,24 +136,6 @@ class MetricReport:
         if not self.values:
             raise ValueError("report holds no values")
         return float(np.mean(self.values))
-
-    def to_json(self) -> str:
-        payload = {
-            "metric": self.name,
-            "dynamic_range": self.dynamic_range,
-            "per_frame": [_encode_value(v) for v in self.values],
-            "mean": _encode_value(self.mean),
-        }
-        return json.dumps(payload, indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["frame", self.name])
-        for k, value in enumerate(self.values, start=1):
-            writer.writerow([k, _encode_value(value)])
-        writer.writerow(["mean", _encode_value(self.mean)])
-        return buf.getvalue()
 
 
 def video_report(name: str, a: VideoCube, b: VideoCube, peak: float = 1.0) -> MetricReport:

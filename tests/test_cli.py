@@ -7,8 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 from khcv import (
+    FormatError,
     Frame,
     VideoCube,
+    cli,
     export_pgm,
     fusion,
     load_tensor,
@@ -74,9 +76,11 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_rejects_unknown_nested_keys(tmp_path):
-    raw, _ = base_config(tmp_path, fusion={"bogus": 1})
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_dict(raw)
+    # a removed setting such as chain_flows is rejected like any unknown key
+    for section in ({"bogus": 1}, {"chain_flows": True}):
+        raw, _ = base_config(tmp_path, fusion=section)
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(raw)
 
 
 def test_config_requires_scene():
@@ -112,8 +116,37 @@ def test_config_json_errors(tmp_path):
 
 
 def test_config_dict_round_trip(tmp_path):
-    raw, _ = base_config(tmp_path, fusion={"beta": 15.0}, flow={"alpha": 0.3})
+    raw, _ = base_config(
+        tmp_path,
+        t_g=7,
+        gap_frames=1,
+        mask_density=0.4,
+        noise_sigma=0.01,
+        noise_seed=8,
+        dump_intermediates=True,
+        save_pgm=True,
+        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 3, "epsilon_r": 1e-7},
+        fusion={
+            "beta": 15.0,
+            "error_smooth_radius": 2,
+            "epsilon_blend": 1e-5,
+            "fallback_threshold": 0.2,
+            "normalize_keys": False,
+        },
+        flow={"pyramid_levels": 2, "alpha": 0.3, "iters_per_level": 50, "warps_per_level": 2},
+    )
     cfg = PipelineConfig.from_dict(raw)
+    default = PipelineConfig(scene=cfg.scene)
+    for params, base in (
+        (cfg, default),
+        (cfg.gap_tv, default.gap_tv),
+        (cfg.fusion, default.fusion),
+        (cfg.fusion.flow_params, default.fusion.flow_params),
+    ):
+        for f in dataclasses.fields(params):
+            value = getattr(params, f.name)
+            if f.name != "scene" and not dataclasses.is_dataclass(value):
+                assert value != getattr(base, f.name), f.name
     again = PipelineConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert again.fusion.beta == 15.0
@@ -284,23 +317,21 @@ def test_dumping_intermediates_fuses_the_block_once(tmp_path, monkeypatch):
     assert fused[True] == fused[False]
 
 
-def test_dumped_flows_are_the_chained_ones_fusion_used(tmp_path):
-    raw, _ = base_config(tmp_path, dump_intermediates=True, fusion={"chain_flows": True})
+def test_dumped_flows_are_the_ones_fusion_used(tmp_path):
+    raw, _ = base_config(tmp_path, dump_intermediates=True)
     cfg = PipelineConfig.from_dict(raw)
     result = run_pipeline(cfg)
     m = read_measurement(result.out_dir / "manifest.json")
     x_mid = load_tensor(result.out_dir / "intermediate.khcv")
-    chained = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion))
-    direct = list(fusion.iter_fused_frames(m, x_mid, dataclasses.replace(cfg.fusion, chain_flows=False)))
+    records = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion))
     dump = result.out_dir / "intermediates"
     stored = [
         (load_tensor(dump / f"flow_left_{k:03d}.khcv"), load_tensor(dump / f"flow_right_{k:03d}.khcv"))
         for k in range(1, cfg.B + 1)
     ]
-    assert stored == [(c.flow_left, c.flow_right) for c in chained]
-    assert stored != [(d.flow_left, d.flow_right) for d in direct]
+    assert stored == [(r.flow_left, r.flow_right) for r in records]
     fused = load_tensor(result.out_dir / "fused.khcv").samples
-    assert np.array_equal(fused, np.stack([c.output.samples for c in chained]))
+    assert np.array_equal(fused, np.stack([r.output.samples for r in records]))
 
 
 def test_run_pipeline_rejects_short_scene(tmp_path):
@@ -367,6 +398,8 @@ def test_guarded_exit_codes(capsys):
     for exc, code in (
         (ConfigError("bad"), 2),
         (DataError("bad"), 3),
+        (FormatError("bad"), 3),
+        (FileNotFoundError("bad"), 3),
         (ValueError("bad"), 3),
         (NumericalError("bad"), 4),
         (FloatingPointError("bad"), 4),
@@ -418,6 +451,28 @@ def test_cli_stage_commands_match_pipeline(tmp_path):
     assert r.exit_code == 0, r.output
     whole = (tmp_path / "out" / "fused.khcv").read_bytes()
     assert (staged / "fused.khcv").read_bytes() == whole
+
+
+def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monkeypatch):
+    config_path, _, _ = write_config(tmp_path)
+    runner = CliRunner()
+    staged = tmp_path / "staged"
+    r = runner.invoke(main, ["simulate", "--config", str(config_path), "--out", str(staged)])
+    assert r.exit_code == 0, r.output
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("GAP-TV diverged")
+
+    monkeypatch.setattr(cli, "gap_tv_reconstruct", diverge)
+    for args in (
+        ["pipeline", "--config", str(config_path)],
+        ["reconstruct", "--manifest", str(staged / "manifest.json"), "--config", str(config_path), "--out", str(staged)],
+    ):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 4, r.output
+        assert "GAP-TV diverged" in r.output
+    assert not (tmp_path / "out" / "intermediate.khcv").exists()
+    assert not (staged / "intermediate.khcv").exists()
 
 
 def test_cli_config_error_exits_2(tmp_path):

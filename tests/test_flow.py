@@ -8,7 +8,6 @@ from khcv import (
     FlowField,
     FlowParams,
     Frame,
-    compose_flows,
     estimate_flow,
     flow,
     flow_to_color,
@@ -165,60 +164,6 @@ def test_rejects_too_small_images():
     tiny = Frame(np.zeros((16, 16), np.float32))
     with pytest.raises(ValueError):
         estimate_flow(tiny, tiny, FlowParams(pyramid_levels=3))
-
-
-def test_compose_constant_steps():
-    a = constant_flow(12, 12, 1.0, 0.0)
-    b = constant_flow(12, 12, 2.0, 0.0)
-    total = compose_flows([a, b])
-    assert np.allclose(total.u, 3.0, atol=1e-6)
-    assert np.allclose(total.v, 0.0, atol=1e-6)
-
-
-def test_compose_zero_is_left_identity():
-    rng = np.random.default_rng(5)
-    z = constant_flow(10, 10, 0.0, 0.0)
-    g = FlowField(
-        rng.uniform(-1, 1, (10, 10)).astype(np.float32),
-        rng.uniform(-1, 1, (10, 10)).astype(np.float32),
-    )
-    total = compose_flows([z, g])
-    assert np.allclose(total.u, g.u, atol=1e-6)
-    assert np.allclose(total.v, g.v, atol=1e-6)
-
-
-def test_compose_constant_fields_associative():
-    a = constant_flow(8, 8, 0.5, -0.25)
-    b = constant_flow(8, 8, 1.25, 0.75)
-    c = constant_flow(8, 8, -0.5, 0.5)
-    left = compose_flows([compose_flows([a, b]), c])
-    right = compose_flows([a, compose_flows([b, c])])
-    assert np.allclose(left.u, right.u, atol=1e-6)
-    assert np.allclose(left.v, right.v, atol=1e-6)
-
-
-def test_compose_empty_rejected():
-    with pytest.raises(ValueError):
-        compose_flows([])
-
-
-def test_chained_stepwise_flows_match_long_baseline():
-    # four unit steps accumulate to (4, -2); estimate each hop then compose
-    steps = [(1, 0), (1, -1), (1, 0), (1, -1)]
-    h = w = 96
-    pad = 12
-    big = smooth_texture(h + 2 * pad, w + 2 * pad, seed=14)
-    offsets = [(0, 0)]
-    for dx, dy in steps:
-        ox, oy = offsets[-1]
-        offsets.append((ox + dx, oy + dy))
-    from khcv import Frame
-
-    frames = [Frame(big[pad - oy : pad - oy + h, pad - ox : pad - ox + w]) for ox, oy in offsets]
-    hops = [estimate_flow(frames[i], frames[i + 1]) for i in range(len(steps))]
-    total = compose_flows(hops)
-    direct = constant_flow(h, w, 4.0, -2.0)
-    assert mean_epe(total, direct, central_fraction_mask(h, w)) < 0.5
 
 
 def test_flow_color_conventions():

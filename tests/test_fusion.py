@@ -22,8 +22,6 @@ from khcv import (
     visibility_map,
     warp,
 )
-from khcv.fusion import fuse_frame_detailed
-
 from conftest import central_fraction_mask, shifted_pair, smooth_texture
 
 
@@ -225,7 +223,7 @@ def test_normalize_brightness_identity_and_guards():
 
 def test_fuse_frame_static_inputs_reproduce_truth():
     truth = Frame(smooth_texture(48, 48, seed=16, blur=2.0))
-    out = fuse_frame(truth, truth, truth, k=2, B=4)
+    out = fuse_frame(truth, truth, truth, k=2, B=4).output
     assert np.max(np.abs(out.samples - truth.samples)) < 0.02
 
 
@@ -240,9 +238,9 @@ def test_fuse_frame_validates_position_and_shape():
         fuse_frame(g, f, f, k=1, B=4)
 
 
-def test_fuse_frame_detailed_exposes_consistent_intermediates():
+def test_fuse_frame_exposes_consistent_intermediates():
     truth = Frame(smooth_texture(48, 48, seed=17, blur=2.0))
-    detail = fuse_frame_detailed(truth, truth, truth, k=1, B=2)
+    detail = fuse_frame(truth, truth, truth, k=1, B=2)
     assert detail.output.samples.shape == (48, 48)
     assert detail.flow_left.u.shape == (48, 48)
     assert detail.warped_left.samples.shape == (48, 48)
@@ -253,8 +251,8 @@ def test_fuse_frame_detailed_exposes_consistent_intermediates():
 
 def test_fuse_frame_is_deterministic():
     target, source = shifted_pair(48, 48, dx=1, dy=0, seed=18)
-    a = fuse_frame(source, target, target, k=1, B=2)
-    b = fuse_frame(source, target, target, k=1, B=2)
+    a = fuse_frame(source, target, target, k=1, B=2).output
+    b = fuse_frame(source, target, target, k=1, B=2).output
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -277,7 +275,7 @@ def test_fuse_video_single_frame_matches_fuse_frame():
     m = _tiny_measurement(frame)
     x_mid = VideoCube(frame.samples[None])
     cube = fuse_video(m, x_mid)
-    single = fuse_frame(m.z_left, m.z_right, frame, k=1, B=1)
+    single = fuse_frame(m.z_left, m.z_right, frame, k=1, B=1).output
     assert np.array_equal(cube.samples[0], single.samples)
 
 
@@ -288,26 +286,6 @@ def test_fuse_video_validates_block_length():
         fuse_video(m, VideoCube(np.stack([frame.samples] * 2)))
 
 
-def test_fuse_video_chain_mode_runs():
-    frame = Frame(smooth_texture(48, 48, seed=21, blur=2.0))
-    h, w = 48, 48
-    B = 2
-    masks = CodingCube(np.ones((B, h, w), np.uint8))
-    y = Frame(frame.samples * 2.0)
-    m = HybridMeasurement(
-        y=y,
-        z_left=frame,
-        z_right=frame,
-        masks=masks,
-        schedule=build_schedule(100, B),
-        gap_frames=0,
-    )
-    x_mid = VideoCube(np.stack([frame.samples] * B))
-    out = fuse_video(m, x_mid, FusionParams(chain_flows=True))
-    assert out.samples.shape == (B, h, w)
-    assert np.max(np.abs(out.samples - frame.samples)) < 0.05
-
-
 def test_fusion_recovers_fine_detail_lost_in_intermediate():
     # key frames carry texture; intermediate lost it to smoothing. Fusion
     # with honest keys must beat the intermediate frame.
@@ -315,5 +293,5 @@ def test_fusion_recovers_fine_detail_lost_in_intermediate():
     from scipy import ndimage
 
     degraded = Frame(ndimage.gaussian_filter(truth.samples, 1.2).astype(np.float32))
-    fused = fuse_frame(truth, truth, degraded, k=1, B=2)
+    fused = fuse_frame(truth, truth, degraded, k=1, B=2).output
     assert psnr(truth, fused) > psnr(truth, degraded)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -112,24 +111,6 @@ def test_mean_epe_masked():
     assert mean_epe(f, g, mask) == 0.0
     with pytest.raises(ValueError):
         mean_epe(f, g, np.zeros((4, 4), bool))
-
-
-def test_metric_report_mean_and_json():
-    r = MetricReport(name="psnr", values=[30.0, 40.0, math.inf], dynamic_range=1.0)
-    assert r.mean == math.inf
-    payload = json.loads(r.to_json())
-    assert payload["metric"] == "psnr"
-    assert payload["per_frame"] == [30.0, 40.0, "inf"]
-    assert payload["mean"] == "inf"
-
-
-def test_metric_report_csv_layout():
-    r = MetricReport(name="ssim", values=[0.5, 0.7])
-    lines = r.to_csv().strip().splitlines()
-    assert lines[0].split(",") == ["frame", "ssim"]
-    assert lines[1].split(",")[0] == "1"
-    assert lines[-1].split(",")[0] == "mean"
-    assert abs(float(lines[-1].split(",")[1]) - 0.6) < 1e-12
 
 
 def test_metric_report_empty_mean_raises():
