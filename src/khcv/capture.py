@@ -174,7 +174,7 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
         raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     uniform = rng.random((frames, height, width))
-    return CodingCube((uniform < density).astype(np.uint8))
+    return CodingCube(uniform < density)
 
 
 def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Frame:
@@ -196,7 +196,7 @@ def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Fram
     noise = noise or NoiseModel.off()
     acc = np.sum(c.samples.astype(np.float64) * x.samples.astype(np.float64), axis=0)
     acc += noise.field(acc.shape, _ROLE_COMPRESSIVE)
-    return Frame(acc.astype(np.float32))
+    return Frame(acc)
 
 
 def _block_start(scene_frames: int, B: int, gap_frames: int) -> int:
@@ -225,7 +225,7 @@ def sample_keyframes(
     right = scene.samples[start + B + gap_frames].astype(np.float64)
     left = left + noise.field(left.shape, _ROLE_KEY_LEFT)
     right = right + noise.field(right.shape, _ROLE_KEY_RIGHT)
-    return Frame(left.astype(np.float32)), Frame(right.astype(np.float32))
+    return Frame(left), Frame(right)
 
 
 def simulate_capture(

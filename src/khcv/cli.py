@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, flow_to_color
-from .fusion import FusionParams, fuse_video, iter_fused_frames
+from .fusion import FusionParams, iter_fused_frames
 from .metrics import video_report
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
@@ -102,6 +103,10 @@ class PipelineConfig:
             raise ConfigError("config must name a scene")
         try:
             fusion_kwargs = dict(raw.get("fusion", {}))
+            if "flow_params" in fusion_kwargs:
+                raise ValueError('flow settings go under the top-level "flow" key, not fusion.flow_params')
+            _check_json_types(cls, raw, "")
+            _check_json_types(FusionParams, fusion_kwargs, "fusion.")
             if "flow" in raw:
                 fusion_kwargs["flow_params"] = FlowParams(**raw["flow"])
             scalars = {k: v for k, v in raw.items() if k not in ("gap_tv", "fusion", "flow")}
@@ -144,6 +149,19 @@ class PipelineConfig:
         return raw
 
 
+def _check_json_types(cls, raw: dict, prefix: str) -> None:
+    """Reject a str or bool field of cls given as another JSON type in raw.
+
+    Numeric fields are range-checked by the dataclasses themselves; a string
+    or boolean of the wrong type would otherwise pass until it is used.
+    """
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        want = hints.get(name)
+        if want in (str, bool) and not isinstance(value, want):
+            raise TypeError(f"{prefix}{name} must be a JSON {want.__name__}, got {value!r}")
+
+
 def _noise_model(cfg: PipelineConfig) -> NoiseModel:
     if cfg.noise_sigma > 0.0:
         return NoiseModel.gaussian(cfg.noise_sigma, cfg.noise_seed)
@@ -181,6 +199,14 @@ def load_scene(path) -> VideoCube:
 
 def _encode_value(x: float):
     return "inf" if math.isinf(x) else x
+
+
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Write a header of column names, then those columns of each row."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
 
 
 def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
@@ -254,21 +280,20 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     frame's flows and visibility map under out/intermediates as that frame is
     fused."""
     out = Path(cfg.out_dir)
+    dump = out / "intermediates"
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_intermediates:
-        dump = out / "intermediates"
         dump.mkdir(exist_ok=True)
-        fused = np.empty_like(x_mid.samples)
-        for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
+    fused = np.empty_like(x_mid.samples)
+    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
+        fused[k - 1] = detail.output.samples
+        if cfg.dump_intermediates:
             save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
             save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
             export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
             export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
             export_pgm(Frame(detail.visibility.values), dump / f"visibility_{k:03d}.pgm")
-            fused[k - 1] = detail.output.samples
-        fused = VideoCube(fused)
-    else:
-        fused = fuse_video(m, x_mid, cfg.fusion)
+    fused = VideoCube(fused)
     save_tensor(fused, out / "fused.khcv")
     return fused
 
@@ -303,15 +328,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         "intermediate_mean": _score(truth, x_mid)[1],
     }
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-
-    with (out / "per_frame.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "psnr_db", "ssim", "l1"])
-        for row in report["per_frame"]:
-            writer.writerow([row["k"], row["psnr_db"], row["ssim"], row["l1"]])
-        mean = report["mean"]
-        writer.writerow(["mean", mean["psnr_db"], mean["ssim"], mean["l1"]])
-
+    _write_csv(out / "per_frame.csv", ["k", "psnr_db", "ssim", "l1"], [*per_frame, {"k": "mean", **mean}])
     return PipelineResult(out_dir=out, report=report)
 
 
@@ -320,19 +337,6 @@ class SweepResult:
     """Fused quality as a function of the key-frame gap."""
 
     rows: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps({"sweep": self.rows}, indent=2)
-
-    def to_csv(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["gap_frames", "gap_ratio", "mean_psnr_db", "mean_ssim"])
-        for row in self.rows:
-            writer.writerow([row["gap_frames"], row["gap_ratio"], row["mean_psnr_db"], row["mean_ssim"]])
-        return buf.getvalue()
 
 
 def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
@@ -363,10 +367,9 @@ def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
                 "intermediate_mean_psnr_db": result.report["intermediate_mean"]["psnr_db"],
             }
         )
-    sweep = SweepResult(rows=rows)
-    (out / "sweep.json").write_text(sweep.to_json() + "\n")
-    (out / "sweep.csv").write_text(sweep.to_csv())
-    return sweep
+    (out / "sweep.json").write_text(json.dumps({"sweep": rows}, indent=2) + "\n")
+    _write_csv(out / "sweep.csv", ["gap_frames", "gap_ratio", "mean_psnr_db", "mean_ssim"], rows)
+    return SweepResult(rows=rows)
 
 
 # ===== command line front end =====

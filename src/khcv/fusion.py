@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .capture import HybridMeasurement
 from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flow
-from .tensors import Frame, VideoCube
+from .tensors import Frame, VideoCube, _stored
 
 __all__ = [
     "FusionParams",
@@ -83,12 +83,7 @@ class VisibleMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float32, order="C", copy=True)
-        arr.setflags(write=False)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"visibility map needs a non-empty 2-D array, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("visibility values must all be finite")
+        arr = _stored(self.values, np.float32, 2, "visibility map")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("visibility values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
@@ -104,7 +99,7 @@ def warp(image: Frame, f: FlowField) -> Frame:
     """
     if image.samples.shape != f.u.shape:
         raise ValueError(f"image {image.samples.shape} and flow {f.u.shape} disagree")
-    return Frame(_warp_by_flow(image.samples, f.u, f.v).astype(np.float32))
+    return Frame(_warp_by_flow(image.samples, f.u, f.v))
 
 
 def _central_crop(arr: np.ndarray, keep: float = 0.8) -> np.ndarray:
@@ -179,7 +174,7 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float, params: Fusi
     left_w = (1.0 - tau) * vv
     right_w = tau * (1.0 - vv)
     out = (left_w * wl + right_w * wr) / (left_w + right_w + params.epsilon_blend)
-    return Frame(out.astype(np.float32))
+    return Frame(out)
 
 
 def normalize_brightness(image: Frame, reference: Frame) -> Frame:
@@ -256,7 +251,7 @@ def fuse_frame(
         bad = np.minimum(e_left, e_right) > params.fallback_threshold
         fused[bad] = x_mid_k.samples.astype(np.float64)[bad]
 
-    output = Frame(np.clip(fused, 0.0, 1.0).astype(np.float32))
+    output = Frame(np.clip(fused, 0.0, 1.0))
     return FusedFrame(
         output=output,
         flow_left=f_left,

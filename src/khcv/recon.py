@@ -163,7 +163,7 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
     img = frame.samples.astype(np.float64)
     if weight > 0:
         _tv_denoise(img, float(weight), int(inner_iters), _tv_buffers(img.shape))
-    return Frame(img.astype(np.float32))
+    return Frame(img)
 
 
 # ===== GAP-TV solver =====
@@ -172,7 +172,7 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
 def coverage_map(c: CodingCube) -> Frame:
     """Per-pixel sum of squared mask values; 0 marks pixels no mask observes."""
     cov = (c.samples.astype(np.float64) ** 2).sum(axis=0)
-    return Frame(cov.astype(np.float32))
+    return Frame(cov)
 
 
 def gap_tv_reconstruct(
@@ -238,4 +238,4 @@ def gap_tv_reconstruct(
     np.clip(x, 0.0, 1.0, out=x)
     if not np.isfinite(x).all():
         raise FloatingPointError("reconstruction diverged to non-finite values")
-    return VideoCube(x.astype(np.float32))
+    return VideoCube(x)

@@ -6,6 +6,13 @@ bytes directly.  All tensor objects are immutable: constructors copy their
 input and mark the underlying numpy buffer read-only, so instances can be
 shared freely across threads.
 
+How arrays are stored is decided in one place.  Every constructor (and
+fusion.VisibleMap) passes its input through `_stored`, which casts to the
+storage dtype, copies, freezes, and checks rank, non-emptiness and, for
+real-valued samples, finiteness; callers need not cast first.  `_LAYOUT`
+maps each type to its (dtype byte, kind byte), and both save_tensor and
+load_tensor read it.
+
 Binary container layout (little-endian throughout):
 
     magic   4 bytes  b"KHCV"
@@ -16,13 +23,18 @@ Binary container layout (little-endian throughout):
             (height, width, frames) for cubes, (height, width, 2) for
             flow fields (u plane then v plane)
     payload row-major samples, frames contiguous
+
+Frames and flow fields are real32 only; cubes are real32 (VideoCube) or
+binary (CodingCube).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +62,7 @@ _DTYPE_BINARY8 = 1
 _KIND_FRAME = 2
 _KIND_CUBE = 3
 _KIND_FLOW = 4
+_SAMPLE_DTYPES = {_DTYPE_REAL32: np.dtype("<f4"), _DTYPE_BINARY8: np.dtype(np.uint8)}
 
 
 class FormatError(ValueError):
@@ -72,9 +85,15 @@ class TruncatedError(FormatError):
     """File ends before the declared payload is complete."""
 
 
-def _frozen(data, dtype) -> np.ndarray:
+def _stored(data, dtype, ndim: int, what: str) -> np.ndarray:
+    """A frozen C-ordered copy of data in dtype, checked for rank, size and,
+    for real dtypes, finiteness; raises ValueError naming `what`."""
     arr = np.array(data, dtype=dtype, order="C", copy=True)
     arr.setflags(write=False)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{what} needs a non-empty {ndim}-D array, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{what} samples must all be finite")
     return arr
 
 
@@ -82,96 +101,68 @@ def _frozen(data, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
-    """Single grayscale image, shape (height, width), float32, nominal [0, 1]."""
+class _Samples:
+    """Base of the types holding one `samples` array: _ndim-D, stored as _dtype."""
 
     samples: np.ndarray
 
+    _dtype: ClassVar[type] = np.float32
+    _ndim: ClassVar[int]
+    _what: ClassVar[str]
+
     def __post_init__(self):
-        arr = _frozen(self.samples, np.float32)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"frame needs a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("frame samples must all be finite")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _stored(self.samples, self._dtype, self._ndim, self._what))
 
     @property
     def height(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     def __eq__(self, other):
-        return isinstance(other, Frame) and np.array_equal(self.samples, other.samples)
+        return type(other) is type(self) and np.array_equal(self.samples, other.samples)
 
 
 @dataclass(frozen=True, eq=False)
-class VideoCube:
+class Frame(_Samples):
+    """Single grayscale image, shape (height, width), float32, nominal [0, 1]."""
+
+    _ndim = 2
+    _what = "frame"
+
+
+@dataclass(frozen=True, eq=False)
+class _Cube(_Samples):
+    _ndim = 3
+
+    @property
+    def frames(self) -> int:
+        return self.samples.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class VideoCube(_Cube):
     """Stack of frames, shape (frames, height, width), float32.
 
     Frames are stored contiguously (frame-major), each frame row-major.
     """
 
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.samples, np.float32)
-        if arr.ndim != 3 or arr.size == 0:
-            raise ValueError(f"video cube needs a non-empty 3-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("video cube samples must all be finite")
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def frames(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[2]
-
-    def frame(self, k: int) -> Frame:
-        """Return frame k (0-based) as a Frame."""
-        return Frame(self.samples[k])
-
-    def __eq__(self, other):
-        return isinstance(other, VideoCube) and np.array_equal(self.samples, other.samples)
+    _what = "video cube"
 
 
 @dataclass(frozen=True, eq=False)
-class CodingCube:
+class CodingCube(_Cube):
     """Binary mask stack, shape (frames, height, width), uint8 values in {0, 1}."""
 
-    samples: np.ndarray
+    _dtype = np.uint8
+    _what = "coding cube"
 
     def __post_init__(self):
-        arr = _frozen(self.samples, np.uint8)
-        if arr.ndim != 3 or arr.size == 0:
-            raise ValueError(f"coding cube needs a non-empty 3-D array, got shape {arr.shape}")
-        if arr.max(initial=0) > 1:
+        super().__post_init__()
+        if self.samples.max() > 1:
             raise ValueError("coding cube samples must be 0 or 1")
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def frames(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[2]
-
-    def __eq__(self, other):
-        return isinstance(other, CodingCube) and np.array_equal(self.samples, other.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +177,10 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self):
-        u = _frozen(self.u, np.float32)
-        v = _frozen(self.v, np.float32)
-        if u.ndim != 2 or u.size == 0:
-            raise ValueError(f"flow planes need non-empty 2-D arrays, got shape {u.shape}")
+        u = _stored(self.u, np.float32, 2, "flow plane u")
+        v = _stored(self.v, np.float32, 2, "flow plane v")
         if u.shape != v.shape:
             raise ValueError(f"flow planes disagree: u {u.shape} vs v {v.shape}")
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValueError("flow samples must all be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -215,6 +202,15 @@ class FlowField:
 
 Tensor = Frame | VideoCube | CodingCube | FlowField
 
+# (dtype byte, kind byte) of each storable type; load_tensor reads it backwards
+_LAYOUT = {
+    Frame: (_DTYPE_REAL32, _KIND_FRAME),
+    VideoCube: (_DTYPE_REAL32, _KIND_CUBE),
+    CodingCube: (_DTYPE_BINARY8, _KIND_CUBE),
+    FlowField: (_DTYPE_REAL32, _KIND_FLOW),
+}
+_TYPES = {layout: cls for cls, layout in _LAYOUT.items()}
+
 
 # ===== Binary container I/O =====
 
@@ -225,28 +221,14 @@ def save_tensor(data: Tensor, path) -> None:
     The parent directory must already exist.  Writing the same object twice
     produces byte-identical files.
     """
-    if isinstance(data, Frame):
-        dtype, kind = _DTYPE_REAL32, _KIND_FRAME
-        dims = (data.height, data.width)
-        payload = data.samples.astype("<f4").tobytes()
-    elif isinstance(data, VideoCube):
-        dtype, kind = _DTYPE_REAL32, _KIND_CUBE
-        dims = (data.height, data.width, data.frames)
-        payload = data.samples.astype("<f4").tobytes()
-    elif isinstance(data, CodingCube):
-        dtype, kind = _DTYPE_BINARY8, _KIND_CUBE
-        dims = (data.height, data.width, data.frames)
-        payload = data.samples.tobytes()
-    elif isinstance(data, FlowField):
-        dtype, kind = _DTYPE_REAL32, _KIND_FLOW
-        dims = (data.height, data.width, 2)
-        payload = data.u.astype("<f4").tobytes() + data.v.astype("<f4").tobytes()
-    else:
+    if type(data) not in _LAYOUT:
         raise TypeError(f"cannot serialize {type(data).__name__}")
-
-    header = _MAGIC + struct.pack("<BBB", _VERSION, dtype, kind)
-    header += struct.pack(f"<{len(dims)}I", *dims)
-    Path(path).write_bytes(header + payload)
+    dtype, kind = _LAYOUT[type(data)]
+    # planes first: (h, w), (frames, h, w) or (2, h, w); the header lists h, w first
+    planes = np.stack((data.u, data.v)) if kind == _KIND_FLOW else data.samples
+    dims = planes.shape[-2:] + planes.shape[:-2]
+    header = _MAGIC + struct.pack(f"<BBB{len(dims)}I", _VERSION, dtype, kind, *dims)
+    Path(path).write_bytes(header + planes.astype(_SAMPLE_DTYPES[dtype], copy=False).tobytes())
 
 
 def load_tensor(path) -> Tensor:
@@ -262,53 +244,38 @@ def load_tensor(path) -> Tensor:
         raise MagicError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 7:
         raise TruncatedError(f"{path}: header ends inside the fixed fields")
-    version, dtype, kind = struct.unpack("<BBB", raw[4:7])
+    version, dtype, kind = raw[4:7]
     if version != _VERSION:
         raise VersionError(f"{path}: unsupported version {version}")
-    if dtype not in (_DTYPE_REAL32, _DTYPE_BINARY8):
+    if dtype not in _SAMPLE_DTYPES:
         raise DtypeError(f"{path}: unknown dtype byte {dtype}")
     if kind not in (_KIND_FRAME, _KIND_CUBE, _KIND_FLOW):
         raise FormatError(f"{path}: unknown kind byte {kind}")
+    cls = _TYPES.get((dtype, kind))
+    if cls is None:
+        raise DtypeError(f"{path}: kind {kind} does not store dtype {dtype} samples")
 
     ndims = 2 if kind == _KIND_FRAME else 3
     dim_end = 7 + 4 * ndims
     if len(raw) < dim_end:
         raise TruncatedError(f"{path}: header ends inside the dims")
     dims = struct.unpack(f"<{ndims}I", raw[7:dim_end])
-    if any(d == 0 for d in dims):
+    if 0 in dims:
         raise FormatError(f"{path}: zero-sized dimension in {dims}")
     if kind == _KIND_FLOW and dims[2] != 2:
         raise FormatError(f"{path}: flow field must carry 2 planes, header says {dims[2]}")
 
-    count = 1
-    for d in dims:
-        count *= d
-    sample_size = 4 if dtype == _DTYPE_REAL32 else 1
-    expected = count * sample_size
+    sample = _SAMPLE_DTYPES[dtype]
+    expected = math.prod(dims) * sample.itemsize
     payload = raw[dim_end:]
     if len(payload) < expected:
         raise TruncatedError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
         raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
 
+    planes = np.frombuffer(payload, dtype=sample).reshape(dims[2:] + dims[:2])
     try:
-        if kind == _KIND_FRAME:
-            if dtype != _DTYPE_REAL32:
-                raise DtypeError(f"{path}: frames must use real32 samples")
-            h, w = dims
-            return Frame(np.frombuffer(payload, dtype="<f4").reshape(h, w))
-        if kind == _KIND_CUBE:
-            h, w, b = dims
-            if dtype == _DTYPE_REAL32:
-                arr = np.frombuffer(payload, dtype="<f4").reshape(b, h, w)
-                return VideoCube(arr)
-            arr = np.frombuffer(payload, dtype=np.uint8).reshape(b, h, w)
-            return CodingCube(arr)
-        if dtype != _DTYPE_REAL32:
-            raise DtypeError(f"{path}: flow fields must use real32 samples")
-        h, w, _ = dims
-        planes = np.frombuffer(payload, dtype="<f4").reshape(2, h, w)
-        return FlowField(planes[0], planes[1])
+        return FlowField(*planes) if cls is FlowField else cls(planes)
     except ValueError as exc:
         raise FormatError(f"{path}: corrupt payload ({exc})") from exc
 

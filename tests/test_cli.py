@@ -89,6 +89,7 @@ def test_config_requires_scene():
 
 
 def test_config_validates_eagerly(tmp_path):
+    runner = CliRunner()
     for bad in (
         {"B": 0},
         {"mask_density": 0.0},
@@ -97,10 +98,22 @@ def test_config_validates_eagerly(tmp_path):
         {"noise_sigma": -0.5},
         {"gap_tv": {"outer_iters": 0}},
         {"flow": {"alpha": -1.0}},
+        # flow settings live only under the top-level "flow" key
+        {"fusion": {"flow_params": {"alpha": 0.1}}},
+        {"scene": 5},
+        {"out_dir": 7},
+        {"dump_intermediates": "no"},
+        {"save_pgm": 1},
+        {"fusion": {"normalize_keys": "false"}},
     ):
         raw, _ = base_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["pipeline", "--config", str(path)])
+        assert result.exit_code == 2, (bad, result.output)
+        assert not (tmp_path / "out").exists(), bad
 
 
 def test_config_json_errors(tmp_path):
@@ -358,8 +371,13 @@ def test_sweep_rows_and_files(tmp_path):
     assert (out / "sweep.csv").exists()
     assert (out / "gap_0" / "fused.khcv").exists()
     assert (out / "gap_1" / "fused.khcv").exists()
-    header = (out / "sweep.csv").read_text().splitlines()[0]
-    assert header == "gap_frames,gap_ratio,mean_psnr_db,mean_ssim"
+    columns = ["gap_frames", "gap_ratio", "mean_psnr_db", "mean_ssim"]
+    text = (out / "sweep.csv").read_bytes().decode()
+    assert text == "".join(
+        ",".join(str(v) for v in line) + "\r\n"
+        for line in [columns, *([row[c] for c in columns] for row in sweep.rows)]
+    )
+    assert json.loads((out / "sweep.json").read_text()) == {"sweep": sweep.rows}
 
 
 def test_sweep_gap_zero_matches_standalone_run(tmp_path):

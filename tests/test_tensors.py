@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from khcv import (
     TruncatedError,
     VersionError,
     VideoCube,
+    VisibleMap,
     export_pgm,
     export_ppm,
     import_pgm,
@@ -127,6 +131,74 @@ def test_trailing_bytes_rejected(tmp_path):
         load_tensor(p)
 
 
+def _container(dtype: int, kind: int, dims: tuple, payload: bytes) -> bytes:
+    """A container built from the layout in the tensors module docstring."""
+    return b"KHCV" + struct.pack("<BBB", 1, dtype, kind) + struct.pack(f"<{len(dims)}I", *dims) + payload
+
+
+_RNG = np.random.default_rng(7)
+_H, _W, _B = 3, 5, 4
+_REAL = _RNG.random((_B, _H, _W)).astype("<f4")
+_MASK = (_RNG.random((_B, _H, _W)) < 0.5).astype(np.uint8)
+_U, _V = _RNG.standard_normal((2, _H, _W)).astype("<f4")
+LAYOUT_CASES = [
+    (Frame(_REAL[0]), _container(0, 2, (_H, _W), _REAL[0].tobytes())),
+    (VideoCube(_REAL), _container(0, 3, (_H, _W, _B), _REAL.tobytes())),
+    (CodingCube(_MASK), _container(1, 3, (_H, _W, _B), _MASK.tobytes())),
+    (FlowField(_U, _V), _container(0, 4, (_H, _W, 2), _U.tobytes() + _V.tobytes())),
+]
+
+
+def test_container_bytes_follow_the_documented_layout(tmp_path):
+    p = tmp_path / "t.khcv"
+    for tensor, expected in LAYOUT_CASES:
+        name = type(tensor).__name__
+        save_tensor(tensor, p)
+        assert p.read_bytes() == expected, name
+        p.write_bytes(expected)
+        back = load_tensor(p)
+        assert type(back) is type(tensor) and back == tensor, name
+
+
+def test_binary_frame_or_flow_header_is_a_dtype_error(tmp_path):
+    p = tmp_path / "bad.khcv"
+    for kind, dims in ((2, (_H, _W)), (4, (_H, _W, 2))):
+        for sample_size in (1, 4):  # payload sized for binary or for real32 samples
+            p.write_bytes(_container(1, kind, dims, bytes(math.prod(dims) * sample_size)))
+            with pytest.raises(DtypeError):
+                load_tensor(p)
+
+
+_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.integers(min_value=0), st.integers(0, 255)),
+        st.tuples(st.just("cut"), st.integers(min_value=0)),
+        st.tuples(st.just("add"), st.binary(min_size=1, max_size=8)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([raw for _, raw in LAYOUT_CASES]), edits=_EDITS)
+def test_mutated_containers_raise_only_format_errors(tmp_path_factory, case, edits):
+    raw = bytearray(case)
+    for op, *args in edits:
+        if op == "set" and raw:
+            raw[args[0] % len(raw)] = args[1]
+        elif op == "cut":
+            del raw[args[0] % (len(raw) + 1) :]
+        elif op == "add":
+            raw += args[0]
+    p = tmp_path_factory.mktemp("fuzz") / "t.khcv"
+    p.write_bytes(bytes(raw))
+    try:
+        load_tensor(p)
+    except FormatError:
+        pass
+
+
 def test_format_errors_are_value_errors(tmp_path):
     # callers should be able to catch the whole family as ValueError
     assert issubclass(FormatError, ValueError)
@@ -181,14 +253,47 @@ def test_ppm_export(tmp_path):
     assert raw[-18:] == bytes([255, 0, 0] * 6)
 
 
+# Every array type over one valid input: (name, constructor, input, stored arrays).
+CASES = [
+    ("Frame", Frame, np.full((3, 4), 0.5, np.float32), lambda t: [t.samples]),
+    ("VideoCube", VideoCube, np.full((2, 3, 4), 0.5, np.float32), lambda t: [t.samples]),
+    ("CodingCube", CodingCube, np.ones((2, 3, 4), np.uint8), lambda t: [t.samples]),
+    ("FlowField", lambda a: FlowField(a, a), np.full((3, 4), 0.5, np.float32), lambda t: [t.u, t.v]),
+    ("VisibleMap", VisibleMap, np.full((3, 4), 0.5, np.float32), lambda t: [t.values]),
+]
+
+
+def _rejected(build, data) -> bool:
+    try:
+        build(data)
+    except ValueError:
+        return True
+    return False
+
+
 def test_frame_requires_2d_float():
-    with pytest.raises(ValueError):
-        Frame(np.zeros((3, 3, 3), np.float32))
+    # every type rejects one rank too few or too many and, if real, NaN and inf
+    for name, build, good, _ in CASES:
+        assert not _rejected(build, good), name
+        assert _rejected(build, good[0]) and _rejected(build, good[None]), name
+        if good.dtype.kind == "f":
+            for value in (np.nan, np.inf, -np.inf):
+                bad = good.copy()
+                bad.flat[-1] = value
+                assert _rejected(build, bad), (name, value)
+    finite = np.zeros((3, 4), np.float32)
+    assert _rejected(lambda a: FlowField(finite, a), np.full((3, 4), np.nan, np.float32))
 
 
 def test_video_cube_requires_3d():
-    with pytest.raises(ValueError):
-        VideoCube(np.zeros((4, 4), np.float32))
+    # every type rejects an empty array of its own rank
+    for name, build, good, _ in CASES:
+        assert _rejected(build, good[..., :0]), name
+    # the same samples at another rank are another type, never equal
+    x = np.full((3, 4), 0.5, np.float32)
+    assert Frame(x) != VideoCube(x[None])
+    assert VideoCube(x[None]) != Frame(x)
+    assert Frame(x) == Frame(x.astype(np.float64))
 
 
 def test_coding_cube_requires_binary():
@@ -202,13 +307,21 @@ def test_flow_field_requires_matching_shapes():
 
 
 def test_tensors_are_read_only():
-    f = Frame(np.zeros((3, 3), np.float32))
-    with pytest.raises(ValueError):
-        f.samples[0, 0] = 1.0
+    for name, build, good, stored in CASES:
+        for arr in stored(build(good)):
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
 
 
 def test_constructor_copies_input():
-    arr = np.zeros((3, 3), np.float32)
-    f = Frame(arr)
-    arr[0, 0] = 5.0
-    assert f.samples[0, 0] == 0.0
+    # each constructor copies into its storage dtype, so callers never cast first
+    for name, build, good, stored in CASES:
+        cast = good.astype(np.float64) if good.dtype.kind == "f" else good.astype(bool)
+        for given_input in (good.copy(), cast):
+            t = build(given_input)
+            given_input.flat[0] = 0
+            for arr in stored(t):
+                assert arr.dtype == good.dtype, name
+                assert not np.shares_memory(arr, given_input), name
+                assert np.array_equal(arr, good), name
