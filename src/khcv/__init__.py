@@ -26,7 +26,6 @@ from .fusion import (
     fuse_frame,
     fuse_video,
     normalize_brightness,
-    refine_flow,
     visibility_map,
     warp,
 )

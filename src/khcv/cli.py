@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .capture import (
     simulate_capture,
     write_measurement,
 )
-from .flow import FlowParams, flow_to_color
+from .flow import FlowParams, _min_side, flow_to_color
 from .fusion import FusionParams, iter_fused_frames
 from .metrics import video_report
 from .recon import GapTvParams, gap_tv_reconstruct
@@ -105,16 +106,16 @@ class PipelineConfig:
             fusion_kwargs = dict(raw.get("fusion", {}))
             if "flow_params" in fusion_kwargs:
                 raise ValueError('flow settings go under the top-level "flow" key, not fusion.flow_params')
+            gap_tv_kwargs = dict(raw.get("gap_tv", {}))
+            flow_kwargs = dict(raw.get("flow", {}))
             _check_json_types(cls, raw, "")
+            _check_json_types(GapTvParams, gap_tv_kwargs, "gap_tv.")
             _check_json_types(FusionParams, fusion_kwargs, "fusion.")
+            _check_json_types(FlowParams, flow_kwargs, "flow.")
             if "flow" in raw:
-                fusion_kwargs["flow_params"] = FlowParams(**raw["flow"])
+                fusion_kwargs["flow_params"] = FlowParams(**flow_kwargs)
             scalars = {k: v for k, v in raw.items() if k not in ("gap_tv", "fusion", "flow")}
-            cfg = cls(
-                **scalars,
-                gap_tv=GapTvParams(**raw.get("gap_tv", {})),
-                fusion=FusionParams(**fusion_kwargs),
-            )
+            cfg = cls(**scalars, gap_tv=GapTvParams(**gap_tv_kwargs), fusion=FusionParams(**fusion_kwargs))
             # validate schedule arithmetic, seeds and noise settings eagerly
             build_schedule(cfg.t_x, cfg.B, cfg.t_g)
             _noise_model(cfg)
@@ -150,16 +151,20 @@ class PipelineConfig:
 
 
 def _check_json_types(cls, raw: dict, prefix: str) -> None:
-    """Reject a str or bool field of cls given as another JSON type in raw.
+    """Reject a str, bool or int field of cls given as another JSON type in raw.
 
-    Numeric fields are range-checked by the dataclasses themselves; a string
-    or boolean of the wrong type would otherwise pass until it is used.
+    The dataclasses range-check their numeric fields but not their types; a
+    value of the wrong type would otherwise pass until it is used.  An int
+    field takes any integral number (numpy integers too) but not a bool or a
+    float, even an integral one such as 3.0.
     """
     hints = typing.get_type_hints(cls)
     for name, value in raw.items():
         want = hints.get(name)
         if want in (str, bool) and not isinstance(value, want):
             raise TypeError(f"{prefix}{name} must be a JSON {want.__name__}, got {value!r}")
+        if want is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise TypeError(f"{prefix}{name} must be a JSON integer, got {value!r}")
 
 
 def _noise_model(cfg: PipelineConfig) -> NoiseModel:
@@ -245,13 +250,21 @@ class PipelineResult:
 def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
     """Simulate the hybrid capture of a scene and write it under cfg.out_dir.
 
-    Returns the measurement and the path of its manifest.
+    Before anything is written, checks that the scene holds enough frames
+    for the block and that its frames are large enough for the configured
+    flow pyramid.  Returns the measurement and the path of its manifest.
     """
     needed = cfg.B + 2 + 2 * cfg.gap_frames
     if scene.frames < needed:
         raise DataError(
             f"scene has {scene.frames} frames but B={cfg.B} with gap_frames={cfg.gap_frames} "
             f"needs at least {needed}"
+        )
+    levels = cfg.fusion.flow_params.pyramid_levels
+    if min(scene.height, scene.width) < _min_side(levels):
+        raise ConfigError(
+            f"scene frames are {scene.height}x{scene.width} px but {levels} flow pyramid levels "
+            f"need both sides at least {_min_side(levels)} px"
         )
     schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
     masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)

@@ -3,12 +3,15 @@
 A flow field f maps a source image onto a target grid through backward
 warping: out(p) = source(p + f(p)).  estimate_flow returns the field that
 makes that warp match the target.  The solver builds binomially filtered
-image pyramids, relaxes the classic Horn-Schunck equations at each level
-with the data term linearized around the current warp, and upsamples the
-field between levels.
+image pyramids and, at each level, linearizes the data term around the
+current warp a few times.  Each linearization is the sparse symmetric
+Horn-Schunck system, solved by a fixed number of preconditioned conjugate
+gradient (PCG) iterations started from the current field.  The field is
+upsampled between levels.
 
 The data term (warp, image gradients and the Horn-Schunck denominator) is
-formed in float64; the Jacobi sweeps that relax the field run in float32.
+formed in float64; the PCG iterations run in float32 with float64 inner
+products.
 """
 
 from __future__ import annotations
@@ -39,8 +42,12 @@ class FlowParams:
 
     alpha weighs the smoothness term against the data term on the [0, 1]
     intensity scale; larger values give smoother fields.  Each level runs
-    warps_per_level linearizations of the data term (float64), each relaxed
-    by iters_per_level Jacobi sweeps (float32).
+    warps_per_level linearizations of the data term (float64).  Each
+    linearization is solved by exactly iters_per_level preconditioned
+    conjugate-gradient iterations (float32), with no tolerance stop, so the
+    work per call depends only on the image size and these settings.  The
+    preconditioner inverts the per-pixel part alpha^2 I + g g^T of the
+    system exactly, g being the image gradient.
     """
 
     pyramid_levels: int = 3
@@ -57,6 +64,11 @@ class FlowParams:
             raise ValueError(f"iters_per_level must be >= 1, got {self.iters_per_level}")
         if self.warps_per_level < 1:
             raise ValueError(f"warps_per_level must be >= 1, got {self.warps_per_level}")
+
+
+def _min_side(pyramid_levels: int) -> int:
+    """Smallest frame side a pyramid of this depth accepts."""
+    return _MIN_COARSE_SIDE * 2 ** (pyramid_levels - 1)
 
 
 def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,69 +135,125 @@ def _relax_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run warps_per_level linearizations of the data term at one level.
 
-    Each linearization fixes, with D = alpha^2 + fx^2 + fy^2,
-        a = fx / D,  b = fy / D,  c = (ft - fx*u0 - fy*v0) / D
-    and every Jacobi sweep then sets t = a*u_bar + b*v_bar + c and
-    (u, v) = (u_bar - fx*t, v_bar - fy*t), where the bar is the original
-    Horn-Schunck neighborhood average (cardinal 1/6, diagonal 1/12) with
-    replicate borders.  The sweeps run in place in float32 on one padded
-    (u, v) buffer.
+    Each linearization around the current field (u0, v0) fixes, with
+    g = (fx, fy), the system A w = b for the field w = (u, v):
+        A = alpha^2 (I - M) + g g^T,   b = -g (ft - fx*u0 - fy*v0)
+    where M is the original Horn-Schunck neighborhood average (cardinal
+    1/6, diagonal 1/12) with replicate borders.  M is symmetric, so A is
+    symmetric positive (semi)definite, and iters_per_level iterations of
+    preconditioned conjugate gradients, started from the current field,
+    solve it.  The preconditioner is the per-pixel inverse of
+    alpha^2 I + g g^T: by Sherman-Morrison it maps r to
+    (r - g (coef . r)) / alpha^2 with coef = g / (alpha^2 + fx^2 + fy^2).
+    Its constant factor 1/alpha^2 does not change the iterates and is left
+    out.  The iterations run in float32 on padded planes; the two inner
+    products accumulate in float64.  A zero preconditioned residual stops
+    the solve, so identical frames leave the field exactly zero.
     """
     h, w = target.shape
     alpha_sq = params.alpha * params.alpha
     # Each padded plane is also read flat, where a neighbor is a fixed offset
     # (+-1 across, +-row down), so every stencil operand is one contiguous
-    # run.  The run [lo, hi) spans the interior rows end to end; what a sweep
-    # writes into border columns is replaced by the next sweep's border copy.
+    # run.  The run [lo, hi) spans the interior rows end to end and so also
+    # holds the border columns between them; A p is zeroed there, which keeps
+    # the residual, and with it both inner products, to interior pixels.
     row = w + 2
     plane = (h + 2) * row
     lo, hi = row + 1, plane - row - 1
     n = hi - lo
-    padded = np.empty((2, h + 2, w + 2), np.float32)
-    field = padded[:, 1:-1, 1:-1]
+    x_pad = np.empty((2, h + 2, w + 2), np.float32)
+    p_pad = np.empty_like(x_pad)
+    field = x_pad[:, 1:-1, 1:-1]
     field[0] = u
     field[1] = v
-    flat = padded.reshape(2, plane)
-    grad = np.zeros_like(padded)
-    coef = np.zeros_like(padded)
-    c = np.zeros((h + 2, w + 2), np.float32)
+    x_run = x_pad.reshape(2, plane)[:, lo:hi]
+    p_run = p_pad.reshape(2, plane)[:, lo:hi]
+    grad = np.zeros_like(x_pad)
+    coef = np.zeros_like(x_pad)
+    rhs = np.zeros_like(x_pad)
     grad_run = grad.reshape(2, plane)[:, lo:hi]
     coef_run = coef.reshape(2, plane)[:, lo:hi]
-    c_run = c.reshape(plane)[lo:hi]
-    pairs = np.empty((2, n + 2 * row), np.float32)
-    avg = np.empty((2, n), np.float32)
+    rhs_run = rhs.reshape(2, plane)[:, lo:hi]
+    diff = np.empty((2, n + 2 * row + 1), np.float32)
+    h2 = np.empty((2, n + 2 * row), np.float32)
+    # A p is written into the first n entries of h full rows, so that the
+    # border columns of the run are one strided view
+    ap_rows = np.empty((2, h, row), np.float32)
+    ap = ap_rows.reshape(2, h * row)[:, :n]
+    ap_border = ap_rows[:, :, w:]
+    r = np.empty((2, n), np.float32)
+    z = np.empty((2, n), np.float32)
     tmp = np.empty((2, n), np.float32)
     t = np.empty(n, np.float32)
+
+    def apply_a(padded: np.ndarray) -> None:
+        # ap = alpha^2 (p - M p) + g (g . p) for the field p in padded
+        padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
+        padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
+        padded[:, :, 0] = padded[:, :, 1]
+        padded[:, :, -1] = padded[:, :, -2]
+        flat = padded.reshape(2, plane)
+        # 12 (M p - p) = h2(up) + h2(down) + 2 h2 + 4 v2, where h2 and v2 are
+        # the horizontal and vertical second differences; built from first
+        # differences, it keeps its relative precision on smooth fields,
+        # where forming M p and subtracting p would cancel
+        np.subtract(flat[:, lo - row : hi + row + 1], flat[:, lo - row - 1 : hi + row], out=diff)
+        np.subtract(diff[:, 1:], diff[:, :-1], out=h2)
+        np.add(h2[:, :n], h2[:, 2 * row :], out=ap)
+        np.subtract(flat[:, lo : hi + row], flat[:, lo - row : hi], out=diff[:, : n + row])
+        np.subtract(diff[:, row : n + row], diff[:, :n], out=tmp)
+        np.add(tmp, tmp, out=tmp)
+        np.add(tmp, h2[:, row : row + n], out=tmp)
+        np.add(tmp, tmp, out=tmp)
+        np.add(ap, tmp, out=ap)
+        np.multiply(ap, np.float32(-alpha_sq / 12.0), out=ap)
+        np.multiply(grad_run, flat[:, lo:hi], out=tmp)
+        np.add(tmp[0], tmp[1], out=t)
+        np.multiply(grad_run, t, out=tmp)
+        np.add(ap, tmp, out=ap)
+        ap_border[...] = 0.0
+
+    def precondition() -> float:
+        # z = r - g (coef . r); returns r . z
+        np.multiply(coef_run, r, out=tmp)
+        np.add(tmp[0], tmp[1], out=t)
+        np.multiply(grad_run, t, out=tmp)
+        np.subtract(r, tmp, out=z)
+        return float(np.einsum("ij,ij->", r, z, dtype=np.float64))
+
     for _ in range(params.warps_per_level):
         u0 = field[0].astype(np.float64)
         v0 = field[1].astype(np.float64)
         warped = _warp_by_flow(source, u0, v0)
         fx, fy = _central_diff(0.5 * (target + warped))
         denom = alpha_sq + fx * fx + fy * fy
+        ft = warped - target - fx * u0 - fy * v0
         grad[0, 1:-1, 1:-1] = fx
         grad[1, 1:-1, 1:-1] = fy
         coef[0, 1:-1, 1:-1] = fx / denom
         coef[1, 1:-1, 1:-1] = fy / denom
-        c[1:-1, 1:-1] = (warped - target - fx * u0 - fy * v0) / denom
+        rhs[0, 1:-1, 1:-1] = -fx * ft
+        rhs[1, 1:-1, 1:-1] = -fy * ft
+        apply_a(x_pad)
+        np.subtract(rhs_run, ap, out=r)
+        rz = precondition()
+        p_run[...] = z
         for _ in range(params.iters_per_level):
-            padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
-            padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
-            padded[:, :, 0] = padded[:, :, 1]
-            padded[:, :, -1] = padded[:, :, -2]
-            # avg = (diagonal sum + 2 * cardinal sum) / 12; pairs holds the
-            # left + right sums of the rows above, at and below the run
-            np.add(flat[:, lo - row - 1 : hi + row - 1], flat[:, lo - row + 1 : hi + row + 1], out=pairs)
-            np.add(pairs[:, :n], pairs[:, 2 * row :], out=avg)
-            np.add(flat[:, lo - row : hi - row], flat[:, lo + row : hi + row], out=tmp)
-            tmp += pairs[:, row : row + n]
-            tmp += tmp
-            avg += tmp
-            avg *= np.float32(1.0 / 12.0)
-            np.multiply(coef_run, avg, out=tmp)
-            np.add(tmp[0], tmp[1], out=t)
-            t += c_run
-            np.multiply(grad_run, t, out=tmp)
-            np.subtract(avg, tmp, out=flat[:, lo:hi])
+            if rz == 0.0:
+                break
+            apply_a(p_pad)
+            pap = float(np.einsum("ij,ij->", p_run, ap, dtype=np.float64))
+            if pap <= 0.0:  # p lies in the null space of A: no step to take
+                break
+            step = np.float32(rz / pap)
+            np.multiply(p_run, step, out=tmp)
+            x_run += tmp
+            ap *= step
+            r -= ap
+            rz_next = precondition()
+            p_run *= np.float32(rz_next / rz)
+            p_run += z
+            rz = rz_next
     return field[0], field[1]
 
 
@@ -212,10 +280,10 @@ def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None
             f"target {target.samples.shape} and source {source.samples.shape} disagree"
         )
     min_side = min(target.height, target.width)
-    if min_side < _MIN_COARSE_SIDE * 2 ** (params.pyramid_levels - 1):
+    if min_side < _min_side(params.pyramid_levels):
         raise ValueError(
             f"minimum side {min_side} is too small for {params.pyramid_levels} pyramid "
-            f"levels; need at least {_MIN_COARSE_SIDE * 2 ** (params.pyramid_levels - 1)} px"
+            f"levels; need at least {_min_side(params.pyramid_levels)} px"
         )
 
     targets = [target.samples.astype(np.float64)]

@@ -105,6 +105,13 @@ def test_config_validates_eagerly(tmp_path):
         {"dump_intermediates": "no"},
         {"save_pgm": 1},
         {"fusion": {"normalize_keys": "false"}},
+        # integer fields take integers only
+        {"gap_tv": {"outer_iters": 2.5}},
+        {"flow": {"iters_per_level": 2.5}},
+        {"gap_frames": 0.5},
+        {"fusion": {"error_smooth_radius": 1.5}},
+        {"mask_seed": 3.7},
+        {"B": True},
     ):
         raw, _ = base_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
@@ -114,6 +121,12 @@ def test_config_validates_eagerly(tmp_path):
         result = runner.invoke(main, ["pipeline", "--config", str(path)])
         assert result.exit_code == 2, (bad, result.output)
         assert not (tmp_path / "out").exists(), bad
+
+
+def test_config_accepts_numpy_integers(tmp_path):
+    raw, _ = base_config(tmp_path, mask_seed=np.int64(5), gap_tv={"outer_iters": np.int32(3)})
+    cfg = PipelineConfig.from_dict(raw)
+    assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
 
 
 def test_config_json_errors(tmp_path):
@@ -325,8 +338,8 @@ def test_dumping_intermediates_fuses_the_block_once(tmp_path, monkeypatch):
         result = run_pipeline(cfg)
         counts[dump] = len(calls)
         fused[dump] = (result.out_dir / "fused.khcv").read_bytes()
-    # per frame: one direct estimate and one refinement against each key
-    assert counts[True] == counts[False] == 4 * raw["B"]
+    # per frame: one estimate against each key
+    assert counts[True] == counts[False] == 2 * raw["B"]
     assert fused[True] == fused[False]
 
 
@@ -499,6 +512,20 @@ def test_cli_config_error_exits_2(tmp_path):
     p.write_text(json.dumps(raw))
     result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
     assert result.exit_code == 2
+
+
+def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
+    # 3 pyramid levels need sides of at least 32 px
+    scene = translating_scene(24, 24, SCENE_FRAMES, step=(1, 0), seed=9)
+    save_tensor(scene, tmp_path / "small.khcv")
+    raw, _ = base_config(tmp_path, scene=str(tmp_path / "small.khcv"), flow={"pyramid_levels": 3})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
+    assert result.exit_code == 2, result.output
+    assert "pyramid" in result.output
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_missing_scene_exits_3(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from khcv import (
     CodingCube,
     FlowField,
-    FlowParams,
     Frame,
     FusionParams,
     HybridMeasurement,
@@ -18,11 +17,10 @@ from khcv import (
     fuse_video,
     normalize_brightness,
     psnr,
-    refine_flow,
     visibility_map,
     warp,
 )
-from conftest import central_fraction_mask, shifted_pair, smooth_texture
+from conftest import shifted_pair, smooth_texture
 
 
 def constant_flow(h, w, dx, dy):
@@ -70,49 +68,6 @@ def test_warp_far_outside_replicates_corner():
     out = warp(img, constant_flow(12, 12, 100.0, 100.0))
     assert np.isfinite(out.samples).all()
     assert np.all(out.samples == img.samples[-1, -1])
-
-
-def test_refine_flow_identity_stays_zero():
-    img = Frame(smooth_texture(64, 64, seed=3))
-    zero = constant_flow(64, 64, 0.0, 0.0)
-    out = refine_flow(img, img, zero)
-    assert np.max(np.abs(out.u)) < 1e-2
-    assert np.max(np.abs(out.v)) < 1e-2
-
-
-def test_refine_flow_keeps_exact_initialization():
-    from khcv import mean_epe
-
-    target, source = shifted_pair(64, 64, dx=2, dy=0, seed=6)
-    truth = constant_flow(64, 64, 2.0, 0.0)
-    out = refine_flow(target, source, truth)
-    assert mean_epe(out, truth, central_fraction_mask(64, 64)) < 0.1
-
-
-def test_refine_flow_improves_biased_initialization():
-    from khcv import mean_epe
-
-    target, source = shifted_pair(64, 64, dx=2, dy=0, seed=7)
-    truth = constant_flow(64, 64, 2.0, 0.0)
-    biased = constant_flow(64, 64, 1.5, 0.0)
-    out = refine_flow(target, source, biased)
-    mask = central_fraction_mask(64, 64)
-    assert mean_epe(out, truth, mask) < mean_epe(biased, truth, mask)
-
-
-def test_refine_flow_never_worsens_central_fit():
-    rng = np.random.default_rng(8)
-    for seed in (10, 11, 12):
-        target, source = shifted_pair(48, 48, dx=1, dy=1, seed=seed)
-        f0 = FlowField(
-            rng.uniform(-2, 2, (48, 48)).astype(np.float32),
-            rng.uniform(-2, 2, (48, 48)).astype(np.float32),
-        )
-        out = refine_flow(target, source, f0)
-        crop = central_fraction_mask(48, 48)
-        err0 = np.abs(warp(source, f0).samples - target.samples)[crop].mean()
-        err1 = np.abs(warp(source, out).samples - target.samples)[crop].mean()
-        assert err1 <= err0 + 1e-6
 
 
 def test_visibility_prefers_better_warp():
