@@ -103,31 +103,29 @@ def compressive_ratio(B: int) -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive measurement noise on the normalized intensity scale."""
+    """Additive Gaussian noise on the normalized intensity scale; sigma 0
+    adds none.  The seed must fit in 64 bits whatever sigma is."""
 
-    kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "additive-gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ValueError(f"noise seed must fit in 64 bits, got {self.seed}")
 
     @classmethod
     def off(cls) -> "NoiseModel":
-        return cls(kind="none")
+        return cls()
 
     @classmethod
     def gaussian(cls, sigma: float, seed: int) -> "NoiseModel":
-        return cls(kind="additive-gaussian", sigma=sigma, seed=seed)
+        return cls(sigma, seed)
 
     def field(self, shape: tuple[int, ...], role: int) -> np.ndarray:
         """Draw the noise plane for one measurement role (deterministic per seed)."""
-        if self.kind == "none" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.zeros(shape, dtype=np.float64)
         key = np.array([self.seed, role], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))

@@ -23,6 +23,7 @@ import numpy as np
 from .capture import (
     HybridMeasurement,
     NoiseModel,
+    _block_start,
     build_schedule,
     generate_masks,
     read_measurement,
@@ -77,7 +78,10 @@ class NumericalError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs, loadable from JSON."""
+    """Everything one pipeline run needs, loadable from JSON.
+
+    Construction range-checks the fields, so from_dict and
+    dataclasses.replace alike raise ConfigError on a bad value."""
 
     scene: str
     B: int = 16
@@ -93,6 +97,19 @@ class PipelineConfig:
     save_pgm: bool = False
     gap_tv: GapTvParams = field(default_factory=GapTvParams)
     fusion: FusionParams = field(default_factory=FusionParams)
+
+    def __post_init__(self):
+        try:
+            build_schedule(self.t_x, self.B, self.t_g)
+            NoiseModel(self.noise_sigma, self.noise_seed)
+            if not 0 <= int(self.mask_seed) < 2**64:
+                raise ValueError(f"mask_seed must fit in 64 bits, got {self.mask_seed}")
+            if not 0.0 < self.mask_density <= 1.0:
+                raise ValueError(f"mask_density must lie in (0, 1], got {self.mask_density}")
+            if self.gap_frames < 0:
+                raise ValueError(f"gap_frames must be >= 0, got {self.gap_frames}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -112,24 +129,11 @@ class PipelineConfig:
             _check_json_types(GapTvParams, gap_tv_kwargs, "gap_tv.")
             _check_json_types(FusionParams, fusion_kwargs, "fusion.")
             _check_json_types(FlowParams, flow_kwargs, "flow.")
-            if "flow" in raw:
-                fusion_kwargs["flow_params"] = FlowParams(**flow_kwargs)
+            fusion_kwargs["flow_params"] = FlowParams(**flow_kwargs)
             scalars = {k: v for k, v in raw.items() if k not in ("gap_tv", "fusion", "flow")}
-            cfg = cls(**scalars, gap_tv=GapTvParams(**gap_tv_kwargs), fusion=FusionParams(**fusion_kwargs))
-            # validate schedule arithmetic, seeds and noise settings eagerly
-            build_schedule(cfg.t_x, cfg.B, cfg.t_g)
-            _noise_model(cfg)
-            if not 0 <= int(cfg.mask_seed) < 2**64:
-                raise ValueError(f"mask_seed must fit in 64 bits, got {cfg.mask_seed}")
-            if cfg.noise_sigma < 0:
-                raise ValueError(f"noise_sigma must be >= 0, got {cfg.noise_sigma}")
-            if not 0.0 < cfg.mask_density <= 1.0:
-                raise ValueError(f"mask_density must lie in (0, 1], got {cfg.mask_density}")
-            if cfg.gap_frames < 0:
-                raise ValueError(f"gap_frames must be >= 0, got {cfg.gap_frames}")
+            return cls(**scalars, gap_tv=GapTvParams(**gap_tv_kwargs), fusion=FusionParams(**fusion_kwargs))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cfg
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -165,12 +169,6 @@ def _check_json_types(cls, raw: dict, prefix: str) -> None:
             raise TypeError(f"{prefix}{name} must be a JSON {want.__name__}, got {value!r}")
         if want is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise TypeError(f"{prefix}{name} must be a JSON integer, got {value!r}")
-
-
-def _noise_model(cfg: PipelineConfig) -> NoiseModel:
-    if cfg.noise_sigma > 0.0:
-        return NoiseModel.gaussian(cfg.noise_sigma, cfg.noise_seed)
-    return NoiseModel.off()
 
 
 def load_scene(path) -> VideoCube:
@@ -254,12 +252,10 @@ def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, 
     for the block and that its frames are large enough for the configured
     flow pyramid.  Returns the measurement and the path of its manifest.
     """
-    needed = cfg.B + 2 + 2 * cfg.gap_frames
-    if scene.frames < needed:
-        raise DataError(
-            f"scene has {scene.frames} frames but B={cfg.B} with gap_frames={cfg.gap_frames} "
-            f"needs at least {needed}"
-        )
+    try:
+        _block_start(scene.frames, cfg.B, cfg.gap_frames)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     levels = cfg.fusion.flow_params.pyramid_levels
     if min(scene.height, scene.width) < _min_side(levels):
         raise ConfigError(
@@ -268,7 +264,7 @@ def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, 
         )
     schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
     masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)
-    m = simulate_capture(scene, masks, schedule, cfg.gap_frames, _noise_model(cfg))
+    m = simulate_capture(scene, masks, schedule, cfg.gap_frames, NoiseModel(cfg.noise_sigma, cfg.noise_seed))
     manifest = write_measurement(
         m, cfg.out_dir, seed=cfg.mask_seed,
         extra={"noise_sigma": cfg.noise_sigma, "noise_seed": cfg.noise_seed},
@@ -331,7 +327,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         for k in range(B):
             export_pgm(Frame(fused.samples[k]), seq / f"fused_{k + 1:03d}.pgm")
 
-    start = (scene.frames - B) // 2
+    start = _block_start(scene.frames, B, cfg.gap_frames)
     truth = VideoCube(scene.samples[start : start + B])
     per_frame, mean = _score(truth, fused)
     report = {
@@ -360,21 +356,20 @@ def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
     """
     if not gaps:
         raise ConfigError("sweep needs at least one gap value")
-    if any(g < 0 for g in gaps):
-        raise ConfigError(f"gap values must be >= 0, got {sorted(gaps)}")
     if len(set(gaps)) != len(gaps):
         raise ConfigError(f"duplicate gap values: {sorted(gaps)}")
 
     out = Path(cfg.out_dir)
+    # every per-gap config is checked before the first write
+    subs = [dataclasses.replace(cfg, gap_frames=g, out_dir=str(out / f"gap_{g}")) for g in sorted(gaps)]
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for gap in sorted(gaps):
-        sub = dataclasses.replace(cfg, gap_frames=gap, out_dir=str(out / f"gap_{gap}"))
+    for sub in subs:
         result = run_pipeline(sub)
         rows.append(
             {
-                "gap_frames": gap,
-                "gap_ratio": gap / cfg.B,
+                "gap_frames": sub.gap_frames,
+                "gap_ratio": sub.gap_frames / cfg.B,
                 "mean_psnr_db": result.report["mean"]["psnr_db"],
                 "mean_ssim": result.report["mean"]["ssim"],
                 "intermediate_mean_psnr_db": result.report["intermediate_mean"]["psnr_db"],

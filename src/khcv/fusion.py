@@ -46,15 +46,8 @@ class FusionParams:
     disables it) reverts pixels no key explains to the intermediate frame,
     and normalize_keys rescales each key to the intermediate frame's mean
     before flow estimation.  Flow always runs directly from each
-    intermediate frame to each key frame.
-
-    The flow defaults here use a stronger smoothness weight than the flow
-    module's own defaults: the fusion targets are GAP-TV outputs whose
-    reconstruction artifacts otherwise dominate the data term.  They also
-    run 20 conjugate-gradient iterations per warp instead of 100: on the
-    128x128 scene of acceptance criterion 6 that fuses within 0.06 dB of
-    the converged fields (26.26 against 26.31 dB) for a fifth of the
-    iterations.
+    intermediate frame to each key frame, with flow_params (FlowParams'
+    defaults unless given).
     """
 
     beta: float = 20.0
@@ -62,7 +55,7 @@ class FusionParams:
     epsilon_blend: float = 1e-6
     fallback_threshold: float | None = 0.15
     normalize_keys: bool = True
-    flow_params: FlowParams = field(default_factory=lambda: FlowParams(alpha=0.2, iters_per_level=20))
+    flow_params: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -103,13 +96,6 @@ def warp(image: Frame, f: FlowField) -> Frame:
     return Frame(_warp_by_flow(image.samples, f.u, f.v))
 
 
-def _smoothed_error(a: np.ndarray, b: np.ndarray, radius: int) -> np.ndarray:
-    err = np.abs(a.astype(np.float64) - b.astype(np.float64))
-    if radius == 0:
-        return err
-    return ndimage.uniform_filter(err, size=2 * radius + 1, mode="nearest")
-
-
 def visibility_map(w_left: Frame, w_right: Frame, target: Frame, params: FusionParams | None = None) -> VisibleMap:
     """Per-pixel preference for the left warp over the right one.
 
@@ -120,14 +106,25 @@ def visibility_map(w_left: Frame, w_right: Frame, target: Frame, params: FusionP
     params = params or FusionParams()
     if w_left.samples.shape != target.samples.shape or w_right.samples.shape != target.samples.shape:
         raise ValueError("warped keys and target must share one shape")
-    e_left = _smoothed_error(w_left.samples, target.samples, params.error_smooth_radius)
-    e_right = _smoothed_error(w_right.samples, target.samples, params.error_smooth_radius)
+    return _visibility(*_smoothed_errors(w_left, w_right, target, params.error_smooth_radius), params.beta)
+
+
+def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame, radius: int) -> list[np.ndarray]:
+    """Box-filtered absolute photometric error of each warp against the target."""
+    errors = []
+    for w in (w_left, w_right):
+        err = np.abs(w.samples.astype(np.float64) - target.samples.astype(np.float64))
+        errors.append(ndimage.uniform_filter(err, size=2 * radius + 1, mode="nearest") if radius else err)
+    return errors
+
+
+def _visibility(e_left: np.ndarray, e_right: np.ndarray, beta: float) -> VisibleMap:
+    """Logistic of slope beta over the error difference: the visibility_map rule."""
     diff = e_right - e_left
     # evaluate the logistic through exp(-|x|) so that negating the argument
     # complements the result bit for bit
-    winner = 1.0 / (1.0 + np.exp(-params.beta * np.abs(diff)))
-    v = np.where(diff >= 0.0, winner, 1.0 - winner)
-    return VisibleMap(v)
+    winner = 1.0 / (1.0 + np.exp(-beta * np.abs(diff)))
+    return VisibleMap(np.where(diff >= 0.0, winner, 1.0 - winner))
 
 
 def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float, params: FusionParams | None = None) -> Frame:
@@ -214,13 +211,12 @@ def fuse_frame(
     w_left = warp(z_left, f_left)
     w_right = warp(z_right, f_right)
 
-    v = visibility_map(w_left, w_right, x_mid_k, params)
+    e_left, e_right = _smoothed_errors(w_left, w_right, x_mid_k, params.error_smooth_radius)
+    v = _visibility(e_left, e_right, params.beta)
     tau = k / (B + 2.0)
     fused = blend(w_left, w_right, v, tau, params).samples.astype(np.float64)
 
     if params.fallback_threshold is not None:
-        e_left = _smoothed_error(w_left.samples, x_mid_k.samples, params.error_smooth_radius)
-        e_right = _smoothed_error(w_right.samples, x_mid_k.samples, params.error_smooth_radius)
         bad = np.minimum(e_left, e_right) > params.fallback_threshold
         fused[bad] = x_mid_k.samples.astype(np.float64)[bad]
 

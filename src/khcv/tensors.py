@@ -301,8 +301,8 @@ def _read_pnm_header(raw: bytes, path) -> tuple[bytes, list[int], int]:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         token = raw[start:pos]
-        if not token.isdigit():
-            raise FormatError(f"{path}: bad header token {token!r}")
+        if not token.isdigit() or len(token) > 9:  # int() refuses over 4300 digits
+            raise FormatError(f"{path}: bad header token {token[:12]!r}")
         fields.append(int(token))
     if pos >= len(raw):
         raise TruncatedError(f"{path}: header ends before payload")
@@ -318,6 +318,8 @@ def import_pgm(path) -> Frame:
         raise FormatError(f"{path}: expected P5, got {magic!r}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: zero-sized image {width}x{height}")
     payload = raw[pos : pos + width * height]
     if len(payload) < width * height:
         raise TruncatedError(f"{path}: pixel data incomplete")

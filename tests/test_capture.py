@@ -144,9 +144,12 @@ def test_simulate_capture_rejects_short_scene():
 
 def test_noise_model_validation():
     with pytest.raises(ValueError):
-        NoiseModel(kind="poisson", sigma=0.1, seed=1)
-    with pytest.raises(ValueError):
         NoiseModel.gaussian(sigma=-0.5, seed=1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            NoiseModel(sigma=0.0, seed=seed)
+    assert NoiseModel.off() == NoiseModel.gaussian(0.0, 0)
+    assert not NoiseModel.gaussian(0.0, 9).field((4, 4), role=0).any()
 
 
 def test_noise_streams_are_deterministic_and_role_separated():

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from khcv import (
+    FlowParams,
     FormatError,
     Frame,
     VideoCube,
@@ -94,8 +95,12 @@ def test_config_validates_eagerly(tmp_path):
         {"B": 0},
         {"mask_density": 0.0},
         {"mask_seed": 2**64},
+        {"mask_seed": -1},
         {"gap_frames": -1},
         {"noise_sigma": -0.5},
+        {"noise_sigma": 0.01, "noise_seed": -5},
+        # the noise seed is checked even when noise is off
+        {"noise_seed": 2**64},
         {"gap_tv": {"outer_iters": 0}},
         {"flow": {"alpha": -1.0}},
         # flow settings live only under the top-level "flow" key
@@ -121,6 +126,15 @@ def test_config_validates_eagerly(tmp_path):
         result = runner.invoke(main, ["pipeline", "--config", str(path)])
         assert result.exit_code == 2, (bad, result.output)
         assert not (tmp_path / "out").exists(), bad
+
+
+def test_flow_section_overrides_only_the_fields_it_names(tmp_path):
+    assert fusion.FusionParams().flow_params == FlowParams()
+    raw, _ = base_config(tmp_path)
+    plain = PipelineConfig.from_dict(raw)
+    assert PipelineConfig.from_dict({**raw, "flow": {"alpha": 0.2}}) == plain
+    partial = PipelineConfig.from_dict({**raw, "flow": {"warps_per_level": 2}})
+    assert partial.fusion.flow_params == dataclasses.replace(FlowParams(), warps_per_level=2)
 
 
 def test_config_accepts_numpy_integers(tmp_path):
@@ -410,9 +424,10 @@ def test_sweep_validates_gaps(tmp_path):
     with pytest.raises(ConfigError):
         sweep_frame_gap(cfg, [])
     with pytest.raises(ConfigError):
-        sweep_frame_gap(cfg, [-1])
+        sweep_frame_gap(cfg, [2, -1])
     with pytest.raises(ConfigError):
         sweep_frame_gap(cfg, [0, 0])
+    assert not (tmp_path / "out").exists()
 
 
 # ===== exit code mapping =====
@@ -504,6 +519,31 @@ def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monke
         assert "GAP-TV diverged" in r.output
     assert not (tmp_path / "out" / "intermediate.khcv").exists()
     assert not (staged / "intermediate.khcv").exists()
+
+
+def test_cli_pipeline_single_frame_block(tmp_path):
+    config_path, _, _ = write_config(tmp_path, B=1)
+    result = CliRunner().invoke(main, ["pipeline", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [row["k"] for row in report["per_frame"]] == [1]
+    assert math.isfinite(report["mean"]["psnr_db"])
+
+
+def test_cli_seed_overrides_exit_2_before_writing(tmp_path):
+    # a bad seed given on the command line fails like the same seed in JSON
+    runner = CliRunner()
+    for sigma, option, value in (
+        (0.0, "--mask-seed", "-1"),
+        (0.0, "--mask-seed", str(2**64)),
+        (0.01, "--noise-seed", "-5"),
+        (0.0, "--noise-seed", "-5"),
+    ):
+        config_path, _, _ = write_config(tmp_path, noise_sigma=sigma)
+        for command in ("simulate", "pipeline"):
+            result = runner.invoke(main, [command, "--config", str(config_path), option, value])
+            assert result.exit_code == 2, (command, option, value, result.output)
+            assert not (tmp_path / "out").exists(), (command, option, value)
 
 
 def test_cli_config_error_exits_2(tmp_path):

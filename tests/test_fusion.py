@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from khcv import (
     CodingCube,
@@ -68,6 +69,23 @@ def test_warp_far_outside_replicates_corner():
     out = warp(img, constant_flow(12, 12, 100.0, 100.0))
     assert np.isfinite(out.samples).all()
     assert np.all(out.samples == img.samples[-1, -1])
+
+
+_FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    value=_FINITE32,
+    flow=st.integers(1, 9).flatmap(lambda h: st.integers(1, 9).flatmap(
+        lambda w: arrays(np.float32, (2, h, w), elements=_FINITE32)
+    )),
+)
+def test_warp_of_a_constant_frame_is_that_constant(value, flow):
+    # any finite flow, however far outside the frame, samples the constant
+    img = Frame(np.full(flow.shape[1:], value, np.float32))
+    out = warp(img, FlowField(flow[0], flow[1]))
+    assert np.array_equal(out.samples, img.samples)
 
 
 def test_visibility_prefers_better_warp():

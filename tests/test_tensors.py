@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khcv import (
@@ -180,9 +180,7 @@ _EDITS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=st.sampled_from([raw for _, raw in LAYOUT_CASES]), edits=_EDITS)
-def test_mutated_containers_raise_only_format_errors(tmp_path_factory, case, edits):
+def _mutated(case: bytes, edits) -> bytes:
     raw = bytearray(case)
     for op, *args in edits:
         if op == "set" and raw:
@@ -191,10 +189,32 @@ def test_mutated_containers_raise_only_format_errors(tmp_path_factory, case, edi
             del raw[args[0] % (len(raw) + 1) :]
         elif op == "add":
             raw += args[0]
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([raw for _, raw in LAYOUT_CASES]), edits=_EDITS)
+def test_mutated_containers_raise_only_format_errors(tmp_path_factory, case, edits):
     p = tmp_path_factory.mktemp("fuzz") / "t.khcv"
-    p.write_bytes(bytes(raw))
+    p.write_bytes(_mutated(case, edits))
     try:
         load_tensor(p)
+    except FormatError:
+        pass
+
+
+_PGM = b"P5\n# c\n3 2\n255\n" + bytes([0, 7, 128, 200, 254, 255])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_EDITS)
+@example(edits=[("set", 7, ord("0"))])  # zero width
+@example(edits=[("set", 9, ord("0"))])  # zero height
+def test_mutated_pgms_raise_only_format_errors(tmp_path_factory, edits):
+    p = tmp_path_factory.mktemp("fuzz") / "t.pgm"
+    p.write_bytes(_mutated(_PGM, edits))
+    try:
+        import_pgm(p)
     except FormatError:
         pass
 
@@ -239,6 +259,13 @@ def test_pgm_round_trip(tmp_path):
 def test_pgm_rejects_wide_maxval(tmp_path):
     p = tmp_path / "g.pgm"
     p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+    with pytest.raises(FormatError):
+        import_pgm(p)
+
+
+def test_pgm_rejects_header_numbers_too_long_to_parse(tmp_path):
+    p = tmp_path / "g.pgm"
+    p.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
     with pytest.raises(FormatError):
         import_pgm(p)
 
