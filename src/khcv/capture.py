@@ -14,6 +14,7 @@ block and each key frame.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,16 @@ __all__ = [
 _ROLE_COMPRESSIVE = 0
 _ROLE_KEY_LEFT = 1
 _ROLE_KEY_RIGHT = 2
+
+
+def _check_seed(seed, name: str) -> None:
+    """Raise ValueError unless seed is an integer (not a bool) in [0, 2**64).
+
+    A float seed is refused rather than truncated, so 3.7 never silently
+    draws the stream of seed 3.  Numpy integers, unsigned ones too, pass.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"noise seed must fit in 64 bits, got {self.seed}")
+        _check_seed(self.seed, "noise seed")
 
     @classmethod
     def off(cls) -> "NoiseModel":
@@ -164,8 +174,7 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
     row-major order, so the cube for a given (seed, shape, density) is
     identical on every platform and independent of evaluation order.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed, "seed")
     if height < 1 or width < 1 or frames < 1:
         raise ValueError(f"mask dims must be positive, got {(frames, height, width)}")
     if not 0.0 < density <= 1.0:

@@ -24,6 +24,7 @@ from .capture import (
     HybridMeasurement,
     NoiseModel,
     _block_start,
+    _check_seed,
     build_schedule,
     generate_masks,
     read_measurement,
@@ -58,11 +59,6 @@ __all__ = [
     "sweep_frame_gap",
     "main",
 ]
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
 
 class ConfigError(Exception):
     """The run configuration is malformed or inconsistent."""
@@ -102,8 +98,7 @@ class PipelineConfig:
         try:
             build_schedule(self.t_x, self.B, self.t_g)
             NoiseModel(self.noise_sigma, self.noise_seed)
-            if not 0 <= int(self.mask_seed) < 2**64:
-                raise ValueError(f"mask_seed must fit in 64 bits, got {self.mask_seed}")
+            _check_seed(self.mask_seed, "mask_seed")
             if not 0.0 < self.mask_density <= 1.0:
                 raise ValueError(f"mask_density must lie in (0, 1], got {self.mask_density}")
             if self.gap_frames < 0:
@@ -113,27 +108,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known - {"flow"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scene" not in raw:
             raise ConfigError("config must name a scene")
-        try:
-            fusion_kwargs = dict(raw.get("fusion", {}))
-            if "flow_params" in fusion_kwargs:
-                raise ValueError('flow settings go under the top-level "flow" key, not fusion.flow_params')
-            gap_tv_kwargs = dict(raw.get("gap_tv", {}))
-            flow_kwargs = dict(raw.get("flow", {}))
-            _check_json_types(cls, raw, "")
-            _check_json_types(GapTvParams, gap_tv_kwargs, "gap_tv.")
-            _check_json_types(FusionParams, fusion_kwargs, "fusion.")
-            _check_json_types(FlowParams, flow_kwargs, "flow.")
-            fusion_kwargs["flow_params"] = FlowParams(**flow_kwargs)
-            scalars = {k: v for k, v in raw.items() if k not in ("gap_tv", "fusion", "flow")}
-            return cls(**scalars, gap_tv=GapTvParams(**gap_tv_kwargs), fusion=FusionParams(**fusion_kwargs))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        raw = dict(raw)
+        flow = _from_json(FlowParams, raw.pop("flow", {}), "flow.")
+        fusion = raw.get("fusion", {})
+        if isinstance(fusion, dict):
+            if "flow_params" in fusion:
+                raise ConfigError('flow settings go under the top-level "flow" key, not fusion.flow_params')
+            raw["fusion"] = {**fusion, "flow_params": flow}
+        return _from_json(cls, raw)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -154,21 +138,39 @@ class PipelineConfig:
         return raw
 
 
-def _check_json_types(cls, raw: dict, prefix: str) -> None:
-    """Reject a str, bool or int field of cls given as another JSON type in raw.
+# JSON name and accepted Python types of each config field type.  Numpy numbers
+# pass; an int field takes no float, not even 3.0; only a bool field takes a bool.
+_JSON_TYPES = {
+    str: ("string", str),
+    bool: ("boolean", bool),
+    int: ("integer", numbers.Integral),
+    float: ("number", numbers.Real),
+    float | None: ("number or null", (numbers.Real, type(None))),
+}
 
-    The dataclasses range-check their numeric fields but not their types; a
-    value of the wrong type would otherwise pass until it is used.  An int
-    field takes any integral number (numpy integers too) but not a bool or a
-    float, even an integral one such as 3.0.
-    """
+
+def _from_json(cls, raw, prefix: str = ""):
+    """Build dataclass cls from a JSON object, checking each value against its field's type
+    hint; nested dataclasses recurse unless already built.  Errors name fields by dotted path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
     hints = typing.get_type_hints(cls)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+    kwargs = {}
     for name, value in raw.items():
-        want = hints.get(name)
-        if want in (str, bool) and not isinstance(value, want):
-            raise TypeError(f"{prefix}{name} must be a JSON {want.__name__}, got {value!r}")
-        if want is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise TypeError(f"{prefix}{name} must be a JSON integer, got {value!r}")
+        want = hints[name]
+        if dataclasses.is_dataclass(want):
+            if not isinstance(value, want):
+                value = _from_json(want, value, f"{prefix}{name}.")
+        elif not isinstance(value, _JSON_TYPES[want][1]) or (isinstance(value, bool) and want is not bool):
+            raise ConfigError(f"{prefix}{name} must be a JSON {_JSON_TYPES[want][0]}, got {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_scene(path) -> VideoCube:
@@ -232,8 +234,7 @@ class PipelineResult:
 
     @property
     def mean_psnr(self) -> float:
-        value = self.report["mean"]["psnr_db"]
-        return math.inf if value == "inf" else float(value)
+        return float(self.report["mean"]["psnr_db"])  # float("inf") reads the "inf" marker
 
     @property
     def mean_ssim(self) -> float:
@@ -241,17 +242,12 @@ class PipelineResult:
 
     @property
     def intermediate_mean_psnr(self) -> float:
-        value = self.report["intermediate_mean"]["psnr_db"]
-        return math.inf if value == "inf" else float(value)
+        return float(self.report["intermediate_mean"]["psnr_db"])
 
 
-def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
-    """Simulate the hybrid capture of a scene and write it under cfg.out_dir.
-
-    Before anything is written, checks that the scene holds enough frames
-    for the block and that its frames are large enough for the configured
-    flow pyramid.  Returns the measurement and the path of its manifest.
-    """
+def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
+    """Check that the scene holds enough frames for the block and that its
+    frames are large enough for the configured flow pyramid."""
     try:
         _block_start(scene.frames, cfg.B, cfg.gap_frames)
     except ValueError as exc:
@@ -262,6 +258,12 @@ def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, 
             f"scene frames are {scene.height}x{scene.width} px but {levels} flow pyramid levels "
             f"need both sides at least {_min_side(levels)} px"
         )
+
+
+def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
+    """Check the scene, then simulate its hybrid capture and write it under
+    cfg.out_dir.  Returns the measurement and the path of its manifest."""
+    _check_scene(cfg, scene)
     schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
     masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)
     m = simulate_capture(scene, masks, schedule, cfg.gap_frames, NoiseModel(cfg.noise_sigma, cfg.noise_seed))
@@ -314,8 +316,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     cfg.out_dir and returns the parsed report.  Metrics cover the B coded
     frames only; key frames are never scored.
     """
-    scene = load_scene(cfg.scene)
-    B = cfg.B
+    return _run(cfg, load_scene(cfg.scene))
+
+
+def _run(cfg: PipelineConfig, scene: VideoCube) -> PipelineResult:
+    """run_pipeline on a scene already loaded, as each gap of a sweep shares one."""
     out = Path(cfg.out_dir)
     m, _ = _capture(cfg, scene)
     x_mid = _reconstruct(cfg, m)
@@ -324,11 +329,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.save_pgm:
         seq = out / "fused_pgm"
         seq.mkdir(exist_ok=True)
-        for k in range(B):
+        for k in range(cfg.B):
             export_pgm(Frame(fused.samples[k]), seq / f"fused_{k + 1:03d}.pgm")
 
-    start = _block_start(scene.frames, B, cfg.gap_frames)
-    truth = VideoCube(scene.samples[start : start + B])
+    start = _block_start(scene.frames, cfg.B, cfg.gap_frames)
+    truth = VideoCube(scene.samples[start : start + cfg.B])
     per_frame, mean = _score(truth, fused)
     report = {
         "config": cfg.to_dict(),
@@ -360,12 +365,15 @@ def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
         raise ConfigError(f"duplicate gap values: {sorted(gaps)}")
 
     out = Path(cfg.out_dir)
-    # every per-gap config is checked before the first write
+    # every per-gap config, and the scene against it, is checked before the first write
     subs = [dataclasses.replace(cfg, gap_frames=g, out_dir=str(out / f"gap_{g}")) for g in sorted(gaps)]
+    scene = load_scene(cfg.scene)
+    for sub in subs:
+        _check_scene(sub, scene)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for sub in subs:
-        result = run_pipeline(sub)
+        result = _run(sub, scene)
         rows.append(
             {
                 "gap_frames": sub.gap_frames,
@@ -383,44 +391,37 @@ def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
 # ===== command line front end =====
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _load_config(config_path, **overrides) -> PipelineConfig:
+    """Load the JSON config and apply the command line overrides that were given (not None)."""
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return dataclasses.replace(PipelineConfig.from_json(config_path), **given)
 
 
-def _guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except (DataError, OSError, ValueError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except (NumericalError, FloatingPointError) as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+class _Khcv(click.Group):
+    """The command group, and the one place errors become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            code, message = 2, str(exc)
+        except (DataError, OSError, ValueError) as exc:
+            code, message = 3, str(exc)
+        except (NumericalError, FloatingPointError) as exc:
+            code, message = 4, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
-def _load_config(config_path, out_dir, mask_seed, noise_seed, dump) -> PipelineConfig:
-    cfg = PipelineConfig.from_json(config_path)
-    updates = {}
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    if mask_seed is not None:
-        updates["mask_seed"] = mask_seed
-    if noise_seed is not None:
-        updates["noise_seed"] = noise_seed
-    if dump:
-        updates["dump_intermediates"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
+# option names match the PipelineConfig fields they override
 _config_option = click.option("--config", "config_path", required=True, type=click.Path(), help="JSON run configuration.")
 _out_option = click.option("--out", "out_dir", default=None, type=click.Path(), help="Override the output directory.")
 _mask_seed_option = click.option("--mask-seed", type=int, default=None, help="Override the mask seed.")
 _noise_seed_option = click.option("--noise-seed", type=int, default=None, help="Override the noise seed.")
-_dump_option = click.option("--dump-intermediates", "dump", is_flag=True, help="Write flows, colorized flows and visibility maps.")
+_dump_option = click.option("--dump-intermediates", is_flag=True, default=None, help="Write flows, colorized flows and visibility maps.")
 
 
-@click.group()
+@click.group(cls=_Khcv)
 def main():
     """Hybrid compressive video sensing toolchain."""
 
@@ -430,30 +431,22 @@ def main():
 @_out_option
 @_mask_seed_option
 @_noise_seed_option
-def simulate(config_path, out_dir, mask_seed, noise_seed):
+def simulate(config_path, **overrides):
     """Simulate one hybrid measurement and write it with its manifest."""
-
-    def body():
-        cfg = _load_config(config_path, out_dir, mask_seed, noise_seed, False)
-        _, manifest = _capture(cfg, load_scene(cfg.scene))
-        click.echo(f"wrote {manifest}")
-
-    _guarded(body)
+    cfg = _load_config(config_path, **overrides)
+    _, manifest = _capture(cfg, load_scene(cfg.scene))
+    click.echo(f"wrote {manifest}")
 
 
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(), help="Measurement manifest JSON.")
 @_config_option
 @_out_option
-def reconstruct(manifest_path, config_path, out_dir):
+def reconstruct(manifest_path, config_path, **overrides):
     """Reconstruct the coded block behind a stored measurement."""
-
-    def body():
-        cfg = _load_config(config_path, out_dir, None, None, False)
-        _reconstruct(cfg, read_measurement(manifest_path))
-        click.echo(f"wrote {Path(cfg.out_dir) / 'intermediate.khcv'}")
-
-    _guarded(body)
+    cfg = _load_config(config_path, **overrides)
+    _reconstruct(cfg, read_measurement(manifest_path))
+    click.echo(f"wrote {Path(cfg.out_dir) / 'intermediate.khcv'}")
 
 
 @main.command()
@@ -462,19 +455,15 @@ def reconstruct(manifest_path, config_path, out_dir):
 @_config_option
 @_out_option
 @_dump_option
-def fuse(manifest_path, intermediate_path, config_path, out_dir, dump):
+def fuse(manifest_path, intermediate_path, config_path, **overrides):
     """Fuse a stored intermediate reconstruction with its key frames."""
-
-    def body():
-        cfg = _load_config(config_path, out_dir, None, None, dump)
-        m = read_measurement(manifest_path)
-        data = load_tensor(intermediate_path)
-        if not isinstance(data, VideoCube):
-            raise DataError(f"{intermediate_path} holds a {type(data).__name__}, expected a video cube")
-        _fuse(cfg, m, data)
-        click.echo(f"wrote {Path(cfg.out_dir) / 'fused.khcv'}")
-
-    _guarded(body)
+    cfg = _load_config(config_path, **overrides)
+    m = read_measurement(manifest_path)
+    data = load_tensor(intermediate_path)
+    if not isinstance(data, VideoCube):
+        raise DataError(f"{intermediate_path} holds a {type(data).__name__}, expected a video cube")
+    _fuse(cfg, m, data)
+    click.echo(f"wrote {Path(cfg.out_dir) / 'fused.khcv'}")
 
 
 @main.command()
@@ -483,19 +472,15 @@ def fuse(manifest_path, intermediate_path, config_path, out_dir, dump):
 @_mask_seed_option
 @_noise_seed_option
 @_dump_option
-def pipeline(config_path, out_dir, mask_seed, noise_seed, dump):
+def pipeline(config_path, **overrides):
     """Run simulate, reconstruct, fuse and metrics in one go."""
-
-    def body():
-        cfg = _load_config(config_path, out_dir, mask_seed, noise_seed, dump)
-        result = run_pipeline(cfg)
-        mean = result.report["mean"]
-        inter = result.report["intermediate_mean"]
-        click.echo(f"fused mean PSNR {mean['psnr_db']} dB, SSIM {mean['ssim']:.4f}")
-        click.echo(f"intermediate mean PSNR {inter['psnr_db']} dB, SSIM {inter['ssim']:.4f}")
-        click.echo(f"report: {result.out_dir / 'report.json'}")
-
-    _guarded(body)
+    cfg = _load_config(config_path, **overrides)
+    result = run_pipeline(cfg)
+    mean = result.report["mean"]
+    inter = result.report["intermediate_mean"]
+    click.echo(f"fused mean PSNR {mean['psnr_db']} dB, SSIM {mean['ssim']:.4f}")
+    click.echo(f"intermediate mean PSNR {inter['psnr_db']} dB, SSIM {inter['ssim']:.4f}")
+    click.echo(f"report: {result.out_dir / 'report.json'}")
 
 
 @main.command()
@@ -504,23 +489,19 @@ def pipeline(config_path, out_dir, mask_seed, noise_seed, dump):
 @_mask_seed_option
 @_noise_seed_option
 @click.option("--gaps", default="0,1,2,3,4", show_default=True, help="Comma-separated gap values.")
-def sweep(config_path, out_dir, mask_seed, noise_seed, gaps):
+def sweep(config_path, gaps, **overrides):
     """Sweep the key-frame gap and tabulate fused quality."""
-
-    def body():
-        cfg = _load_config(config_path, out_dir, mask_seed, noise_seed, False)
-        try:
-            gap_values = [int(tok) for tok in gaps.split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad --gaps value {gaps!r}") from exc
-        result = sweep_frame_gap(cfg, gap_values)
-        for row in result.rows:
-            click.echo(
-                f"gap {row['gap_frames']}: fused PSNR {row['mean_psnr_db']} dB, "
-                f"SSIM {row['mean_ssim']:.4f}"
-            )
-
-    _guarded(body)
+    cfg = _load_config(config_path, **overrides)
+    try:
+        gap_values = [int(tok) for tok in gaps.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad --gaps value {gaps!r}") from exc
+    result = sweep_frame_gap(cfg, gap_values)
+    for row in result.rows:
+        click.echo(
+            f"gap {row['gap_frames']}: fused PSNR {row['mean_psnr_db']} dB, "
+            f"SSIM {row['mean_ssim']:.4f}"
+        )
 
 
 @main.command()
@@ -529,31 +510,27 @@ def sweep(config_path, out_dir, mask_seed, noise_seed, gaps):
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write the JSON report here.")
 def metrics(reference, candidate, out_path):
     """Score a stored frame or cube against a reference of the same shape."""
-
-    def body():
-        ref = load_tensor(reference)
-        cand = load_tensor(candidate)
-        if isinstance(ref, Frame) and isinstance(cand, Frame):
-            truth = VideoCube(ref.samples[np.newaxis])
-            probe = VideoCube(cand.samples[np.newaxis])
-        elif isinstance(ref, VideoCube) and isinstance(cand, VideoCube):
-            truth, probe = ref, cand
-        else:
-            raise DataError(
-                f"cannot compare {type(ref).__name__} with {type(cand).__name__}"
-            )
-        if truth.samples.shape != probe.samples.shape:
-            raise DataError(
-                f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}"
-            )
-        per_frame, mean = _score(truth, probe)
-        report = {"per_frame": per_frame, "mean": mean}
-        text = json.dumps(report, indent=2)
-        click.echo(text)
-        if out_path is not None:
-            Path(out_path).write_text(text + "\n")
-
-    _guarded(body)
+    ref = load_tensor(reference)
+    cand = load_tensor(candidate)
+    if isinstance(ref, Frame) and isinstance(cand, Frame):
+        truth = VideoCube(ref.samples[np.newaxis])
+        probe = VideoCube(cand.samples[np.newaxis])
+    elif isinstance(ref, VideoCube) and isinstance(cand, VideoCube):
+        truth, probe = ref, cand
+    else:
+        raise DataError(
+            f"cannot compare {type(ref).__name__} with {type(cand).__name__}"
+        )
+    if truth.samples.shape != probe.samples.shape:
+        raise DataError(
+            f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}"
+        )
+    per_frame, mean = _score(truth, probe)
+    report = {"per_frame": per_frame, "mean": mean}
+    text = json.dumps(report, indent=2)
+    click.echo(text)
+    if out_path is not None:
+        Path(out_path).write_text(text + "\n")
 
 
 @main.command()
@@ -562,15 +539,11 @@ def metrics(reference, candidate, out_path):
 @click.option("--max-magnitude", type=float, default=None, help="Saturation scale in pixels; default is the 99th percentile.")
 def flowviz(flow_path, out_path, max_magnitude):
     """Colorize a stored flow field into a PPM image."""
-
-    def body():
-        data = load_tensor(flow_path)
-        if not isinstance(data, FlowField):
-            raise DataError(f"{flow_path} holds a {type(data).__name__}, expected a flow field")
-        export_ppm(flow_to_color(data, max_magnitude), out_path)
-        click.echo(f"wrote {out_path}")
-
-    _guarded(body)
+    data = load_tensor(flow_path)
+    if not isinstance(data, FlowField):
+        raise DataError(f"{flow_path} holds a {type(data).__name__}, expected a flow field")
+    export_ppm(flow_to_color(data, max_magnitude), out_path)
+    click.echo(f"wrote {out_path}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khcv import (
     CodingCube,
@@ -51,6 +53,11 @@ def test_masks_deterministic_and_binary():
     assert set(np.unique(a.samples)) <= {0, 1}
     c = generate_masks(8, 16, 16, 8)
     assert a != c
+    # a seed is an integer, never truncated from a float or read from a bool
+    for seed in (3.7, 3.0, np.float64(7.0), True, np.bool_(True), -1, 2**64):
+        with pytest.raises(ValueError):
+            generate_masks(seed, 4, 4, 2)
+    assert generate_masks(np.uint64(7), 16, 16, 8) == generate_masks(np.int32(7), 16, 16, 8) == a
 
 
 def test_masks_match_philox_replay():
@@ -115,6 +122,28 @@ def test_encode_is_linear():
     assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.integers(min_value=1, max_value=6),
+    h=st.integers(min_value=1, max_value=16),
+    w=st.integers(min_value=1, max_value=16),
+    density=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_encode_adjoint_identity(B, h, w, density, seed):
+    # <encode(x, c), y> = <x, c * y>: c * y is the transpose of the sensing
+    # operator applied to y.  encode stores float32, so the two sides agree to
+    # a relative 1e-6 of the summed magnitudes, not exactly.
+    rng = np.random.default_rng(seed)
+    x = rng.random((B, h, w)).astype(np.float32)
+    y = rng.standard_normal((h, w))
+    c = generate_masks(seed, h, w, B, density)
+    lhs = np.sum(encode(VideoCube(x), c).samples * y)
+    rhs = np.sum(x * (c.samples * y))
+    scale = np.sum(np.abs(x * c.samples * y))
+    assert abs(lhs - rhs) <= 1e-6 * scale
+
+
 def test_keyframes_flank_coded_block():
     scene = translating_scene(16, 16, 15, step=(1, 0), seed=2)
     # B=8 in a 15-frame scene: coded block starts at (15-8)//2 = 3,
@@ -145,9 +174,12 @@ def test_simulate_capture_rejects_short_scene():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel.gaussian(sigma=-0.5, seed=1)
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=0.0, seed=seed)
+    for sigma in (0.0, 0.1):
+        for seed in (-1, 2**64, 3.7, 3.0, True):
+            with pytest.raises(ValueError):
+                NoiseModel(sigma=sigma, seed=seed)
+    field = NoiseModel(0.1, 3).field((4, 4), role=0)
+    assert np.array_equal(NoiseModel(0.1, np.uint64(3)).field((4, 4), role=0), field)
     assert NoiseModel.off() == NoiseModel.gaussian(0.0, 0)
     assert not NoiseModel.gaussian(0.0, 9).field((4, 4), role=0).any()
 

@@ -26,7 +26,6 @@ from khcv.cli import (
     DataError,
     NumericalError,
     PipelineConfig,
-    _guarded,
     load_scene,
     main,
     run_pipeline,
@@ -78,9 +77,10 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_rejects_unknown_nested_keys(tmp_path):
     # a removed setting such as chain_flows is rejected like any unknown key
-    for section in ({"bogus": 1}, {"chain_flows": True}):
-        raw, _ = base_config(tmp_path, fusion=section)
-        with pytest.raises(ConfigError):
+    # and the message names it by its dotted path
+    for key, value in (("bogus", 1), ("chain_flows", True)):
+        raw, _ = base_config(tmp_path, fusion={key: value})
+        with pytest.raises(ConfigError, match=rf"fusion\.{key}\b"):
             PipelineConfig.from_dict(raw)
 
 
@@ -117,6 +117,15 @@ def test_config_validates_eagerly(tmp_path):
         {"fusion": {"error_smooth_radius": 1.5}},
         {"mask_seed": 3.7},
         {"B": True},
+        # float fields take numbers, not booleans
+        {"noise_sigma": True},
+        {"mask_density": True},
+        {"flow": {"alpha": True}},
+        {"gap_tv": {"tv_weight": True}},
+        {"fusion": {"fallback_threshold": True}},
+        # every section is a JSON object
+        {"gap_tv": [["outer_iters", 5]]},
+        {"fusion": []},
     ):
         raw, _ = base_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
@@ -138,9 +147,17 @@ def test_flow_section_overrides_only_the_fields_it_names(tmp_path):
 
 
 def test_config_accepts_numpy_integers(tmp_path):
-    raw, _ = base_config(tmp_path, mask_seed=np.int64(5), gap_tv={"outer_iters": np.int32(3)})
+    raw, _ = base_config(
+        tmp_path,
+        mask_seed=np.int64(5),
+        gap_tv={"outer_iters": np.int32(3)},
+        fusion={"fallback_threshold": None},
+        flow={"alpha": np.float32(0.25)},
+    )
     cfg = PipelineConfig.from_dict(raw)
     assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
+    assert cfg.fusion.fallback_threshold is None
+    assert cfg.fusion.flow_params.alpha == 0.25
 
 
 def test_config_json_errors(tmp_path):
@@ -418,6 +435,15 @@ def test_sweep_gap_zero_matches_standalone_run(tmp_path):
     assert sweep_bytes == (solo.out_dir / "fused.khcv").read_bytes()
 
 
+def test_sweep_checks_every_gap_against_the_scene_before_writing(tmp_path):
+    # the 10-frame scene holds B=4 with gap 1 but not with gap 5
+    config_path, _, _ = write_config(tmp_path)
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--gaps", "0,1,5"])
+    assert result.exit_code == 3, result.output
+    assert "gap_frames=5" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_validates_gaps(tmp_path):
     raw, _ = base_config(tmp_path)
     cfg = PipelineConfig.from_dict(raw)
@@ -433,14 +459,10 @@ def test_sweep_validates_gaps(tmp_path):
 # ===== exit code mapping =====
 
 
-def _raises(exc):
-    def body():
-        raise exc
-
-    return body
-
-
-def test_guarded_exit_codes(capsys):
+def test_guarded_exit_codes(tmp_path, monkeypatch):
+    # every command shares the command group's mapping; pipeline stands in for all
+    config_path, _, _ = write_config(tmp_path)
+    runner = CliRunner()
     for exc, code in (
         (ConfigError("bad"), 2),
         (DataError("bad"), 3),
@@ -450,10 +472,21 @@ def test_guarded_exit_codes(capsys):
         (NumericalError("bad"), 4),
         (FloatingPointError("bad"), 4),
     ):
-        with pytest.raises(SystemExit) as info:
-            _guarded(_raises(exc))
-        assert info.value.code == code
-        assert "bad" in capsys.readouterr().err
+
+        def fail(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        result = runner.invoke(main, ["pipeline", "--config", str(config_path)])
+        assert result.exit_code == code, (exc, result.output)
+        assert result.stderr == "error: bad\n", exc
+    # click's own usage errors and help keep click's handling
+    result = runner.invoke(main, ["pipeline"])
+    assert result.exit_code == 2
+    assert "Missing option '--config'" in result.stderr
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert "pipeline" in result.output
 
 
 # ===== command line =====
