@@ -43,13 +43,18 @@ _ROLE_KEY_LEFT = 1
 _ROLE_KEY_RIGHT = 2
 
 
+def _is_int(value) -> bool:
+    """The integer rule: any integer type, numpy's too, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed(seed, name: str) -> None:
     """Raise ValueError unless seed is an integer (not a bool) in [0, 2**64).
 
     A float seed is refused rather than truncated, so 3.7 never silently
     draws the stream of seed 3.  Numpy integers, unsigned ones too, pass.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+    if not _is_int(seed) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -57,32 +62,30 @@ def _check_seed(seed, name: str) -> None:
 class TimingSchedule:
     """Exposure plan in integer microseconds.
 
-    t_x is the per-frame exposure, t_y the coded exposure covering B frames,
-    t_z the key-frame exposure and t_g the dead time between the coded block
-    and each key frame.
+    t_x is the per-frame exposure, t_g the dead time between the coded block
+    and each key frame and B the number of coded frames.  The rest follows:
+    the coded exposure is t_y = B * t_x and the key-frame exposure t_z = t_x.
+    The three values are stored as plain ints.
     """
 
     t_x: int
-    t_y: int
-    t_z: int
     t_g: int
     B: int
 
     def __post_init__(self):
-        for name in ("t_x", "t_y", "t_z", "t_g", "B"):
+        for name, low in (("t_x", 1), ("t_g", 0), ("B", 1)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer microsecond count, got {value!r}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.t_x <= 0:
-            raise ValueError(f"t_x must be positive, got {self.t_x}")
-        if self.t_g < 0:
-            raise ValueError(f"t_g must be >= 0, got {self.t_g}")
-        if self.t_y != self.B * self.t_x:
-            raise ValueError(f"t_y must equal B*t_x = {self.B * self.t_x}, got {self.t_y}")
-        if self.t_z != self.t_x:
-            raise ValueError(f"t_z must equal t_x = {self.t_x}, got {self.t_z}")
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
+    @property
+    def t_y(self) -> int:
+        return self.B * self.t_x
+
+    @property
+    def t_z(self) -> int:
+        return self.t_x
 
 
 def build_schedule(t_x: int, B: int, t_g: int = 0) -> TimingSchedule:
@@ -96,13 +99,7 @@ def build_schedule(t_x: int, B: int, t_g: int = 0) -> TimingSchedule:
     Returns:
         TimingSchedule with t_y = B * t_x and t_z = t_x.
     """
-    if not isinstance(t_x, (int, np.integer)) or t_x <= 0:
-        raise ValueError(f"t_x must be a positive integer, got {t_x!r}")
-    if not isinstance(B, (int, np.integer)) or B < 1:
-        raise ValueError(f"B must be a positive integer, got {B!r}")
-    if not isinstance(t_g, (int, np.integer)) or t_g < 0:
-        raise ValueError(f"t_g must be a non-negative integer, got {t_g!r}")
-    return TimingSchedule(t_x=int(t_x), t_y=int(B) * int(t_x), t_z=int(t_x), t_g=int(t_g), B=int(B))
+    return TimingSchedule(t_x=t_x, t_g=t_g, B=B)
 
 
 def compressive_ratio(B: int) -> float:
@@ -121,7 +118,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # written so that NaN fails too
             raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
         _check_seed(self.seed, "noise seed")
 
@@ -163,8 +160,8 @@ class HybridMeasurement:
             raise ValueError(
                 f"mask count {self.masks.frames} disagrees with schedule B {self.schedule.B}"
             )
-        if self.gap_frames < 0:
-            raise ValueError(f"gap_frames must be >= 0, got {self.gap_frames}")
+        if not _is_int(self.gap_frames) or self.gap_frames < 0:
+            raise ValueError(f"gap_frames must be an integer >= 0, got {self.gap_frames!r}")
 
 
 def generate_masks(seed: int, height: int, width: int, frames: int, density: float = 0.5) -> CodingCube:
@@ -245,12 +242,9 @@ def simulate_capture(
     """Run one full hybrid exposure over a scene with timing margin.
 
     Encodes the central B scene frames with the coding cube and samples the
-    two key frames gap_frames + 1 positions outside the coded block.
+    two key frames gap_frames + 1 positions outside the coded block; encode
+    refuses masks that do not match that block.
     """
-    if masks.frames != schedule.B:
-        raise ValueError(f"mask count {masks.frames} disagrees with schedule B {schedule.B}")
-    if masks.samples.shape[1:] != scene.samples.shape[1:]:
-        raise ValueError("mask planes must match the scene frame size")
     start = _block_start(scene.frames, schedule.B, gap_frames)
     block = VideoCube(scene.samples[start : start + schedule.B])
     y = encode(block, masks, noise)
@@ -307,38 +301,31 @@ def write_measurement(
 
 
 def read_measurement(manifest_path) -> HybridMeasurement:
-    """Load a measurement previously stored by write_measurement."""
+    """Load a measurement previously stored by write_measurement.
+
+    The manifest is outside input, so every field is checked: a malformed
+    one, or a stored t_y or t_z that disagrees with t_x and B, raises
+    ValueError.
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     try:
         files = manifest["files"]
-        schedule = TimingSchedule(
-            t_x=manifest["t_x"],
-            t_y=manifest["t_y"],
-            t_z=manifest["t_z"],
-            t_g=manifest["t_g"],
-            B=manifest["B"],
-        )
+        schedule = TimingSchedule(t_x=manifest["t_x"], t_g=manifest["t_g"], B=manifest["B"])
+        stored = (manifest["t_y"], manifest["t_z"])
         gap_frames = manifest["gap_frames"]
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing manifest field {exc}") from exc
-    base = manifest_path.parent
-    y = load_tensor(base / files["y"])
-    z_left = load_tensor(base / files["z_left"])
-    z_right = load_tensor(base / files["z_right"])
-    masks = load_tensor(base / files["masks"])
-    if not isinstance(y, Frame) or not isinstance(z_left, Frame) or not isinstance(z_right, Frame):
-        raise ValueError(f"{manifest_path}: measurement frames have the wrong tensor kind")
-    if not isinstance(masks, CodingCube):
-        raise ValueError(f"{manifest_path}: mask file does not hold a coding cube")
-    return HybridMeasurement(
-        y=y,
-        z_left=z_left,
-        z_right=z_right,
-        masks=masks,
-        schedule=schedule,
-        gap_frames=gap_frames,
-    )
+    if stored != (schedule.t_y, schedule.t_z):
+        raise ValueError(f"{manifest_path}: t_y and t_z {stored} must be B*t_x and t_x {(schedule.t_y, schedule.t_z)}")
+    if not isinstance(files, dict) or not all(isinstance(files.get(role), str) for role in _MANIFEST_FILES):
+        raise ValueError(f"{manifest_path}: files must map {sorted(_MANIFEST_FILES)} to file names, got {files!r}")
+    y, z_left, z_right, masks = (load_tensor(manifest_path.parent / files[role]) for role in _MANIFEST_FILES)
+    if [type(t) for t in (y, z_left, z_right, masks)] != [Frame, Frame, Frame, CodingCube]:
+        raise ValueError(f"{manifest_path}: files must hold three frames and a coding cube, in that order")
+    return HybridMeasurement(y, z_left, z_right, masks, schedule, gap_frames)

@@ -101,7 +101,7 @@ class PipelineConfig:
             _check_seed(self.mask_seed, "mask_seed")
             if not 0.0 < self.mask_density <= 1.0:
                 raise ValueError(f"mask_density must lie in (0, 1], got {self.mask_density}")
-            if self.gap_frames < 0:
+            if not self.gap_frames >= 0:
                 raise ValueError(f"gap_frames must be >= 0, got {self.gap_frames}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -139,7 +139,8 @@ class PipelineConfig:
 
 
 # JSON name and accepted Python types of each config field type.  Numpy numbers
-# pass; an int field takes no float, not even 3.0; only a bool field takes a bool.
+# pass; an int field takes no float, not even 3.0; only a bool field takes a bool;
+# a number must be finite, as Python's json reads NaN and Infinity.
 _JSON_TYPES = {
     str: ("string", str),
     bool: ("boolean", bool),
@@ -151,7 +152,9 @@ _JSON_TYPES = {
 
 def _from_json(cls, raw, prefix: str = ""):
     """Build dataclass cls from a JSON object, checking each value against its field's type
-    hint; nested dataclasses recurse unless already built.  Errors name fields by dotted path."""
+    hint; nested dataclasses recurse unless already built.  Errors name fields by dotted path.
+    A numpy number is stored as the Python number it holds, so the manifest and report can
+    hold it."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -166,7 +169,9 @@ def _from_json(cls, raw, prefix: str = ""):
                 value = _from_json(want, value, f"{prefix}{name}.")
         elif not isinstance(value, _JSON_TYPES[want][1]) or (isinstance(value, bool) and want is not bool):
             raise ConfigError(f"{prefix}{name} must be a JSON {_JSON_TYPES[want][0]}, got {value!r}")
-        kwargs[name] = value
+        elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}")
+        kwargs[name] = value.item() if isinstance(value, np.generic) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -61,13 +61,14 @@ class FlowParams:
     warps_per_level: int = 3
 
     def __post_init__(self):
-        if self.pyramid_levels < 1:
+        # each check is written so that NaN fails it
+        if not self.pyramid_levels >= 1:
             raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.iters_per_level < 1:
+        if not self.iters_per_level >= 1:
             raise ValueError(f"iters_per_level must be >= 1, got {self.iters_per_level}")
-        if self.warps_per_level < 1:
+        if not self.warps_per_level >= 1:
             raise ValueError(f"warps_per_level must be >= 1, got {self.warps_per_level}")
 
 

@@ -6,6 +6,12 @@ both key frames, warps the keys onto the frame grid with those fields, and
 blends the warps under a visibility map and a temporal weight
 tau = k / (B + 2).  Pixels neither key explains well fall back to the
 intermediate reconstruction.
+
+tau is a fixed ramp, not the frame's linear position between the keys.
+With a gap of g skipped frames on each side, frame k sits k + g frames
+after the left key and the keys are B + 1 + 2g frames apart, so that
+position is (k + g) / (B + 1 + 2g).  tau differs from it even at g = 0,
+where the position is k / (B + 1), and tau does not change with the gap.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ __all__ = [
 
 _MEAN_GUARD = 1e-6
 _BRIGHTNESS_CLAMP = 4.0
+# blend's denominator is at least min(tau, 1 - tau) > 0 without it; it stays
+# so that outputs keep every bit
+_BLEND_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,29 +51,25 @@ class FusionParams:
     """Settings for key-frame fusion.
 
     beta steepens the visibility sigmoid, error_smooth_radius sets the box
-    filter radius used on photometric errors, fallback_threshold (None
-    disables it) reverts pixels no key explains to the intermediate frame,
-    and normalize_keys rescales each key to the intermediate frame's mean
-    before flow estimation.  Flow always runs directly from each
-    intermediate frame to each key frame, with flow_params (FlowParams'
-    defaults unless given).
+    filter radius used on photometric errors, and fallback_threshold (None
+    disables it) reverts pixels no key explains to the intermediate frame.
+    Each key is always rescaled to the intermediate frame's mean before flow
+    estimation, and flow always runs directly from each intermediate frame
+    to each key frame, with flow_params (FlowParams' defaults unless given).
     """
 
     beta: float = 20.0
     error_smooth_radius: int = 1
-    epsilon_blend: float = 1e-6
     fallback_threshold: float | None = 0.15
-    normalize_keys: bool = True
     flow_params: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
-        if self.beta <= 0:
+        # each check is written so that NaN fails it
+        if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.error_smooth_radius < 0:
+        if not self.error_smooth_radius >= 0:
             raise ValueError(f"error_smooth_radius must be >= 0, got {self.error_smooth_radius}")
-        if self.epsilon_blend <= 0:
-            raise ValueError(f"epsilon_blend must be positive, got {self.epsilon_blend}")
-        if self.fallback_threshold is not None and self.fallback_threshold <= 0:
+        if self.fallback_threshold is not None and not self.fallback_threshold > 0:
             raise ValueError(
                 f"fallback_threshold must be positive or None, got {self.fallback_threshold}"
             )
@@ -127,15 +132,15 @@ def _visibility(e_left: np.ndarray, e_right: np.ndarray, beta: float) -> Visible
     return VisibleMap(np.where(diff >= 0.0, winner, 1.0 - winner))
 
 
-def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float, params: FusionParams | None = None) -> Frame:
+def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
     """Visibility- and time-weighted average of the two warped keys.
 
     out = ((1-tau) * v * w_left + tau * (1-v) * w_right)
           / ((1-tau) * v + tau * (1-v) + eps)
 
-    tau near 0 favors the left key, tau near 1 the right key.
+    with eps = 1e-6.  tau near 0 favors the left key, tau near 1 the right
+    key.
     """
-    params = params or FusionParams()
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
     if w_left.samples.shape != w_right.samples.shape or w_left.samples.shape != v.values.shape:
@@ -145,7 +150,7 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float, params: Fusi
     wr = w_right.samples.astype(np.float64)
     left_w = (1.0 - tau) * vv
     right_w = tau * (1.0 - vv)
-    out = (left_w * wl + right_w * wr) / (left_w + right_w + params.epsilon_blend)
+    out = (left_w * wl + right_w * wr) / (left_w + right_w + _BLEND_EPS)
     return Frame(out)
 
 
@@ -202,9 +207,8 @@ def fuse_frame(
     if z_left.samples.shape != x_mid_k.samples.shape or z_right.samples.shape != x_mid_k.samples.shape:
         raise ValueError("key frames and intermediate frame must share one shape")
 
-    if params.normalize_keys:
-        z_left = normalize_brightness(z_left, x_mid_k)
-        z_right = normalize_brightness(z_right, x_mid_k)
+    z_left = normalize_brightness(z_left, x_mid_k)
+    z_right = normalize_brightness(z_right, x_mid_k)
 
     f_left = estimate_flow(x_mid_k, z_left, params.flow_params)
     f_right = estimate_flow(x_mid_k, z_right, params.flow_params)
@@ -214,7 +218,7 @@ def fuse_frame(
     e_left, e_right = _smoothed_errors(w_left, w_right, x_mid_k, params.error_smooth_radius)
     v = _visibility(e_left, e_right, params.beta)
     tau = k / (B + 2.0)
-    fused = blend(w_left, w_right, v, tau, params).samples.astype(np.float64)
+    fused = blend(w_left, w_right, v, tau).samples.astype(np.float64)
 
     if params.fallback_threshold is not None:
         bad = np.minimum(e_left, e_right) > params.fallback_threshold

@@ -125,11 +125,10 @@ def mean_epe(f: FlowField, g: FlowField, mask: np.ndarray | None = None) -> floa
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-frame values of one metric plus the assumed dynamic range."""
+    """Per-frame values of one metric."""
 
     name: str
     values: list[float] = field(default_factory=list)
-    dynamic_range: float = 1.0
 
     @property
     def mean(self) -> float:
@@ -149,4 +148,4 @@ def video_report(name: str, a: VideoCube, b: VideoCube, peak: float = 1.0) -> Me
         values = [fn(a.samples[k], b.samples[k]) for k in range(a.frames)]
     else:
         values = [fn(a.samples[k], b.samples[k], peak) for k in range(a.frames)]
-    return MetricReport(name=name, values=values, dynamic_range=peak)
+    return MetricReport(name=name, values=values)

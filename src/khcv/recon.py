@@ -5,7 +5,7 @@ per-pixel projection onto the measurement constraint with a per-frame total
 variation denoising step:
 
     r   = y - sum_k c_k * x_k
-    x_k = x_k + c_k * r / max(R, eps)        with R = sum_k c_k^2
+    x_k = x_k + c_k * r / max(R, 1)          with R = sum_k c_k^2
     x_k = tv_denoise(x_k, weight)
 
 The projection drives the data residual to zero wherever at least one mask
@@ -41,22 +41,23 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GapTvParams:
-    """Solver knobs for gap_tv_reconstruct."""
+    """Solver knobs for gap_tv_reconstruct: outer_iters projection and TV
+    rounds, each TV step of weight tv_weight (0 skips it) solved by
+    tv_inner_iters dual iterations.  The projection has no knob: its
+    normaliser R counts open binary masks, so it is 0 or at least 1."""
 
     outer_iters: int = 60
     tv_weight: float = 0.07
     tv_inner_iters: int = 5
-    epsilon_r: float = 1e-8
 
     def __post_init__(self):
-        if self.outer_iters < 1:
+        # each check is written so that NaN fails it
+        if not self.outer_iters >= 1:
             raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
-        if self.tv_weight < 0:
+        if not self.tv_weight >= 0:
             raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
-        if self.tv_inner_iters < 1:
+        if not self.tv_inner_iters >= 1:
             raise ValueError(f"tv_inner_iters must be >= 1, got {self.tv_inner_iters}")
-        if self.epsilon_r <= 0:
-            raise ValueError(f"epsilon_r must be positive, got {self.epsilon_r}")
 
 
 # ===== Total variation denoising =====
@@ -156,9 +157,9 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
         Denoised frame.  The discrete TV of the result never exceeds that of
         the input.
     """
-    if weight < 0:
+    if not weight >= 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-    if inner_iters < 1:
+    if not inner_iters >= 1:
         raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
     img = frame.samples.astype(np.float64)
     if weight > 0:
@@ -210,7 +211,9 @@ def gap_tv_reconstruct(
             zero_cov,
             coverage.size,
         )
-    safe_cov = np.maximum(coverage, params.epsilon_r)
+    # coverage counts the masks open at each pixel, so it is 0 or at least 1;
+    # where it is 0 every mask is closed and the update is 0 whatever the divisor
+    safe_cov = np.maximum(coverage, 1.0)
 
     # The data step stays float64 and runs in place through one (B, H, W)
     # scratch cube and one plane; only the TV dual is float32.

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,13 +33,22 @@ def test_schedule_arithmetic():
     assert s.t_g == 300
 
 
-def test_schedule_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        TimingSchedule(t_x=100, t_y=900, t_z=100, t_g=0, B=8)
-    with pytest.raises(ValueError):
-        TimingSchedule(t_x=100, t_y=800, t_z=50, t_g=0, B=8)
-    with pytest.raises(ValueError):
-        build_schedule(t_x=100, B=0)
+def test_schedule_rejects_inconsistent_fields(tmp_path):
+    # t_y and t_z follow from t_x and B; a manifest that stores other values is refused
+    scene = translating_scene(16, 16, 12, seed=8)
+    m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(100, 8), gap_frames=0)
+    manifest = write_measurement(m, tmp_path / "cap", seed=3)
+    stored = json.loads(manifest.read_text())
+    assert (stored["t_y"], stored["t_z"]) == (800, 100)
+    for t_y, t_z in ((900, 100), (800, 50)):
+        manifest.write_text(json.dumps({**stored, "t_y": t_y, "t_z": t_z}))
+        with pytest.raises(ValueError, match="t_y and t_z"):
+            read_measurement(manifest)
+    for t_x, B, t_g in ((100, 0, 0), (0, 8, 0), (100, 8, -1), (100, True, 0), (100.0, 8, 0), (100, 8, 0.5)):
+        with pytest.raises(ValueError):
+            build_schedule(t_x, B, t_g)
+    s = TimingSchedule(t_x=np.int64(100), t_g=np.uint8(0), B=np.int32(8))
+    assert s == build_schedule(100, 8) and type(s.t_x) is type(s.B) is int
 
 
 def test_compressive_ratio():
@@ -172,8 +183,9 @@ def test_simulate_capture_rejects_short_scene():
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel.gaussian(sigma=-0.5, seed=1)
+    for sigma in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            NoiseModel.gaussian(sigma=sigma, seed=1)
     for sigma in (0.0, 0.1):
         for seed in (-1, 2**64, 3.7, 3.0, True):
             with pytest.raises(ValueError):

@@ -78,10 +78,20 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_unknown_nested_keys(tmp_path):
     # a removed setting such as chain_flows is rejected like any unknown key
     # and the message names it by its dotted path
-    for key, value in (("bogus", 1), ("chain_flows", True)):
-        raw, _ = base_config(tmp_path, fusion={key: value})
-        with pytest.raises(ConfigError, match=rf"fusion\.{key}\b"):
-            PipelineConfig.from_dict(raw)
+    for section, key, value in (
+        ("fusion", "bogus", 1),
+        ("fusion", "chain_flows", True),
+        ("fusion", "epsilon_blend", 1e-6),
+        ("fusion", "normalize_keys", True),
+        ("gap_tv", "epsilon_r", 1e-8),
+    ):
+        path, _, _ = write_config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}\b"):
+            PipelineConfig.from_json(path)
+        result = CliRunner().invoke(main, ["pipeline", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"{section}.{key}" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_config_requires_scene():
@@ -109,7 +119,6 @@ def test_config_validates_eagerly(tmp_path):
         {"out_dir": 7},
         {"dump_intermediates": "no"},
         {"save_pgm": 1},
-        {"fusion": {"normalize_keys": "false"}},
         # integer fields take integers only
         {"gap_tv": {"outer_iters": 2.5}},
         {"flow": {"iters_per_level": 2.5}},
@@ -123,6 +132,15 @@ def test_config_validates_eagerly(tmp_path):
         {"flow": {"alpha": True}},
         {"gap_tv": {"tv_weight": True}},
         {"fusion": {"fallback_threshold": True}},
+        # numbers are finite; each NaN fails its range check too
+        {"flow": {"alpha": math.nan}},
+        {"flow": {"alpha": math.inf}},
+        {"gap_tv": {"tv_weight": math.nan}},
+        {"noise_sigma": math.nan},
+        {"noise_sigma": math.inf},
+        {"mask_density": math.nan},
+        {"fusion": {"beta": math.inf}},
+        {"fusion": {"fallback_threshold": math.nan}},
         # every section is a JSON object
         {"gap_tv": [["outer_iters", 5]]},
         {"fusion": []},
@@ -158,6 +176,12 @@ def test_config_accepts_numpy_integers(tmp_path):
     assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
     assert cfg.fusion.fallback_threshold is None
     assert cfg.fusion.flow_params.alpha == 0.25
+    # they are stored as Python numbers, so the manifest and report can hold them
+    assert type(cfg.mask_seed) is int and type(cfg.fusion.flow_params.alpha) is float
+    result = run_pipeline(cfg)
+    assert json.loads((result.out_dir / "manifest.json").read_text())["seed"] == 5
+    assert result.report["config"]["gap_tv"]["outer_iters"] == 3
+    assert math.isfinite(result.mean_psnr)
 
 
 def test_config_json_errors(tmp_path):
@@ -182,14 +206,8 @@ def test_config_dict_round_trip(tmp_path):
         noise_seed=8,
         dump_intermediates=True,
         save_pgm=True,
-        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 3, "epsilon_r": 1e-7},
-        fusion={
-            "beta": 15.0,
-            "error_smooth_radius": 2,
-            "epsilon_blend": 1e-5,
-            "fallback_threshold": 0.2,
-            "normalize_keys": False,
-        },
+        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 3},
+        fusion={"beta": 15.0, "error_smooth_radius": 2, "fallback_threshold": 0.2},
         flow={"pyramid_levels": 2, "alpha": 0.3, "iters_per_level": 50, "warps_per_level": 2},
     )
     cfg = PipelineConfig.from_dict(raw)
@@ -530,6 +548,33 @@ def test_cli_stage_commands_match_pipeline(tmp_path):
     assert r.exit_code == 0, r.output
     whole = (tmp_path / "out" / "fused.khcv").read_bytes()
     assert (staged / "fused.khcv").read_bytes() == whole
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {**m, "gap_frames": "1"},
+        lambda m: {**m, "gap_frames": 0.5},
+        lambda m: {**m, "files": list(m["files"].values())},
+        lambda m: [m],
+        lambda m: {**m, "B": True},
+        lambda m: {**m, "t_y": m["t_y"] + 1},
+    ],
+    ids=["gap_frames-string", "gap_frames-float", "files-list", "top-level-list", "B-bool", "t_y-inconsistent"],
+)
+def test_reconstruct_rejects_malformed_manifest(tmp_path, edit):
+    # B=1, so a B stored as true is refused as a bool, not for disagreeing with the masks
+    config_path, _, _ = write_config(tmp_path, B=1)
+    runner = CliRunner()
+    staged = tmp_path / "staged"
+    r = runner.invoke(main, ["simulate", "--config", str(config_path), "--out", str(staged)])
+    assert r.exit_code == 0, r.output
+    manifest = staged / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    r = runner.invoke(main, ["reconstruct", "--manifest", str(manifest), "--config", str(config_path), "--out", str(staged)])
+    assert r.exit_code == 3, r.output
+    assert r.stderr.startswith("error: ")
+    assert not (staged / "intermediate.khcv").exists()
 
 
 def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monkeypatch):

@@ -2,11 +2,13 @@
 
 A name left in an `__all__` or in the package imports after its definition
 is gone breaks `from khcv.<module> import *` and any tool that walks the
-exported names with getattr.
+exported names with getattr.  The entry points the benchmark under
+`perfbench/` calls must also keep the parameter names it relies on.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -37,3 +39,24 @@ def test_package_imports_resolve():
     for module_name, name in imports:
         module = importlib.import_module(f"khcv.{module_name}")
         assert getattr(khcv, name) is getattr(module, name), name
+
+
+def _parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_benchmark_entry_points_keep_their_parameters():
+    # perfbench/tracer.py binds these parameters by name to count work, and
+    # perfbench/workloads.py calls these functions and properties; a rename
+    # here breaks the benchmark, whose own tests are not part of this suite
+    from khcv import capture, cli, flow, recon, tensors
+
+    assert _parameters(flow.estimate_flow)[:3] == ["target", "source", "params"]
+    assert _parameters(recon.gap_tv_reconstruct)[:3] == ["y", "c", "params"]
+    for fn in (tensors.save_tensor, tensors.load_tensor, tensors.import_pgm, tensors.export_pgm, tensors.export_ppm):
+        assert "path" in _parameters(fn), fn.__name__
+    assert _parameters(capture.build_schedule) == ["t_x", "B", "t_g"]
+    assert _parameters(capture.NoiseModel.gaussian) == ["sigma", "seed"]
+    assert _parameters(capture.write_measurement)[-2:] == ["seed", "extra"]
+    for name in ("mean_psnr", "mean_ssim", "intermediate_mean_psnr"):
+        assert isinstance(getattr(cli.PipelineResult, name), property), name

@@ -26,8 +26,9 @@ def constant_flow(h, w, dx, dy):
 def test_params_validation():
     with pytest.raises(ValueError):
         FlowParams(pyramid_levels=0)
-    with pytest.raises(ValueError):
-        FlowParams(alpha=0.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            FlowParams(alpha=alpha)
     with pytest.raises(ValueError):
         FlowParams(iters_per_level=0)
 

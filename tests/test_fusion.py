@@ -29,14 +29,11 @@ def constant_flow(h, w, dx, dy):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        FusionParams(beta=0.0)
-    with pytest.raises(ValueError):
-        FusionParams(error_smooth_radius=-1)
-    with pytest.raises(ValueError):
-        FusionParams(epsilon_blend=0.0)
-    with pytest.raises(ValueError):
-        FusionParams(fallback_threshold=-0.1)
+    nan = float("nan")
+    for bad in ({"beta": 0.0}, {"beta": nan}, {"error_smooth_radius": -1}, {"fallback_threshold": -0.1},
+                {"fallback_threshold": nan}):
+        with pytest.raises(ValueError):
+            FusionParams(**bad)
     FusionParams(fallback_threshold=None)  # disabling the fallback is allowed
 
 

@@ -26,12 +26,13 @@ from conftest import full_coverage_masks, moving_square_scene, smooth_texture
 def test_params_validation():
     with pytest.raises(ValueError):
         GapTvParams(outer_iters=0)
-    with pytest.raises(ValueError):
-        GapTvParams(tv_weight=-0.1)
+    for weight in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            GapTvParams(tv_weight=weight)
+        with pytest.raises(ValueError):
+            tv_denoise(Frame(np.zeros((4, 4), np.float32)), weight)
     with pytest.raises(ValueError):
         GapTvParams(tv_inner_iters=0)
-    with pytest.raises(ValueError):
-        GapTvParams(epsilon_r=0.0)
 
 
 def test_tv_denoise_weight_zero_is_identity():
@@ -81,10 +82,14 @@ def reference_tv_denoise(img, weight, inner_iters):
 
 
 def reference_gap_tv(y, c, params):
-    """The GAP-TV loop in float64 throughout, TV step by reference_tv_denoise."""
+    """The GAP-TV loop in float64 throughout, TV step by reference_tv_denoise.
+
+    It divides by max(R, 1e-8), not the solver's max(R, 1).  R counts open
+    binary masks, so the two agree wherever a mask is open, and elsewhere
+    the update is 0 under either; comparing with the solver checks that."""
     masks = c.samples.astype(np.float64)
     meas = y.samples.astype(np.float64)
-    safe_cov = np.maximum((masks * masks).sum(axis=0), params.epsilon_r)
+    safe_cov = np.maximum((masks * masks).sum(axis=0), 1e-8)
     x = masks * (meas / safe_cov)
     for _ in range(params.outer_iters):
         x = x + masks * ((meas - (masks * x).sum(axis=0)) / safe_cov)
