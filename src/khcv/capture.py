@@ -58,6 +58,20 @@ def _check_seed(seed, name: str) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _check_gap(gap_frames) -> None:
+    """Raise ValueError unless gap_frames is an integer (not a bool) >= 0."""
+    if not _is_int(gap_frames) or gap_frames < 0:
+        raise ValueError(f"gap_frames must be an integer >= 0, got {gap_frames!r}")
+
+
+def _json_scalar(value):
+    """json.dumps default of the manifest and report writers: a numpy scalar
+    is written as the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class TimingSchedule:
     """Exposure plan in integer microseconds.
@@ -141,7 +155,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class HybridMeasurement:
-    """One coded exposure plus its two flanking key frames."""
+    """One coded exposure plus its two flanking key frames; gap_frames is
+    stored as a plain int."""
 
     y: Frame
     z_left: Frame
@@ -160,8 +175,8 @@ class HybridMeasurement:
             raise ValueError(
                 f"mask count {self.masks.frames} disagrees with schedule B {self.schedule.B}"
             )
-        if not _is_int(self.gap_frames) or self.gap_frames < 0:
-            raise ValueError(f"gap_frames must be an integer >= 0, got {self.gap_frames!r}")
+        _check_gap(self.gap_frames)
+        object.__setattr__(self, "gap_frames", int(self.gap_frames))
 
 
 def generate_masks(seed: int, height: int, width: int, frames: int, density: float = 0.5) -> CodingCube:
@@ -205,6 +220,7 @@ def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Fram
 
 def _block_start(scene_frames: int, B: int, gap_frames: int) -> int:
     """Index of the first coded frame; the coded block sits centered in the scene."""
+    _check_gap(gap_frames)
     start = (scene_frames - B) // 2
     if start - 1 - gap_frames < 0 or start + B + gap_frames > scene_frames - 1:
         raise ValueError(
@@ -276,13 +292,9 @@ def write_measurement(
 
     Returns the manifest path.  `seed` records the mask seed used to build
     the coding cube; `extra` fields are merged into the manifest verbatim.
+    The manifest is encoded before any file is written, so a value JSON
+    cannot hold leaves nothing behind.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_tensor(m.y, out / _MANIFEST_FILES["y"])
-    save_tensor(m.z_left, out / _MANIFEST_FILES["z_left"])
-    save_tensor(m.z_right, out / _MANIFEST_FILES["z_right"])
-    save_tensor(m.masks, out / _MANIFEST_FILES["masks"])
     manifest = {
         "files": dict(_MANIFEST_FILES),
         "t_x": m.schedule.t_x,
@@ -295,8 +307,13 @@ def write_measurement(
     }
     if extra:
         manifest.update(extra)
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_scalar) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for role, name in _MANIFEST_FILES.items():
+        save_tensor(getattr(m, role), out / name)
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     return path
 
 

@@ -24,7 +24,9 @@ from .capture import (
     HybridMeasurement,
     NoiseModel,
     _block_start,
+    _check_gap,
     _check_seed,
+    _json_scalar,
     build_schedule,
     generate_masks,
     read_measurement,
@@ -93,6 +95,7 @@ class PipelineConfig:
     save_pgm: bool = False
     gap_tv: GapTvParams = field(default_factory=GapTvParams)
     fusion: FusionParams = field(default_factory=FusionParams)
+    flow: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
         try:
@@ -101,8 +104,7 @@ class PipelineConfig:
             _check_seed(self.mask_seed, "mask_seed")
             if not 0.0 < self.mask_density <= 1.0:
                 raise ValueError(f"mask_density must lie in (0, 1], got {self.mask_density}")
-            if not self.gap_frames >= 0:
-                raise ValueError(f"gap_frames must be >= 0, got {self.gap_frames}")
+            _check_gap(self.gap_frames)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -110,13 +112,6 @@ class PipelineConfig:
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         if "scene" not in raw:
             raise ConfigError("config must name a scene")
-        raw = dict(raw)
-        flow = _from_json(FlowParams, raw.pop("flow", {}), "flow.")
-        fusion = raw.get("fusion", {})
-        if isinstance(fusion, dict):
-            if "flow_params" in fusion:
-                raise ConfigError('flow settings go under the top-level "flow" key, not fusion.flow_params')
-            raw["fusion"] = {**fusion, "flow_params": flow}
         return _from_json(cls, raw)
 
     @classmethod
@@ -130,12 +125,6 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        """The from_dict form: fusion's flow_params move to a top-level "flow"."""
-        raw = dataclasses.asdict(self)
-        raw["flow"] = raw["fusion"].pop("flow_params")
-        return raw
 
 
 # JSON name and accepted Python types of each config field type.  Numpy numbers
@@ -257,7 +246,7 @@ def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
         _block_start(scene.frames, cfg.B, cfg.gap_frames)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    levels = cfg.fusion.flow_params.pyramid_levels
+    levels = cfg.flow.pyramid_levels
     if min(scene.height, scene.width) < _min_side(levels):
         raise ConfigError(
             f"scene frames are {scene.height}x{scene.width} px but {levels} flow pyramid levels "
@@ -301,14 +290,14 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     if cfg.dump_intermediates:
         dump.mkdir(exist_ok=True)
     fused = np.empty_like(x_mid.samples)
-    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion), start=1):
+    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion, cfg.flow), start=1):
         fused[k - 1] = detail.output.samples
         if cfg.dump_intermediates:
             save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
             save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
             export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
             export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
-            export_pgm(Frame(detail.visibility.values), dump / f"visibility_{k:03d}.pgm")
+            export_pgm(detail.visibility, dump / f"visibility_{k:03d}.pgm")
     fused = VideoCube(fused)
     save_tensor(fused, out / "fused.khcv")
     return fused
@@ -341,12 +330,12 @@ def _run(cfg: PipelineConfig, scene: VideoCube) -> PipelineResult:
     truth = VideoCube(scene.samples[start : start + cfg.B])
     per_frame, mean = _score(truth, fused)
     report = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "per_frame": per_frame,
         "mean": mean,
         "intermediate_mean": _score(truth, x_mid)[1],
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, default=_json_scalar) + "\n")
     _write_csv(out / "per_frame.csv", ["k", "psnr_db", "ssim", "l1"], [*per_frame, {"k": "mean", **mean}])
     return PipelineResult(out_dir=out, report=report)
 
@@ -388,7 +377,7 @@ def sweep_frame_gap(cfg: PipelineConfig, gaps: list[int]) -> SweepResult:
                 "intermediate_mean_psnr_db": result.report["intermediate_mean"]["psnr_db"],
             }
         )
-    (out / "sweep.json").write_text(json.dumps({"sweep": rows}, indent=2) + "\n")
+    (out / "sweep.json").write_text(json.dumps({"sweep": rows}, indent=2, default=_json_scalar) + "\n")
     _write_csv(out / "sweep.csv", ["gap_frames", "gap_ratio", "mean_psnr_db", "mean_ssim"], rows)
     return SweepResult(rows=rows)
 
@@ -541,13 +530,17 @@ def metrics(reference, candidate, out_path):
 @main.command()
 @click.argument("flow_path", type=click.Path())
 @click.argument("out_path", type=click.Path())
-@click.option("--max-magnitude", type=float, default=None, help="Saturation scale in pixels; default is the 99th percentile.")
+@click.option("--max-magnitude", type=float, default=None, help="Saturation scale in pixels, finite and > 0; default is the 99th percentile.")
 def flowviz(flow_path, out_path, max_magnitude):
     """Colorize a stored flow field into a PPM image."""
     data = load_tensor(flow_path)
     if not isinstance(data, FlowField):
         raise DataError(f"{flow_path} holds a {type(data).__name__}, expected a flow field")
-    export_ppm(flow_to_color(data, max_magnitude), out_path)
+    try:
+        rgb = flow_to_color(data, max_magnitude)
+    except ValueError as exc:  # the only thing flow_to_color checks is max_magnitude
+        raise ConfigError(str(exc)) from exc
+    export_ppm(rgb, out_path)
     click.echo(f"wrote {out_path}")
 
 

@@ -16,6 +16,7 @@ products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,7 @@ def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
 def _warp_by_flow(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Backward-warp img: out(p) = img(p + (u, v)(p)), sampled bilinearly."""
     h, w = img.shape
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    return sample_bilinear(img, xx + u, yy + v)
+    return sample_bilinear(img, np.arange(w) + u, np.arange(h)[:, None] + v)
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -115,8 +115,7 @@ def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     ht, wt = shape
     ys = (np.arange(ht, dtype=np.float64) + 0.5) * (h / ht) - 0.5
     xs = (np.arange(wt, dtype=np.float64) + 0.5) * (w / wt) - 0.5
-    xx, yy = np.meshgrid(xs, ys)
-    return sample_bilinear(img, xx, yy)
+    return sample_bilinear(img, xs[None, :], ys[:, None])
 
 
 def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,14 +131,9 @@ def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def _relax_level(
-    target: np.ndarray,
-    source: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    params: FlowParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run warps_per_level linearizations of the data term at one level.
+def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Run warps_per_level linearizations of the data term at one level,
+    from the (2, h, w) field start; returns the (2, h, w) float32 result.
 
     Each linearization around the current field (u0, v0) fixes, with
     g = (fx, fy), the system A w = b for the field w = (u, v):
@@ -170,8 +164,7 @@ def _relax_level(
     x_pad = np.empty((2, h + 2, w + 2), np.float32)
     p_pad = np.empty_like(x_pad)
     field = x_pad[:, 1:-1, 1:-1]
-    field[0] = u
-    field[1] = v
+    field[...] = start
     x_run = x_pad.reshape(2, plane)[:, lo:hi]
     p_run = p_pad.reshape(2, plane)[:, lo:hi]
     grad = np.zeros_like(x_pad)
@@ -260,7 +253,7 @@ def _relax_level(
             p_run *= np.float32(rz_next / rz)
             p_run += z
             rz = rz_next
-    return field[0], field[1]
+    return field
 
 
 def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None) -> FlowField:
@@ -298,14 +291,13 @@ def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None
         targets.append(_downsample(targets[-1]))
         sources.append(_downsample(sources[-1]))
 
-    u = np.zeros_like(targets[-1])
-    v = np.zeros_like(targets[-1])
+    field = np.zeros((2, *targets[-1].shape))
     for level in range(params.pyramid_levels - 1, -1, -1):
-        if u.shape != targets[level].shape:
-            u = _resize_bilinear(u, targets[level].shape) * 2.0
-            v = _resize_bilinear(v, targets[level].shape) * 2.0
-        u, v = _relax_level(targets[level], sources[level], u, v, params)
-    return FlowField(u, v)
+        shape = targets[level].shape
+        if field.shape[1:] != shape:
+            field = np.stack([_resize_bilinear(plane, shape) * 2.0 for plane in field])
+        field = _relax_level(targets[level], sources[level], field, params)
+    return FlowField(field)
 
 
 def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarray:
@@ -314,15 +306,16 @@ def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarra
     Direction selects the hue (angle of (u, v) on the color wheel), magnitude
     the saturation: zero flow is white, a vector at max_magnitude is fully
     saturated.  When max_magnitude is None the 99th percentile of the
-    magnitudes is used.
+    magnitudes is used (1 px if that is 0); a given max_magnitude must be a
+    finite positive number of pixels, else ValueError.
     """
     u = f.u.astype(np.float64)
     v = f.v.astype(np.float64)
     mag = np.hypot(u, v)
     if max_magnitude is None:
-        max_magnitude = float(np.percentile(mag, 99.0))
-    if max_magnitude <= 0.0:
-        max_magnitude = 1.0
+        max_magnitude = float(np.percentile(mag, 99.0)) or 1.0
+    elif not 0.0 < max_magnitude < math.inf:
+        raise ValueError(f"max_magnitude must be a finite number > 0, got {max_magnitude}")
     sat = np.clip(mag / max_magnitude, 0.0, 1.0)
     hue = (np.arctan2(v, u) / (2.0 * np.pi)) % 1.0
 

@@ -17,14 +17,14 @@ where the position is k / (B + 1), and tau does not change with the gap.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .capture import HybridMeasurement
 from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flow
-from .tensors import Frame, VideoCube, _stored
+from .tensors import Frame, VideoCube
 
 __all__ = [
     "FusionParams",
@@ -55,13 +55,12 @@ class FusionParams:
     disables it) reverts pixels no key explains to the intermediate frame.
     Each key is always rescaled to the intermediate frame's mean before flow
     estimation, and flow always runs directly from each intermediate frame
-    to each key frame, with flow_params (FlowParams' defaults unless given).
+    to each key frame.  The flow settings are passed next to these.
     """
 
     beta: float = 20.0
     error_smooth_radius: int = 1
     fallback_threshold: float | None = 0.15
-    flow_params: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -76,19 +75,15 @@ class FusionParams:
 
 
 @dataclass(frozen=True, eq=False)
-class VisibleMap:
+class VisibleMap(Frame):
     """Per-pixel weight in [0, 1]; 1 trusts the left key, 0 the right."""
 
-    values: np.ndarray
+    _what = "visibility map"
 
     def __post_init__(self):
-        arr = _stored(self.values, np.float32, 2, "visibility map")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        super().__post_init__()
+        if self.samples.min() < 0.0 or self.samples.max() > 1.0:
             raise ValueError("visibility values must lie in [0, 1]")
-        object.__setattr__(self, "values", arr)
-
-    def __eq__(self, other):
-        return isinstance(other, VisibleMap) and np.array_equal(self.values, other.values)
 
 
 def warp(image: Frame, f: FlowField) -> Frame:
@@ -143,9 +138,9 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
-    if w_left.samples.shape != w_right.samples.shape or w_left.samples.shape != v.values.shape:
+    if w_left.samples.shape != w_right.samples.shape or w_left.samples.shape != v.samples.shape:
         raise ValueError("warped keys and visibility map must share one shape")
-    vv = v.values.astype(np.float64)
+    vv = v.samples.astype(np.float64)
     wl = w_left.samples.astype(np.float64)
     wr = w_right.samples.astype(np.float64)
     left_w = (1.0 - tau) * vv
@@ -187,6 +182,7 @@ def fuse_frame(
     k: int,
     B: int,
     params: FusionParams | None = None,
+    flow: FlowParams | None = None,
 ) -> FusedFrame:
     """Fuse one intermediate frame with the two key frames.
 
@@ -196,6 +192,7 @@ def fuse_frame(
         k: 1-based position of the frame inside the coded block.
         B: coded block length.
         params: fusion settings; defaults to FusionParams().
+        flow: flow solver settings; defaults to FlowParams().
 
     Returns:
         FusedFrame holding the [0, 1]-clamped output and the flow, warp and
@@ -210,8 +207,8 @@ def fuse_frame(
     z_left = normalize_brightness(z_left, x_mid_k)
     z_right = normalize_brightness(z_right, x_mid_k)
 
-    f_left = estimate_flow(x_mid_k, z_left, params.flow_params)
-    f_right = estimate_flow(x_mid_k, z_right, params.flow_params)
+    f_left = estimate_flow(x_mid_k, z_left, flow)
+    f_right = estimate_flow(x_mid_k, z_right, flow)
     w_left = warp(z_left, f_left)
     w_right = warp(z_right, f_right)
 
@@ -236,7 +233,7 @@ def fuse_frame(
 
 
 def iter_fused_frames(
-    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None
+    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None, flow: FlowParams | None = None
 ) -> Iterator[FusedFrame]:
     """Fuse the frames of a coded block one at a time, in order k = 1..B.
 
@@ -253,17 +250,19 @@ def iter_fused_frames(
     # fuse_frame is looked up in the module on every frame, so a wrapper
     # installed on fusion.fuse_frame sees each call
     return (
-        fuse_frame(m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params)
+        fuse_frame(m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params, flow)
         for k in range(1, B + 1)
     )
 
 
-def fuse_video(m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None) -> VideoCube:
+def fuse_video(
+    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None, flow: FlowParams | None = None
+) -> VideoCube:
     """Fuse every intermediate frame of a coded block with the key frames.
 
     Each frame costs two flow estimations, one per key frame.
     """
     fused = np.empty_like(x_mid.samples)
-    for k, record in enumerate(iter_fused_frames(m, x_mid, params)):
+    for k, record in enumerate(iter_fused_frames(m, x_mid, params, flow)):
         fused[k] = record.output.samples
     return VideoCube(fused)

@@ -6,12 +6,12 @@ bytes directly.  All tensor objects are immutable: constructors copy their
 input and mark the underlying numpy buffer read-only, so instances can be
 shared freely across threads.
 
-How arrays are stored is decided in one place.  Every constructor (and
-fusion.VisibleMap) passes its input through `_stored`, which casts to the
-storage dtype, copies, freezes, and checks rank, non-emptiness and, for
-real-valued samples, finiteness; callers need not cast first.  `_LAYOUT`
-maps each type to its (dtype byte, kind byte), and both save_tensor and
-load_tensor read it.
+How arrays are stored is decided in one place.  Every constructor passes
+its input through `_stored`, which casts to the storage dtype, copies,
+freezes, and checks rank, non-emptiness and, for real-valued samples,
+finiteness; callers need not cast first.  Every type holds its samples in
+the plane order of the container payload.  `_LAYOUT` maps each type to its
+(dtype byte, kind byte), and both save_tensor and load_tensor read it.
 
 Binary container layout (little-endian throughout):
 
@@ -166,38 +166,29 @@ class CodingCube(_Cube):
 
 
 @dataclass(frozen=True, eq=False)
-class FlowField:
-    """Dense 2-D motion field: u = horizontal, v = vertical displacement in pixels.
+class FlowField(_Samples):
+    """Dense 2-D motion field, shape (2, height, width), float32: the u plane
+    (horizontal displacement in pixels) then the v plane (vertical).
 
     Positive u points right, positive v points down.  A field f warps a source
     image onto a target grid through out(p) = source(p + f(p)).
     """
 
-    u: np.ndarray
-    v: np.ndarray
+    _ndim = 3
+    _what = "flow field"
 
     def __post_init__(self):
-        u = _stored(self.u, np.float32, 2, "flow plane u")
-        v = _stored(self.v, np.float32, 2, "flow plane v")
-        if u.shape != v.shape:
-            raise ValueError(f"flow planes disagree: u {u.shape} vs v {v.shape}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        super().__post_init__()
+        if self.samples.shape[0] != 2:
+            raise ValueError(f"flow field needs 2 planes (u, v), got shape {self.samples.shape}")
 
     @property
-    def height(self) -> int:
-        return self.u.shape[0]
+    def u(self) -> np.ndarray:
+        return self.samples[0]
 
     @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlowField)
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.v, other.v)
-        )
+    def v(self) -> np.ndarray:
+        return self.samples[1]
 
 
 Tensor = Frame | VideoCube | CodingCube | FlowField
@@ -224,8 +215,8 @@ def save_tensor(data: Tensor, path) -> None:
     if type(data) not in _LAYOUT:
         raise TypeError(f"cannot serialize {type(data).__name__}")
     dtype, kind = _LAYOUT[type(data)]
-    # planes first: (h, w), (frames, h, w) or (2, h, w); the header lists h, w first
-    planes = np.stack((data.u, data.v)) if kind == _KIND_FLOW else data.samples
+    # samples are planes first: (h, w), (frames, h, w) or (2, h, w); the header lists h, w first
+    planes = data.samples
     dims = planes.shape[-2:] + planes.shape[:-2]
     header = _MAGIC + struct.pack(f"<BBB{len(dims)}I", _VERSION, dtype, kind, *dims)
     Path(path).write_bytes(header + planes.astype(_SAMPLE_DTYPES[dtype], copy=False).tobytes())
@@ -262,8 +253,6 @@ def load_tensor(path) -> Tensor:
     dims = struct.unpack(f"<{ndims}I", raw[7:dim_end])
     if 0 in dims:
         raise FormatError(f"{path}: zero-sized dimension in {dims}")
-    if kind == _KIND_FLOW and dims[2] != 2:
-        raise FormatError(f"{path}: flow field must carry 2 planes, header says {dims[2]}")
 
     sample = _SAMPLE_DTYPES[dtype]
     expected = math.prod(dims) * sample.itemsize
@@ -275,9 +264,9 @@ def load_tensor(path) -> Tensor:
 
     planes = np.frombuffer(payload, dtype=sample).reshape(dims[2:] + dims[:2])
     try:
-        return FlowField(*planes) if cls is FlowField else cls(planes)
+        return cls(planes)
     except ValueError as exc:
-        raise FormatError(f"{path}: corrupt payload ({exc})") from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ===== PGM / PPM exchange =====

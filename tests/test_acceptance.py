@@ -33,7 +33,7 @@ from conftest import central_fraction_mask, full_coverage_masks, shifted_pair, s
 
 
 def _constant_flow(h, w, dx, dy):
-    return FlowField(np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))
+    return FlowField(np.stack((np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))))
 
 
 def test_criterion_01_forward_model_matches_scalar_oracle():
@@ -130,7 +130,7 @@ def test_criterion_05_blend_algebra():
     v = VisibleMap(rng.random((24, 24)).astype(np.float32))
     tau = 0.3
     fwd = blend(wl, wr, v, tau)
-    swapped = blend(wr, wl, VisibleMap(1.0 - v.values), 1.0 - tau)
+    swapped = blend(wr, wl, VisibleMap(1.0 - v.samples), 1.0 - tau)
     swap_err = float(np.max(np.abs(fwd.samples - swapped.samples)))
     assert swap_err < 1e-5
     print(
@@ -200,8 +200,8 @@ def test_criterion_09_metric_oracles():
     offset = psnr(np.zeros((16, 16)), np.full((16, 16), 10.0 / 255.0))
     assert abs(offset - 28.13) < 0.01
 
-    f = FlowField(np.full((5, 5), 3.0, np.float32), np.full((5, 5), 4.0, np.float32))
-    g = FlowField(np.zeros((5, 5), np.float32), np.zeros((5, 5), np.float32))
+    f = FlowField(np.stack((np.full((5, 5), 3.0, np.float32), np.full((5, 5), 4.0, np.float32))))
+    g = FlowField(np.stack((np.zeros((5, 5), np.float32), np.zeros((5, 5), np.float32))))
     epe = mean_epe(f, g)
     assert epe == 5.0
     print(

@@ -257,3 +257,36 @@ def test_write_measurement_is_byte_identical(tmp_path):
     p2 = write_measurement(m, tmp_path / "b", seed=3)
     for name in ("y.khcv", "z_left.khcv", "z_right.khcv", "masks.khcv"):
         assert (p1.parent / name).read_bytes() == (p2.parent / name).read_bytes()
+
+
+def test_simulate_capture_applies_the_integer_rule_to_gap_frames():
+    # a float or bool gap is refused before any frame is indexed
+    scene = translating_scene(16, 16, 12, seed=1)
+    masks = generate_masks(4, 16, 16, 4)
+    for gap in (0.5, 1.0, True, -1):
+        with pytest.raises(ValueError, match="gap_frames"):
+            simulate_capture(scene, masks, build_schedule(1000, 4), gap_frames=gap)
+
+
+def test_numpy_gap_is_stored_as_an_int_and_written(tmp_path):
+    scene = translating_scene(16, 16, 12, seed=8)
+    m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(2083, 8), gap_frames=np.int64(1))
+    assert type(m.gap_frames) is int
+    manifest = write_measurement(m, tmp_path / "cap", seed=3)
+    assert json.loads(manifest.read_text())["gap_frames"] == 1
+
+
+def test_numpy_seed_is_written_to_the_manifest(tmp_path):
+    scene = translating_scene(16, 16, 12, seed=8)
+    m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(2083, 8))
+    manifest = write_measurement(m, tmp_path / "cap", seed=np.int64(3), extra={"noise_seed": np.uint64(4)})
+    stored = json.loads(manifest.read_text())
+    assert (stored["seed"], stored["noise_seed"]) == (3, 4)
+
+
+def test_manifest_is_encoded_before_any_file_is_written(tmp_path):
+    scene = translating_scene(16, 16, 12, seed=8)
+    m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(2083, 8))
+    with pytest.raises(TypeError):
+        write_measurement(m, tmp_path / "cap", extra={"note": object()})
+    assert not (tmp_path / "cap").exists()

@@ -84,6 +84,8 @@ def test_config_rejects_unknown_nested_keys(tmp_path):
         ("fusion", "epsilon_blend", 1e-6),
         ("fusion", "normalize_keys", True),
         ("gap_tv", "epsilon_r", 1e-8),
+        # flow settings live only in the top-level "flow" section
+        ("fusion", "flow_params", {"alpha": 0.1}),
     ):
         path, _, _ = write_config(tmp_path, **{section: {key: value}})
         with pytest.raises(ConfigError, match=rf"{section}\.{key}\b"):
@@ -156,12 +158,12 @@ def test_config_validates_eagerly(tmp_path):
 
 
 def test_flow_section_overrides_only_the_fields_it_names(tmp_path):
-    assert fusion.FusionParams().flow_params == FlowParams()
     raw, _ = base_config(tmp_path)
     plain = PipelineConfig.from_dict(raw)
+    assert plain.flow == FlowParams()
     assert PipelineConfig.from_dict({**raw, "flow": {"alpha": 0.2}}) == plain
     partial = PipelineConfig.from_dict({**raw, "flow": {"warps_per_level": 2}})
-    assert partial.fusion.flow_params == dataclasses.replace(FlowParams(), warps_per_level=2)
+    assert partial.flow == dataclasses.replace(FlowParams(), warps_per_level=2)
 
 
 def test_config_accepts_numpy_integers(tmp_path):
@@ -175,13 +177,27 @@ def test_config_accepts_numpy_integers(tmp_path):
     cfg = PipelineConfig.from_dict(raw)
     assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
     assert cfg.fusion.fallback_threshold is None
-    assert cfg.fusion.flow_params.alpha == 0.25
+    assert cfg.flow.alpha == 0.25
     # they are stored as Python numbers, so the manifest and report can hold them
-    assert type(cfg.mask_seed) is int and type(cfg.fusion.flow_params.alpha) is float
+    assert type(cfg.mask_seed) is int and type(cfg.flow.alpha) is float
     result = run_pipeline(cfg)
     assert json.loads((result.out_dir / "manifest.json").read_text())["seed"] == 5
     assert result.report["config"]["gap_tv"]["outer_iters"] == 3
     assert math.isfinite(result.mean_psnr)
+
+
+def test_config_built_directly_applies_the_integer_rule_to_gap_frames():
+    for gap in (0.5, True):
+        with pytest.raises(ConfigError, match="gap_frames"):
+            PipelineConfig(scene="scene.khcv", gap_frames=gap)
+
+
+def test_run_pipeline_writes_numpy_seeds_of_a_config_built_directly(tmp_path):
+    raw, _ = base_config(tmp_path)
+    cfg = dataclasses.replace(PipelineConfig.from_dict(raw), mask_seed=np.int64(3))
+    result = run_pipeline(cfg)
+    assert json.loads((result.out_dir / "manifest.json").read_text())["seed"] == 3
+    assert json.loads((result.out_dir / "report.json").read_text())["config"]["mask_seed"] == 3
 
 
 def test_config_json_errors(tmp_path):
@@ -216,16 +232,16 @@ def test_config_dict_round_trip(tmp_path):
         (cfg, default),
         (cfg.gap_tv, default.gap_tv),
         (cfg.fusion, default.fusion),
-        (cfg.fusion.flow_params, default.fusion.flow_params),
+        (cfg.flow, default.flow),
     ):
         for f in dataclasses.fields(params):
             value = getattr(params, f.name)
             if f.name != "scene" and not dataclasses.is_dataclass(value):
                 assert value != getattr(base, f.name), f.name
-    again = PipelineConfig.from_dict(cfg.to_dict())
+    again = PipelineConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
     assert again.fusion.beta == 15.0
-    assert again.fusion.flow_params.alpha == 0.3
+    assert again.flow.alpha == 0.3
 
 
 # ===== scene loading =====
@@ -398,7 +414,7 @@ def test_dumped_flows_are_the_ones_fusion_used(tmp_path):
     result = run_pipeline(cfg)
     m = read_measurement(result.out_dir / "manifest.json")
     x_mid = load_tensor(result.out_dir / "intermediate.khcv")
-    records = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion))
+    records = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion, cfg.flow))
     dump = result.out_dir / "intermediates"
     stored = [
         (load_tensor(dump / f"flow_left_{k:03d}.khcv"), load_tensor(dump / f"flow_right_{k:03d}.khcv"))
@@ -722,7 +738,7 @@ def test_cli_sweep_command(tmp_path):
 def test_cli_flowviz_command(tmp_path):
     from khcv import FlowField
 
-    f = FlowField(np.full((8, 8), 2.0, np.float32), np.zeros((8, 8), np.float32))
+    f = FlowField(np.stack((np.full((8, 8), 2.0, np.float32), np.zeros((8, 8), np.float32))))
     p = tmp_path / "f.khcv"
     save_tensor(f, p)
     out = tmp_path / "f.ppm"
@@ -739,3 +755,16 @@ def test_cli_flowviz_command(tmp_path):
     save_tensor(Frame(np.zeros((8, 8), np.float32)), wrong)
     result = CliRunner().invoke(main, ["flowviz", str(wrong), str(out)])
     assert result.exit_code == 3
+
+
+def test_cli_flowviz_takes_only_a_finite_positive_max_magnitude(tmp_path):
+    from khcv import FlowField
+
+    p = tmp_path / "f.khcv"
+    save_tensor(FlowField(np.ones((2, 8, 8), np.float32)), p)
+    out = tmp_path / "f.ppm"
+    for value in ("nan", "inf", "0", "-1"):
+        result = CliRunner().invoke(main, ["flowviz", str(p), str(out), "--max-magnitude", value])
+        assert result.exit_code == 2, (value, result.output)
+        assert "max_magnitude" in result.stderr, value
+        assert not out.exists(), value

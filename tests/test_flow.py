@@ -20,7 +20,7 @@ from conftest import central_fraction_mask, shifted_pair, smooth_texture
 
 
 def constant_flow(h, w, dx, dy):
-    return FlowField(np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))
+    return FlowField(np.stack((np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))))
 
 
 def test_params_validation():

@@ -25,7 +25,7 @@ from conftest import shifted_pair, smooth_texture
 
 
 def constant_flow(h, w, dx, dy):
-    return FlowField(np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))
+    return FlowField(np.stack((np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))))
 
 
 def test_params_validation():
@@ -81,7 +81,7 @@ _FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 def test_warp_of_a_constant_frame_is_that_constant(value, flow):
     # any finite flow, however far outside the frame, samples the constant
     img = Frame(np.full(flow.shape[1:], value, np.float32))
-    out = warp(img, FlowField(flow[0], flow[1]))
+    out = warp(img, FlowField(flow))
     assert np.array_equal(out.samples, img.samples)
 
 
@@ -89,16 +89,16 @@ def test_visibility_prefers_better_warp():
     t = Frame(smooth_texture(24, 24, seed=4) * 0.7)  # keep +0.2 below clipping
     off = Frame(t.samples + np.float32(0.2))
     v = visibility_map(t, off, t)
-    assert v.values.min() > 0.9
+    assert v.samples.min() > 0.9
     v_swapped = visibility_map(off, t, t)
-    assert v_swapped.values.max() < 0.1
+    assert v_swapped.samples.max() < 0.1
 
 
 def test_visibility_equal_warps_is_half():
     t = Frame(smooth_texture(16, 16, seed=5))
     w1 = Frame(np.clip(t.samples + 0.05, 0, 1))
     v = visibility_map(w1, w1, t)
-    assert np.all(v.values == np.float32(0.5))
+    assert np.all(v.samples == np.float32(0.5))
 
 
 def test_visibility_swap_complements_exactly():
@@ -108,7 +108,7 @@ def test_visibility_swap_complements_exactly():
     wr = Frame(np.clip(t.samples + rng.normal(0, 0.1, (32, 32)), 0, 1).astype(np.float32))
     v1 = visibility_map(wl, wr, t)
     v2 = visibility_map(wr, wl, t)
-    assert np.array_equal(v1.values + v2.values, np.ones_like(v1.values))
+    assert np.array_equal(v1.samples + v2.samples, np.ones_like(v1.samples))
 
 
 def test_visibility_flat_for_tiny_beta():
@@ -117,7 +117,7 @@ def test_visibility_flat_for_tiny_beta():
     wl = Frame(rng.random((16, 16)).astype(np.float32))
     wr = Frame(rng.random((16, 16)).astype(np.float32))
     v = visibility_map(wl, wr, t, FusionParams(beta=1e-6))
-    assert np.max(np.abs(v.values - 0.5)) < 1e-6
+    assert np.max(np.abs(v.samples - 0.5)) < 1e-6
 
 
 def test_blend_full_left_visibility_returns_left():
@@ -214,7 +214,7 @@ def test_fuse_frame_exposes_consistent_intermediates():
     assert detail.output.samples.shape == (48, 48)
     assert detail.flow_left.u.shape == (48, 48)
     assert detail.warped_left.samples.shape == (48, 48)
-    assert detail.visibility.values.shape == (48, 48)
+    assert detail.visibility.samples.shape == (48, 48)
     redone = warp(truth, detail.flow_left)
     assert np.array_equal(redone.samples, detail.warped_left.samples)
 

@@ -96,16 +96,16 @@ def test_l1_distance():
 
 def test_mean_epe_known_triangle():
     # error vector (3, 4) everywhere has length exactly 5
-    f = FlowField(np.full((6, 6), 3.0, np.float32), np.full((6, 6), 4.0, np.float32))
-    g = FlowField(np.zeros((6, 6), np.float32), np.zeros((6, 6), np.float32))
+    f = FlowField(np.stack((np.full((6, 6), 3.0, np.float32), np.full((6, 6), 4.0, np.float32))))
+    g = FlowField(np.stack((np.zeros((6, 6), np.float32), np.zeros((6, 6), np.float32))))
     assert mean_epe(f, g) == 5.0
 
 
 def test_mean_epe_masked():
     u = np.zeros((4, 4), np.float32)
     u[0, 0] = 10.0
-    f = FlowField(u, np.zeros((4, 4), np.float32))
-    g = FlowField(np.zeros((4, 4), np.float32), np.zeros((4, 4), np.float32))
+    f = FlowField(np.stack((u, np.zeros((4, 4), np.float32))))
+    g = FlowField(np.stack((np.zeros((4, 4), np.float32), np.zeros((4, 4), np.float32))))
     mask = np.ones((4, 4), bool)
     mask[0, 0] = False
     assert mean_epe(f, g, mask) == 0.0

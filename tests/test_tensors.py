@@ -58,8 +58,10 @@ def test_coding_cube_round_trip(tmp_path):
 def test_flow_field_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     f = FlowField(
-        rng.standard_normal((8, 10)).astype(np.float32),
-        rng.standard_normal((8, 10)).astype(np.float32),
+        np.stack((
+            rng.standard_normal((8, 10)).astype(np.float32),
+            rng.standard_normal((8, 10)).astype(np.float32),
+        ))
     )
     p = tmp_path / "flow.khcv"
     save_tensor(f, p)
@@ -145,7 +147,7 @@ LAYOUT_CASES = [
     (Frame(_REAL[0]), _container(0, 2, (_H, _W), _REAL[0].tobytes())),
     (VideoCube(_REAL), _container(0, 3, (_H, _W, _B), _REAL.tobytes())),
     (CodingCube(_MASK), _container(1, 3, (_H, _W, _B), _MASK.tobytes())),
-    (FlowField(_U, _V), _container(0, 4, (_H, _W, 2), _U.tobytes() + _V.tobytes())),
+    (FlowField(np.stack((_U, _V))), _container(0, 4, (_H, _W, 2), _U.tobytes() + _V.tobytes())),
 ]
 
 
@@ -285,8 +287,8 @@ CASES = [
     ("Frame", Frame, np.full((3, 4), 0.5, np.float32), lambda t: [t.samples]),
     ("VideoCube", VideoCube, np.full((2, 3, 4), 0.5, np.float32), lambda t: [t.samples]),
     ("CodingCube", CodingCube, np.ones((2, 3, 4), np.uint8), lambda t: [t.samples]),
-    ("FlowField", lambda a: FlowField(a, a), np.full((3, 4), 0.5, np.float32), lambda t: [t.u, t.v]),
-    ("VisibleMap", VisibleMap, np.full((3, 4), 0.5, np.float32), lambda t: [t.values]),
+    ("FlowField", FlowField, np.full((2, 3, 4), 0.5, np.float32), lambda t: [t.samples]),
+    ("VisibleMap", VisibleMap, np.full((3, 4), 0.5, np.float32), lambda t: [t.samples]),
 ]
 
 
@@ -309,7 +311,7 @@ def test_frame_requires_2d_float():
                 bad.flat[-1] = value
                 assert _rejected(build, bad), (name, value)
     finite = np.zeros((3, 4), np.float32)
-    assert _rejected(lambda a: FlowField(finite, a), np.full((3, 4), np.nan, np.float32))
+    assert _rejected(lambda a: FlowField(np.stack((finite, a))), np.full((3, 4), np.nan, np.float32))
 
 
 def test_video_cube_requires_3d():
@@ -328,9 +330,33 @@ def test_coding_cube_requires_binary():
         CodingCube(np.full((2, 3, 3), 2, np.uint8))
 
 
-def test_flow_field_requires_matching_shapes():
-    with pytest.raises(ValueError):
-        FlowField(np.zeros((3, 3), np.float32), np.zeros((3, 4), np.float32))
+def test_flow_field_requires_two_planes():
+    for shape in ((3, 4), (1, 3, 4), (3, 3, 4)):
+        with pytest.raises(ValueError):
+            FlowField(np.zeros(shape, np.float32))
+    # u and v are read-only views of the two planes
+    f = FlowField(np.stack((np.full((3, 4), 1.0), np.full((3, 4), 2.0))))
+    assert np.shares_memory(f.u, f.samples) and np.shares_memory(f.v, f.samples)
+    assert (f.u == 1.0).all() and (f.v == 2.0).all()
+    for plane in (f.u, f.v):
+        assert not plane.flags.writeable
+
+
+def test_flow_container_with_three_planes_is_rejected(tmp_path):
+    p = tmp_path / "f.khcv"
+    p.write_bytes(_container(0, 4, (_H, _W, 3), np.zeros((3, _H, _W), "<f4").tobytes()))
+    with pytest.raises(FormatError, match="2 planes"):
+        load_tensor(p)
+
+
+def test_visible_map_is_a_frame_of_its_own(tmp_path):
+    x = np.full((3, 4), 0.5, np.float32)
+    v = VisibleMap(x)
+    assert v != Frame(x) and Frame(x) != v
+    assert v == VisibleMap(x)
+    p = tmp_path / "v.pgm"
+    export_pgm(v, p)
+    assert p.read_bytes() == b"P5\n4 3\n255\n" + bytes([128] * 12)
 
 
 def test_tensors_are_read_only():
