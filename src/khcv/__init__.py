@@ -23,9 +23,7 @@ from .fusion import (
     FusionParams,
     VisibleMap,
     blend,
-    fuse_frame,
     fuse_video,
-    normalize_brightness,
     visibility_map,
     warp,
 )

@@ -34,7 +34,7 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, _min_side, flow_to_color
-from .fusion import FusionParams, iter_fused_frames
+from .fusion import FusionParams, fuse_video
 from .metrics import video_report
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
@@ -246,10 +246,16 @@ def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
         _block_start(scene.frames, cfg.B, cfg.gap_frames)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    _check_frame_size(cfg, scene.height, scene.width)
+
+
+def _check_frame_size(cfg: PipelineConfig, height: int, width: int) -> None:
+    """Check that frames of this size are large enough for the configured
+    flow pyramid."""
     levels = cfg.flow.pyramid_levels
-    if min(scene.height, scene.width) < _min_side(levels):
+    if min(height, width) < _min_side(levels):
         raise ConfigError(
-            f"scene frames are {scene.height}x{scene.width} px but {levels} flow pyramid levels "
+            f"frames are {height}x{width} px but {levels} flow pyramid levels "
             f"need both sides at least {_min_side(levels)} px"
         )
 
@@ -281,24 +287,27 @@ def _reconstruct(cfg: PipelineConfig, m: HybridMeasurement) -> VideoCube:
 
 
 def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoCube:
-    """Fuse the block and write fused.khcv; with dump_intermediates, write each
-    frame's flows and visibility map under out/intermediates as that frame is
-    fused."""
+    """Check that the intermediate cube fits the measurement, fuse the block
+    and write fused.khcv; with dump_intermediates, write each frame's flows
+    and visibility map under out/intermediates as that frame is fused."""
+    expected = (m.schedule.B, *m.y.samples.shape)
+    if x_mid.samples.shape != expected:
+        raise DataError(f"intermediate cube has shape {x_mid.samples.shape}, the measurement needs {expected}")
+    _check_frame_size(cfg, *m.y.samples.shape)
     out = Path(cfg.out_dir)
     dump = out / "intermediates"
+
+    def write_dump(k, flow_left, flow_right, visibility):
+        save_tensor(flow_left, dump / f"flow_left_{k:03d}.khcv")
+        save_tensor(flow_right, dump / f"flow_right_{k:03d}.khcv")
+        export_ppm(flow_to_color(flow_left), dump / f"flow_left_{k:03d}.ppm")
+        export_ppm(flow_to_color(flow_right), dump / f"flow_right_{k:03d}.ppm")
+        export_pgm(visibility, dump / f"visibility_{k:03d}.pgm")
+
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_intermediates:
         dump.mkdir(exist_ok=True)
-    fused = np.empty_like(x_mid.samples)
-    for k, detail in enumerate(iter_fused_frames(m, x_mid, cfg.fusion, cfg.flow), start=1):
-        fused[k - 1] = detail.output.samples
-        if cfg.dump_intermediates:
-            save_tensor(detail.flow_left, dump / f"flow_left_{k:03d}.khcv")
-            save_tensor(detail.flow_right, dump / f"flow_right_{k:03d}.khcv")
-            export_ppm(flow_to_color(detail.flow_left), dump / f"flow_left_{k:03d}.ppm")
-            export_ppm(flow_to_color(detail.flow_right), dump / f"flow_right_{k:03d}.ppm")
-            export_pgm(detail.visibility, dump / f"visibility_{k:03d}.pgm")
-    fused = VideoCube(fused)
+    fused = fuse_video(m, x_mid, cfg.fusion, cfg.flow, write_dump if cfg.dump_intermediates else None)
     save_tensor(fused, out / "fused.khcv")
     return fused
 

@@ -1,11 +1,13 @@
 """Key-frame fusion: upgrade coarse coded-block reconstructions with the two
 sharp uncoded key frames.
 
-For each intermediate frame k the module estimates flow from that frame to
-both key frames, warps the keys onto the frame grid with those fields, and
-blends the warps under a visibility map and a temporal weight
-tau = k / (B + 2).  Pixels neither key explains well fall back to the
-intermediate reconstruction.
+fuse_video is the one fusion driver.  For each intermediate frame k = 1..B
+of a block it estimates flow from that frame to both key frames, warps the
+keys, as captured, onto the frame grid with those fields, and blends the
+warps under a visibility map and a temporal weight tau = k / (B + 2).
+Pixels neither key explains well fall back to the intermediate
+reconstruction.  warp, visibility_map and blend are its steps, public so
+that each can be used and checked alone.
 
 tau is a fixed ramp, not the frame's linear position between the keys.
 With a gap of g skipped frames on each side, frame k sits k + g frames
@@ -16,7 +18,7 @@ where the position is k / (B + 1), and tau does not change with the gap.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +31,12 @@ from .tensors import Frame, VideoCube
 __all__ = [
     "FusionParams",
     "VisibleMap",
-    "FusedFrame",
     "warp",
     "visibility_map",
     "blend",
-    "normalize_brightness",
-    "fuse_frame",
-    "iter_fused_frames",
     "fuse_video",
 ]
 
-_MEAN_GUARD = 1e-6
-_BRIGHTNESS_CLAMP = 4.0
 # blend's denominator is at least min(tau, 1 - tau) > 0 without it; it stays
 # so that outputs keep every bit
 _BLEND_EPS = 1e-6
@@ -53,9 +49,9 @@ class FusionParams:
     beta steepens the visibility sigmoid, error_smooth_radius sets the box
     filter radius used on photometric errors, and fallback_threshold (None
     disables it) reverts pixels no key explains to the intermediate frame.
-    Each key is always rescaled to the intermediate frame's mean before flow
-    estimation, and flow always runs directly from each intermediate frame
-    to each key frame.  The flow settings are passed next to these.
+    Keys are used as captured, and flow always runs directly from each
+    intermediate frame to each key frame.  The flow settings are passed next
+    to these.
     """
 
     beta: float = 20.0
@@ -149,97 +145,30 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
     return Frame(out)
 
 
-def normalize_brightness(image: Frame, reference: Frame) -> Frame:
-    """Rescale an image to the reference mean intensity.
-
-    The gain mean(reference)/mean(image) is clamped to [0, 4]; images with a
-    near-zero mean pass through unchanged.
-    """
-    mean_img = float(image.samples.mean())
-    if mean_img <= _MEAN_GUARD:
-        return image
-    gain = float(reference.samples.mean()) / mean_img
-    gain = min(max(gain, 0.0), _BRIGHTNESS_CLAMP)
-    return Frame(image.samples * np.float32(gain))
-
-
-@dataclass(frozen=True)
-class FusedFrame:
-    """fuse_frame output plus the intermediates useful for inspection."""
-
-    output: Frame
-    flow_left: FlowField
-    flow_right: FlowField
-    warped_left: Frame
-    warped_right: Frame
-    visibility: VisibleMap
-
-
-def fuse_frame(
-    z_left: Frame,
-    z_right: Frame,
-    x_mid_k: Frame,
-    k: int,
-    B: int,
+def fuse_video(
+    m: HybridMeasurement,
+    x_mid: VideoCube,
     params: FusionParams | None = None,
     flow: FlowParams | None = None,
-) -> FusedFrame:
-    """Fuse one intermediate frame with the two key frames.
+    callback: Callable[[int, FlowField, FlowField, VisibleMap], None] | None = None,
+) -> VideoCube:
+    """Fuse every intermediate frame of a coded block with the two key frames.
+
+    Frames are fused one at a time, in order k = 1..B; each costs two flow
+    estimations, one per key frame.
 
     Args:
-        z_left, z_right: uncoded key frames.
-        x_mid_k: intermediate reconstruction of frame k.
-        k: 1-based position of the frame inside the coded block.
-        B: coded block length.
+        m: the measurement, whose schedule gives B and whose key frames are
+            warped onto each intermediate frame.
+        x_mid: intermediate reconstruction of the block, (B, h, w).
         params: fusion settings; defaults to FusionParams().
         flow: flow solver settings; defaults to FlowParams().
+        callback: optional hook called as
+            callback(k, flow_left, flow_right, visibility) once frame k is
+            fused, with the fields and visibility map that frame used.
 
     Returns:
-        FusedFrame holding the [0, 1]-clamped output and the flow, warp and
-        visibility intermediates.
-    """
-    params = params or FusionParams()
-    if not 1 <= k <= B:
-        raise ValueError(f"k must lie in [1, {B}], got {k}")
-    if z_left.samples.shape != x_mid_k.samples.shape or z_right.samples.shape != x_mid_k.samples.shape:
-        raise ValueError("key frames and intermediate frame must share one shape")
-
-    z_left = normalize_brightness(z_left, x_mid_k)
-    z_right = normalize_brightness(z_right, x_mid_k)
-
-    f_left = estimate_flow(x_mid_k, z_left, flow)
-    f_right = estimate_flow(x_mid_k, z_right, flow)
-    w_left = warp(z_left, f_left)
-    w_right = warp(z_right, f_right)
-
-    e_left, e_right = _smoothed_errors(w_left, w_right, x_mid_k, params.error_smooth_radius)
-    v = _visibility(e_left, e_right, params.beta)
-    tau = k / (B + 2.0)
-    fused = blend(w_left, w_right, v, tau).samples.astype(np.float64)
-
-    if params.fallback_threshold is not None:
-        bad = np.minimum(e_left, e_right) > params.fallback_threshold
-        fused[bad] = x_mid_k.samples.astype(np.float64)[bad]
-
-    output = Frame(np.clip(fused, 0.0, 1.0))
-    return FusedFrame(
-        output=output,
-        flow_left=f_left,
-        flow_right=f_right,
-        warped_left=w_left,
-        warped_right=w_right,
-        visibility=v,
-    )
-
-
-def iter_fused_frames(
-    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None, flow: FlowParams | None = None
-) -> Iterator[FusedFrame]:
-    """Fuse the frames of a coded block one at a time, in order k = 1..B.
-
-    Shapes are checked when this is called; each next() then runs fuse_frame
-    on one more frame and returns its FusedFrame, so callers can consume the
-    records without holding all B.
+        VideoCube of the fused frames, clamped to [0, 1].
     """
     params = params or FusionParams()
     B = m.schedule.B
@@ -247,22 +176,21 @@ def iter_fused_frames(
         raise ValueError(f"intermediate cube has {x_mid.frames} frames, schedule says {B}")
     if x_mid.samples.shape[1:] != m.y.samples.shape:
         raise ValueError("intermediate frames must match the measurement size")
-    # fuse_frame is looked up in the module on every frame, so a wrapper
-    # installed on fusion.fuse_frame sees each call
-    return (
-        fuse_frame(m.z_left, m.z_right, Frame(x_mid.samples[k - 1]), k, B, params, flow)
-        for k in range(1, B + 1)
-    )
-
-
-def fuse_video(
-    m: HybridMeasurement, x_mid: VideoCube, params: FusionParams | None = None, flow: FlowParams | None = None
-) -> VideoCube:
-    """Fuse every intermediate frame of a coded block with the key frames.
-
-    Each frame costs two flow estimations, one per key frame.
-    """
     fused = np.empty_like(x_mid.samples)
-    for k, record in enumerate(iter_fused_frames(m, x_mid, params, flow)):
-        fused[k] = record.output.samples
+    for k in range(1, B + 1):
+        x_k = Frame(x_mid.samples[k - 1])
+        f_left = estimate_flow(x_k, m.z_left, flow)
+        f_right = estimate_flow(x_k, m.z_right, flow)
+        w_left = warp(m.z_left, f_left)
+        w_right = warp(m.z_right, f_right)
+
+        e_left, e_right = _smoothed_errors(w_left, w_right, x_k, params.error_smooth_radius)
+        v = _visibility(e_left, e_right, params.beta)
+        out = blend(w_left, w_right, v, k / (B + 2.0)).samples.astype(np.float64)
+        if params.fallback_threshold is not None:
+            bad = np.minimum(e_left, e_right) > params.fallback_threshold
+            out[bad] = x_k.samples.astype(np.float64)[bad]
+        fused[k - 1] = np.clip(out, 0.0, 1.0)
+        if callback is not None:
+            callback(k, f_left, f_right, v)
     return VideoCube(fused)

@@ -414,15 +414,17 @@ def test_dumped_flows_are_the_ones_fusion_used(tmp_path):
     result = run_pipeline(cfg)
     m = read_measurement(result.out_dir / "manifest.json")
     x_mid = load_tensor(result.out_dir / "intermediate.khcv")
-    records = list(fusion.iter_fused_frames(m, x_mid, cfg.fusion, cfg.flow))
+    records = []
+    refused = fusion.fuse_video(
+        m, x_mid, cfg.fusion, cfg.flow, callback=lambda k, left, right, v: records.append((left, right))
+    )
     dump = result.out_dir / "intermediates"
     stored = [
         (load_tensor(dump / f"flow_left_{k:03d}.khcv"), load_tensor(dump / f"flow_right_{k:03d}.khcv"))
         for k in range(1, cfg.B + 1)
     ]
-    assert stored == [(r.flow_left, r.flow_right) for r in records]
-    fused = load_tensor(result.out_dir / "fused.khcv").samples
-    assert np.array_equal(fused, np.stack([r.output.samples for r in records]))
+    assert stored == records
+    assert load_tensor(result.out_dir / "fused.khcv") == refused
 
 
 def test_run_pipeline_rejects_short_scene(tmp_path):
@@ -660,6 +662,47 @@ def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     assert "pyramid" in result.output
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+def _fuse_24px_block(tmp_path, frames: int, pyramid_levels: int):
+    """Simulate a 24x24, B=4 measurement, then run `khcv fuse` on it with an
+    intermediate cube of this many frames and this flow pyramid depth."""
+    scene = translating_scene(24, 24, SCENE_FRAMES, step=(1, 0), seed=9)
+    save_tensor(scene, tmp_path / "small.khcv")
+    staged = tmp_path / "staged"
+    config_path, raw, _ = write_config(
+        tmp_path, scene=str(tmp_path / "small.khcv"), out_dir=str(staged), flow={"pyramid_levels": 2}
+    )
+    runner = CliRunner()
+    r = runner.invoke(main, ["simulate", "--config", str(config_path)])
+    assert r.exit_code == 0, r.output
+    save_tensor(VideoCube(scene.samples[:frames]), tmp_path / "intermediate.khcv")
+    fuse_config = tmp_path / "fuse.json"
+    fuse_config.write_text(json.dumps({**raw, "flow": {"pyramid_levels": pyramid_levels}}))
+    return runner.invoke(
+        main,
+        [
+            "fuse",
+            "--manifest", str(staged / "manifest.json"),
+            "--intermediate", str(tmp_path / "intermediate.khcv"),
+            "--config", str(fuse_config),
+            "--out", str(tmp_path / "fused"),
+        ],
+    )
+
+
+def test_cli_fuse_with_frames_too_small_for_flow_pyramid_exits_2_before_writing(tmp_path):
+    result = _fuse_24px_block(tmp_path, frames=4, pyramid_levels=3)
+    assert result.exit_code == 2, result.output
+    assert "pyramid" in result.output
+    assert not (tmp_path / "fused").exists()
+
+
+def test_cli_fuse_with_intermediate_of_wrong_length_exits_3_before_writing(tmp_path):
+    result = _fuse_24px_block(tmp_path, frames=3, pyramid_levels=2)
+    assert result.exit_code == 3, result.output
+    assert "intermediate" in result.output
+    assert not (tmp_path / "fused").exists()
 
 
 def test_cli_missing_scene_exits_3(tmp_path):

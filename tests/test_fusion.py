@@ -14,9 +14,7 @@ from khcv import (
     VisibleMap,
     blend,
     build_schedule,
-    fuse_frame,
     fuse_video,
-    normalize_brightness,
     psnr,
     visibility_map,
     warp,
@@ -170,90 +168,69 @@ def test_blend_stays_in_unit_range(seed, tau):
     assert out.samples.max() <= 1.0 + 1e-4
 
 
-def test_normalize_brightness_matches_reference_mean():
-    img = Frame(np.full((8, 8), 0.2, np.float32))
-    ref = Frame(np.full((8, 8), 0.4, np.float32))
-    out = normalize_brightness(img, ref)
-    assert abs(float(out.samples.mean()) - 0.4) < 1e-6
-
-
-def test_normalize_brightness_identity_and_guards():
-    img = Frame(smooth_texture(8, 8, seed=15))
-    same = normalize_brightness(img, img)
-    assert np.array_equal(same.samples, img.samples)
-    zero = Frame(np.zeros((8, 8), np.float32))
-    out = normalize_brightness(zero, img)
-    assert np.array_equal(out.samples, zero.samples)
-    # extreme gain is clamped, not applied verbatim
-    dim = Frame(np.full((8, 8), 0.05, np.float32))
-    bright = Frame(np.full((8, 8), 0.9, np.float32))
-    out = normalize_brightness(dim, bright)
-    assert abs(float(out.samples.mean()) - 0.2) < 1e-6
-
-
-def test_fuse_frame_static_inputs_reproduce_truth():
-    truth = Frame(smooth_texture(48, 48, seed=16, blur=2.0))
-    out = fuse_frame(truth, truth, truth, k=2, B=4).output
-    assert np.max(np.abs(out.samples - truth.samples)) < 0.02
-
-
-def test_fuse_frame_validates_position_and_shape():
-    f = Frame(np.zeros((48, 48), np.float32))
-    with pytest.raises(ValueError):
-        fuse_frame(f, f, f, k=0, B=4)
-    with pytest.raises(ValueError):
-        fuse_frame(f, f, f, k=5, B=4)
-    g = Frame(np.zeros((48, 32), np.float32))
-    with pytest.raises(ValueError):
-        fuse_frame(g, f, f, k=1, B=4)
-
-
-def test_fuse_frame_exposes_consistent_intermediates():
-    truth = Frame(smooth_texture(48, 48, seed=17, blur=2.0))
-    detail = fuse_frame(truth, truth, truth, k=1, B=2)
-    assert detail.output.samples.shape == (48, 48)
-    assert detail.flow_left.u.shape == (48, 48)
-    assert detail.warped_left.samples.shape == (48, 48)
-    assert detail.visibility.samples.shape == (48, 48)
-    redone = warp(truth, detail.flow_left)
-    assert np.array_equal(redone.samples, detail.warped_left.samples)
-
-
-def test_fuse_frame_is_deterministic():
-    target, source = shifted_pair(48, 48, dx=1, dy=0, seed=18)
-    a = fuse_frame(source, target, target, k=1, B=2).output
-    b = fuse_frame(source, target, target, k=1, B=2).output
-    assert np.array_equal(a.samples, b.samples)
-
-
-def _tiny_measurement(scene_frame: Frame, B: int = 1):
-    h, w = scene_frame.samples.shape
+def _tiny_measurement(z_left: Frame, B: int = 1, z_right: Frame | None = None):
+    """A measurement of B frames with these keys (z_right defaults to z_left);
+    fusion reads only its keys, its B and its frame size."""
+    h, w = z_left.samples.shape
     masks = CodingCube(np.ones((B, h, w), np.uint8))
-    y = Frame(np.sum(np.stack([scene_frame.samples] * B), axis=0))
+    y = Frame(np.sum(np.stack([z_left.samples] * B), axis=0))
     return HybridMeasurement(
         y=y,
-        z_left=scene_frame,
-        z_right=scene_frame,
+        z_left=z_left,
+        z_right=z_left if z_right is None else z_right,
         masks=masks,
         schedule=build_schedule(100, B),
         gap_frames=0,
     )
 
 
-def test_fuse_video_single_frame_matches_fuse_frame():
-    frame = Frame(smooth_texture(48, 48, seed=19, blur=2.0))
-    m = _tiny_measurement(frame)
-    x_mid = VideoCube(frame.samples[None])
-    cube = fuse_video(m, x_mid)
-    single = fuse_frame(m.z_left, m.z_right, frame, k=1, B=1).output
-    assert np.array_equal(cube.samples[0], single.samples)
+def _repeat(frame: Frame, B: int) -> VideoCube:
+    return VideoCube(np.stack([frame.samples] * B))
+
+
+def test_fuse_video_static_inputs_reproduce_truth():
+    truth = Frame(smooth_texture(48, 48, seed=16, blur=2.0))
+    out = fuse_video(_tiny_measurement(truth, B=4), _repeat(truth, 4))
+    assert np.max(np.abs(out.samples - truth.samples)) < 0.02
+
+
+def test_fuse_video_is_deterministic():
+    target, source = shifted_pair(48, 48, dx=1, dy=0, seed=18)
+    m = _tiny_measurement(source, B=2, z_right=target)
+    a = fuse_video(m, _repeat(target, 2))
+    b = fuse_video(m, _repeat(target, 2))
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_fuse_video_validates_block_length():
     frame = Frame(smooth_texture(48, 48, seed=20))
     m = _tiny_measurement(frame)
-    with pytest.raises(ValueError):
-        fuse_video(m, VideoCube(np.stack([frame.samples] * 2)))
+    for wrong in (_repeat(frame, 2), VideoCube(frame.samples[None, :, :32])):
+        with pytest.raises(ValueError):
+            fuse_video(m, wrong)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    B=st.integers(1, 4),
+    height=st.integers(32, 40),
+    width=st.integers(32, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_fuse_video_of_a_static_block_returns_the_block(B, height, width, seed):
+    # keys and every intermediate frame are one texture: both fields are zero,
+    # the two warps tie, and the blend returns the frame up to its epsilon
+    frame = Frame(smooth_texture(height, width, seed=seed))
+    seen = []
+
+    def record(k, flow_left, flow_right, visibility):
+        seen.append(k)
+        assert not flow_left.samples.any() and not flow_right.samples.any()
+        assert np.all(visibility.samples == np.float32(0.5))
+
+    out = fuse_video(_tiny_measurement(frame, B), _repeat(frame, B), callback=record)
+    assert seen == list(range(1, B + 1))
+    assert np.max(np.abs(out.samples - frame.samples)) < 3e-6
 
 
 def test_fusion_recovers_fine_detail_lost_in_intermediate():
@@ -263,5 +240,5 @@ def test_fusion_recovers_fine_detail_lost_in_intermediate():
     from scipy import ndimage
 
     degraded = Frame(ndimage.gaussian_filter(truth.samples, 1.2).astype(np.float32))
-    fused = fuse_frame(truth, truth, degraded, k=1, B=2).output
-    assert psnr(truth, fused) > psnr(truth, degraded)
+    fused = fuse_video(_tiny_measurement(truth, B=2), _repeat(degraded, 2))
+    assert psnr(truth, Frame(fused.samples[0])) > psnr(truth, degraded)
