@@ -7,7 +7,8 @@ image pyramids and, at each level, linearizes the data term around the
 current warp a few times.  Each linearization is the sparse symmetric
 Horn-Schunck system, solved by a fixed number of preconditioned conjugate
 gradient (PCG) iterations started from the current field.  The field is
-upsampled between levels.
+upsampled between levels.  The coarsest level starts from zero, or from a
+field the caller gives, such as a guess interpolated from nearby frames.
 
 The data term (warp, image gradients and the Horn-Schunck denominator) is
 formed in float64; the PCG iterations run in float32 with float64 inner
@@ -89,12 +90,20 @@ def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
     y = np.clip(y, 0.0, h - 1.0)
     x0 = np.floor(x).astype(np.intp)
     y0 = np.floor(y).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     wx = x - x0
     wy = y - y0
-    top = img[y0, x0] + wx * (img[y0, x1] - img[y0, x0])
-    bottom = img[y1, x0] + wx * (img[y1, x1] - img[y1, x0])
+    # the four corners are gathered from the flat image; a +1 neighbour past
+    # the last column or row is the corner itself
+    flat = img.ravel()
+    i00 = y0 * w + x0
+    i01 = i00 + (x0 < w - 1)
+    below = (y0 < h - 1) * w
+    v00 = np.take(flat, i00)
+    v01 = np.take(flat, i01)
+    v10 = np.take(flat, i00 + below)
+    v11 = np.take(flat, i01 + below)
+    top = v00 + wx * (v01 - v00)
+    bottom = v10 + wx * (v11 - v10)
     return top + wy * (bottom - top)
 
 
@@ -256,22 +265,28 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     return field
 
 
-def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None) -> FlowField:
+def estimate_flow(
+    target: Frame, source: Frame, params: FlowParams | None = None, *, start: FlowField | None = None
+) -> FlowField:
     """Estimate the dense field f with source(p + f(p)) matching target(p).
 
     Args:
         target: frame the flow is anchored to.
         source: frame being sampled.
         params: solver settings; defaults to FlowParams().
+        start: field the solve starts from at the coarsest pyramid level, in
+            place of zero; it must have that level's shape, which with
+            pyramid_levels=1 is the frame's.  An all-zero start gives the
+            same field as none.
 
     Returns:
         FlowField on the target grid.  Identical inputs give an exactly zero
-        field.
+        field from a zero start.
 
     Raises:
-        ValueError: if the shapes differ or the image is too small for the
+        ValueError: if the shapes differ, the image is too small for the
             requested pyramid depth (coarsest level must keep both sides at
-            least 8 px).
+            least 8 px), or start does not have the coarsest level's shape.
     """
     params = params or FlowParams()
     if target.samples.shape != source.samples.shape:
@@ -291,7 +306,13 @@ def estimate_flow(target: Frame, source: Frame, params: FlowParams | None = None
         targets.append(_downsample(targets[-1]))
         sources.append(_downsample(sources[-1]))
 
-    field = np.zeros((2, *targets[-1].shape))
+    coarsest = targets[-1].shape
+    if start is None:
+        field = np.zeros((2, *coarsest))
+    elif start.samples.shape[1:] == coarsest:
+        field = start.samples
+    else:
+        raise ValueError(f"start field {start.samples.shape[1:]} does not match the coarsest level {coarsest}")
     for level in range(params.pyramid_levels - 1, -1, -1):
         shape = targets[level].shape
         if field.shape[1:] != shape:

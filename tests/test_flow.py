@@ -54,6 +54,57 @@ def test_sample_bilinear_replicates_border():
     assert out[0, 1] == 4.0
 
 
+def reference_bilinear(img, x, y):
+    """sample_bilinear through plain 2-D indexing of all four corners."""
+    h, w = img.shape
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    x0 = np.floor(x).astype(np.intp)
+    y0 = np.floor(y).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = x - x0
+    wy = y - y0
+    top = img[y0, x0] + wx * (img[y0, x1] - img[y0, x0])
+    bottom = img[y1, x0] + wx * (img[y1, x1] - img[y1, x0])
+    return top + wy * (bottom - top)
+
+
+# in range, on and just past the borders, and far outside
+_COORDINATE = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1e6, -2.5, -1e-9, 0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 3.5, 1e6]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    xs=st.lists(_COORDINATE, min_size=1, max_size=12),
+    ys=st.lists(_COORDINATE, min_size=1, max_size=12),
+    broadcast=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_bilinear_matches_two_dimensional_indexing(h, w, dtype, xs, ys, broadcast, seed):
+    # coordinates are drawn as fractions of the image extent; broadcast gives
+    # (1, n) columns against (m, 1) rows as _resize_bilinear and the warp do
+    img = np.random.default_rng(seed).random((h, w)).astype(dtype)
+    x = np.array(xs) * (w - 1)
+    y = np.array(ys) * (h - 1)
+    if broadcast:
+        x, y = x[None, :], y[:, None]
+    else:
+        n = min(len(xs), len(ys))
+        x, y = x[:n].reshape(1, n), y[:n].reshape(1, n)
+    got = sample_bilinear(img, x, y)
+    want = reference_bilinear(img, x, y)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_identical_frames_give_zero_flow():
     img = smooth_texture(64, 64, seed=4)
     from khcv import Frame
@@ -193,6 +244,29 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
     assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
     still = solve(400, Frame(target.samples.copy()))
     assert not still.u.any() and not still.v.any()
+
+
+def test_identical_frames_from_a_zero_start_give_zero_flow():
+    frame = Frame(smooth_texture(40, 36, seed=5))
+    for levels, coarsest in ((1, (40, 36)), (3, (10, 9))):
+        start = FlowField(np.zeros((2, *coarsest), np.float32))
+        f = estimate_flow(frame, Frame(frame.samples.copy()), FlowParams(pyramid_levels=levels), start=start)
+        assert not f.samples.any()
+
+
+def test_start_must_have_the_coarsest_level_shape():
+    frame = Frame(smooth_texture(32, 32, seed=6))
+    for levels, shape in ((1, (32, 31)), (1, (16, 16)), (3, (32, 32)), (3, (9, 8))):
+        with pytest.raises(ValueError, match="coarsest level"):
+            estimate_flow(frame, frame, FlowParams(pyramid_levels=levels), start=FlowField(np.zeros((2, *shape))))
+
+
+def test_a_zero_start_matches_no_start_at_one_level():
+    target, source = shifted_pair(24, 28, dx=1, dy=-1, seed=7)
+    params = FlowParams(pyramid_levels=1, warps_per_level=2)
+    free = estimate_flow(target, source, params)
+    zero = estimate_flow(target, source, params, start=FlowField(np.zeros((2, 24, 28), np.float32)))
+    assert free.samples.tobytes() == zero.samples.tobytes()
 
 
 def test_rejects_too_small_images():

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from khcv import (
     CodingCube,
     FlowField,
+    FlowParams,
     Frame,
     FusionParams,
     HybridMeasurement,
@@ -15,6 +16,7 @@ from khcv import (
     blend,
     build_schedule,
     fuse_video,
+    fusion,
     psnr,
     visibility_map,
     warp,
@@ -242,3 +244,44 @@ def test_fusion_recovers_fine_detail_lost_in_intermediate():
     degraded = Frame(ndimage.gaussian_filter(truth.samples, 1.2).astype(np.float32))
     fused = fuse_video(_tiny_measurement(truth, B=2), _repeat(degraded, 2))
     assert psnr(truth, Frame(fused.samples[0])) > psnr(truth, degraded)
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 4, 5, 6, 7, 16])
+def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, monkeypatch):
+    # anchors are every third frame from 1, and B; every other frame refines,
+    # at the finest level only, the fields interpolated between its anchors
+    side = 32
+    frames = VideoCube(np.stack([smooth_texture(side, side, seed=40 + k) for k in range(B)]))
+    m = _tiny_measurement(Frame(smooth_texture(side, side, seed=30)), B, Frame(smooth_texture(side, side, seed=31)))
+    flow = FlowParams()
+    solved = {}  # (k, key side) -> field of the full solve
+    starts = {}  # (k, key side) -> start of the refinement
+
+    def counting(target, source, params=None, *, start=None):
+        (k,) = [k for k in range(1, B + 1) if np.array_equal(target.samples, frames.samples[k - 1])]
+        call = (k, "left" if source is m.z_left else "right")
+        assert call not in solved and call not in starts
+        result = real(target, source, params, start=start)
+        if start is None:
+            assert params == flow
+            solved[call] = result
+        else:
+            assert params == FlowParams(pyramid_levels=1, warps_per_level=2)
+            starts[call] = start
+        return result
+
+    real = fusion.estimate_flow
+    monkeypatch.setattr(fusion, "estimate_flow", counting)
+    seen = []
+    fuse_video(m, frames, flow=flow, callback=lambda k, *rest: seen.append(k))
+
+    anchors = sorted(set(range(1, B + 1, 3)) | {B})
+    assert sorted(solved) == sorted((k, s) for k in anchors for s in ("left", "right"))
+    others = [k for k in range(1, B + 1) if k not in anchors]
+    assert sorted(starts) == sorted((k, s) for k in others for s in ("left", "right"))
+    assert seen == list(range(1, B + 1))
+    for (k, s), start in starts.items():
+        a = max(j for j in anchors if j < k)
+        b = min(j for j in anchors if j > k)
+        want = ((b - k) * solved[(a, s)].samples + (k - a) * solved[(b, s)].samples) / (b - a)
+        assert start.samples.tobytes() == want.astype(np.float32).tobytes()
