@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import CodingCube, Frame, VideoCube, load_tensor, save_tensor
+from .tensors import CodingCube, FormatError, Frame, VideoCube, load_tensor, save_tensor
 
 __all__ = [
     "TimingSchedule",
@@ -320,29 +320,35 @@ def write_measurement(
 def read_measurement(manifest_path) -> HybridMeasurement:
     """Load a measurement previously stored by write_measurement.
 
-    The manifest is outside input, so every field is checked: a malformed
-    one, or a stored t_y or t_z that disagrees with t_x and B, raises
-    ValueError.
+    The manifest is outside input, so every field is checked: a manifest
+    that is not JSON, a malformed field, or a stored t_y or t_z that
+    disagrees with t_x and B raises FormatError (a ValueError), as does a
+    stored tensor that does not parse.
     """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
+        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     try:
         files = manifest["files"]
         schedule = TimingSchedule(t_x=manifest["t_x"], t_g=manifest["t_g"], B=manifest["B"])
         stored = (manifest["t_y"], manifest["t_z"])
         gap_frames = manifest["gap_frames"]
     except KeyError as exc:
-        raise ValueError(f"{manifest_path}: missing manifest field {exc}") from exc
+        raise FormatError(f"{manifest_path}: missing manifest field {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from exc
     if stored != (schedule.t_y, schedule.t_z):
-        raise ValueError(f"{manifest_path}: t_y and t_z {stored} must be B*t_x and t_x {(schedule.t_y, schedule.t_z)}")
+        raise FormatError(f"{manifest_path}: t_y and t_z {stored} must be B*t_x and t_x {(schedule.t_y, schedule.t_z)}")
     if not isinstance(files, dict) or not all(isinstance(files.get(role), str) for role in _MANIFEST_FILES):
-        raise ValueError(f"{manifest_path}: files must map {sorted(_MANIFEST_FILES)} to file names, got {files!r}")
+        raise FormatError(f"{manifest_path}: files must map {sorted(_MANIFEST_FILES)} to file names, got {files!r}")
     y, z_left, z_right, masks = (load_tensor(manifest_path.parent / files[role]) for role in _MANIFEST_FILES)
     if [type(t) for t in (y, z_left, z_right, masks)] != [Frame, Frame, Frame, CodingCube]:
-        raise ValueError(f"{manifest_path}: files must hold three frames and a coding cube, in that order")
-    return HybridMeasurement(y, z_left, z_right, masks, schedule, gap_frames)
+        raise FormatError(f"{manifest_path}: files must hold three frames and a coding cube, in that order")
+    try:
+        return HybridMeasurement(y, z_left, z_right, masks, schedule, gap_frames)
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from exc

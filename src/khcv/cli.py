@@ -408,7 +408,7 @@ class _Khcv(click.Group):
             return super().invoke(ctx)
         except ConfigError as exc:
             code, message = 2, str(exc)
-        except (DataError, OSError, ValueError) as exc:
+        except (DataError, FormatError, OSError) as exc:
             code, message = 3, str(exc)
         except (NumericalError, FloatingPointError) as exc:
             code, message = 4, str(exc)

@@ -13,7 +13,9 @@ Flow is solved in full, through the whole pyramid, only at anchor frames:
 every third frame from k = 1, and k = B.  A frame between anchors a and b
 starts each key's field from the linear interpolation in time of the two
 anchors' fields, ((b - k) F_a + (k - a) F_b) / (b - a), and refines it with
-a few warps at the finest level alone.
+a few warps at the finest level alone.  The solves of one anchor interval
+share one stacked call of estimate_flows, which gives each pair the field
+it would get alone.
 
 tau is a fixed ramp, not the frame's linear position between the keys.
 With a gap of g skipped frames on each side, frame k sits k + g frames
@@ -31,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .capture import HybridMeasurement
-from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flow
+from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
 __all__ = [
@@ -176,8 +178,11 @@ def fuse_video(
     Frames are fused one at a time, in order k = 1..B.  Each anchor frame
     (k = 1, 4, 7, ... and B) costs two full flow solves, one per key frame.
     Each other frame costs two finest-level refinements, started from the
-    fields interpolated between the anchors on either side, whose fields are
-    held until the frames between them are fused.
+    fields interpolated between the anchors on either side.  Flow runs one
+    anchor interval at a time, each step one estimate_flows stack: the first
+    interval's two anchors with both keys, then each later anchor with both
+    keys, then the interval's in-between frames with both keys.  Only the
+    current interval's fields are held.
 
     Args:
         m: the measurement, whose schedule gives B and whose key frames are
@@ -206,32 +211,19 @@ def fuse_video(
     def frame(k: int) -> Frame:
         return Frame(x_mid.samples[k - 1])
 
-    def solve(x: Frame) -> tuple[FlowField, FlowField]:
-        return tuple(estimate_flow(x, key, flow) for key in keys)
+    def solve(
+        ks: list[int], solver: FlowParams, starts: list[FlowField] | None = None
+    ) -> dict[int, tuple[FlowField, FlowField]]:
+        # one stack of frames ks x keys; k -> (left field, right field)
+        fields = estimate_flows([frame(k) for k in ks for _ in keys], [*keys] * len(ks), solver, starts=starts)
+        return {k: (fields[2 * i], fields[2 * i + 1]) for i, k in enumerate(ks)}
 
     fused = np.empty_like(x_mid.samples)
-    # (a, fields of frame a) for the last anchor at or before k, and for the
-    # next anchor once a frame between the two has needed it
-    anchor = ahead = None
-    for k in range(1, B + 1):
+
+    def fuse(k: int, f_left: FlowField, f_right: FlowField) -> None:
         x_k = frame(k)
-        if (k - 1) % _ANCHOR_STRIDE == 0 or k == B:
-            anchor = ahead or (k, solve(x_k))
-            ahead = None
-            f_left, f_right = anchor[1]
-        else:
-            a, f_a = anchor
-            if ahead is None:
-                b = min(a + _ANCHOR_STRIDE, B)
-                ahead = (b, solve(frame(b)))
-            b, f_b = ahead
-            starts = (
-                FlowField(((b - k) * at_a.samples + (k - a) * at_b.samples) / (b - a)) for at_a, at_b in zip(f_a, f_b)
-            )
-            f_left, f_right = (estimate_flow(x_k, key, refine, start=s) for key, s in zip(keys, starts))
         w_left = warp(m.z_left, f_left)
         w_right = warp(m.z_right, f_right)
-
         e_left, e_right = _smoothed_errors(w_left, w_right, x_k, params.error_smooth_radius)
         v = _visibility(e_left, e_right, params.beta)
         out = blend(w_left, w_right, v, k / (B + 2.0)).samples.astype(np.float64)
@@ -241,4 +233,23 @@ def fuse_video(
         fused[k - 1] = np.clip(out, 0.0, 1.0)
         if callback is not None:
             callback(k, f_left, f_right, v)
+
+    anchors = sorted({*range(1, B + 1, _ANCHOR_STRIDE), B})
+    # only the fields of the current interval between anchors a < b are held
+    held = solve(anchors[:2], flow)
+    fuse(1, *held[1])
+    for a, b in zip(anchors, anchors[1:]):
+        if b not in held:
+            held = {a: held[a], **solve([b], flow)}
+        between = list(range(a + 1, b))
+        if between:
+            starts = [
+                FlowField(((b - k) * at_a.samples + (k - a) * at_b.samples) / (b - a))
+                for k in between
+                for at_a, at_b in zip(held[a], held[b])
+            ]
+            held.update(solve(between, refine, starts))
+        for k in [*between, b]:
+            fuse(k, *held[k])
+        held = {b: held[b]}
     return VideoCube(fused)

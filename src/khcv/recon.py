@@ -15,7 +15,9 @@ The data step runs in float64, so the residual right after a projection,
 which the callback reports and the tests require to be non-increasing to
 1e-9, stays at rounding level.  The TV step's dual iterations run in float32,
 in place on work planes allocated once per reconstruction; the result stays
-within about 2e-7 of a float64 dual at a fraction of its cost.
+within about 2e-7 of a float64 dual at a fraction of its cost.  Small frames
+are denoised as stacks that share each numpy pass, as many as fit a fixed
+pixel budget; each frame comes out as it would alone.
 """
 
 from __future__ import annotations
@@ -79,16 +81,27 @@ def total_variation(img) -> float:
     return float(np.hypot(gx, gy).sum())
 
 
-def _tv_buffers(shape: tuple[int, int]) -> np.ndarray:
-    """The seven float32 work planes _tv_denoise needs for frames of this shape."""
-    return np.empty((7, shape[0] * shape[1]), np.float32)
+# Frames of one reconstruction are denoised as stacks that share every numpy
+# pass, with at most this many pixels per stack (at least one frame).  The
+# seven float32 work planes of a stack then stay within the 2 MB L2 cache:
+# the step on four 48x48 frames as one stack takes 0.59x the time of four
+# one-frame calls, while at 128x128 two or four frames per stack are within
+# noise of one (0.96x, 1.03x) and all 16 take 1.28x.
+_TV_STACK_PIXELS = 16_384
+
+
+def _tv_buffers(shape: tuple[int, int], frames: int = 1) -> np.ndarray:
+    """The seven float32 work planes _tv_denoise needs for stacks of up to
+    this many frames of this shape."""
+    return np.empty((7, frames * shape[0] * shape[1]), np.float32)
 
 
 def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.ndarray) -> None:
-    # negative adjoint of _grad on flat planes of row length w.  Exact while
-    # px[:, -1] and py[-1, :] are zero: the difference that wraps across a row
-    # start then reduces to the border term px[:, 0], and py[0, :] is added
-    # directly
+    # negative adjoint of _grad on flat planes of row length w, frames laid
+    # end to end.  Exact while px[:, -1] and py[-1, :] of every frame are zero:
+    # the difference that wraps across a row or frame start then reduces to
+    # the border term px[:, 0], and py[0, :] of a later frame is reached the
+    # same way; py[0, :] of the first frame is added directly
     n = out.size
     out[0] = px[0]
     np.subtract(px[1:], px[:-1], out=out[1:])
@@ -100,19 +113,25 @@ def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.n
 def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarray) -> None:
     """Proximal isotropic TV step solved in the dual with fixed step 0.25, in place.
 
-    Replaces the float64 frame img by argmin_u 0.5*||u - img||^2 +
-    weight * TV(u), approximated by inner_iters projected gradient iterations
-    on the dual field (Chambolle 2004).  The dual iterations run in float32 on
-    the planes of work (from _tv_buffers), so a call allocates nothing.
+    Replaces each float64 frame of img, one (h, w) frame or an (F, h, w)
+    stack, by argmin_u 0.5*||u - img||^2 + weight * TV(u),
+    approximated by inner_iters projected gradient iterations on the dual
+    field (Chambolle 2004).  The dual iterations run in float32 on the planes
+    of work (from _tv_buffers, for at least F frames), so a call allocates
+    nothing.  Every frame of a stack comes out bit for bit as it would alone.
     """
-    h, w = img.shape
+    h, w = img.shape[-2:]
     n = h * w
-    px, py, gx, gy, div, sq, scaled = work
+    size = img.size
+    px, py, gx, gy, div, sq, scaled = work[:, :size]
+    # gy read as (frames, pixels): its difference must not cross a frame end
+    gy_frames = gy.reshape(-1, n)
+    div_frames = div.reshape(-1, n)
     tau = np.float32(0.25)
-    np.divide(img.reshape(n), weight, out=scaled, casting="same_kind")
+    np.divide(img.reshape(size), weight, out=scaled, casting="same_kind")
     px.fill(0.0)
     py.fill(0.0)
-    gy[n - w :] = 0.0
+    gy_frames[:, n - w :] = 0.0
     for _ in range(inner_iters):
         _flat_div(px, py, w, div, gx)
         div -= scaled
@@ -120,7 +139,7 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
         # zeroed, which is the replicate border of _grad
         np.subtract(div[1:], div[:-1], out=gx[:-1])
         gx[w - 1 :: w] = 0.0
-        np.subtract(div[w:], div[:-w], out=gy[: n - w])
+        np.subtract(div_frames[:, w:], div_frames[:, :-w], out=gy_frames[:, : n - w])
         # the divergence plane now takes the denominator 1 + |tau * g|; tau is
         # a power of two, so scaling g first changes no bit, and the square
         # root of a sum of squares is far cheaper than np.hypot in float32
@@ -137,16 +156,17 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
         py /= div
     _flat_div(px, py, w, div, gx)
     div *= np.float32(weight)
-    np.subtract(img, div.reshape(h, w), out=img)
+    np.subtract(img, div.reshape(img.shape), out=img)
 
 
 def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
     """Isotropic TV denoising of a single frame.
 
     The dual iterations run in float32; the input is read and the correction
-    applied in float64.  gap_tv_reconstruct runs the same kernel on each
-    frame and keeps its data step in float64, where the post-projection
-    residual the tests check must stay at rounding level.
+    applied in float64.  gap_tv_reconstruct runs the same kernel on stacks
+    of its frames, with the same result for each frame, and keeps its data
+    step in float64, where the post-projection residual the tests check must
+    stay at rounding level.
 
     Args:
         frame: input image.
@@ -220,7 +240,8 @@ def gap_tv_reconstruct(
     x = masks * (meas / safe_cov)
     scratch = np.empty_like(x)
     plane = np.empty_like(meas)
-    work = _tv_buffers(meas.shape)
+    stack = min(x.shape[0], max(1, _TV_STACK_PIXELS // meas.size))
+    work = _tv_buffers(meas.shape, stack)
 
     def residual() -> np.ndarray:
         np.multiply(masks, x, out=scratch)
@@ -235,8 +256,8 @@ def gap_tv_reconstruct(
         if callback is not None:
             callback(it, float(np.linalg.norm(residual())))
         if params.tv_weight > 0.0:
-            for k in range(x.shape[0]):
-                _tv_denoise(x[k], params.tv_weight, params.tv_inner_iters, work)
+            for k in range(0, x.shape[0], stack):
+                _tv_denoise(x[k : k + stack], params.tv_weight, params.tv_inner_iters, work)
 
     np.clip(x, 0.0, 1.0, out=x)
     if not np.isfinite(x).all():

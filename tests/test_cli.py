@@ -387,23 +387,23 @@ def test_run_pipeline_optional_outputs(tmp_path):
 
 
 def test_dumping_intermediates_fuses_the_block_once(tmp_path, monkeypatch):
-    calls = []
-    real = fusion.estimate_flow
+    calls = []  # systems per estimate_flows stack
+    real = fusion.estimate_flows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(targets, *args, **kwargs):
+        calls.append(len(targets))
+        return real(targets, *args, **kwargs)
 
-    monkeypatch.setattr(fusion, "estimate_flow", counted)
+    monkeypatch.setattr(fusion, "estimate_flows", counted)
     raw, _ = base_config(tmp_path)
     counts, fused = {}, {}
     for dump in (False, True):
         calls.clear()
         cfg = PipelineConfig.from_dict({**raw, "dump_intermediates": dump, "out_dir": str(tmp_path / str(dump))})
         result = run_pipeline(cfg)
-        counts[dump] = len(calls)
+        counts[dump] = sum(calls)
         fused[dump] = (result.out_dir / "fused.khcv").read_bytes()
-    # per frame: one estimate against each key
+    # per frame: one system against each key
     assert counts[True] == counts[False] == 2 * raw["B"]
     assert fused[True] == fused[False]
 
@@ -504,7 +504,6 @@ def test_guarded_exit_codes(tmp_path, monkeypatch):
         (DataError("bad"), 3),
         (FormatError("bad"), 3),
         (FileNotFoundError("bad"), 3),
-        (ValueError("bad"), 3),
         (NumericalError("bad"), 4),
         (FloatingPointError("bad"), 4),
     ):
@@ -523,6 +522,21 @@ def test_guarded_exit_codes(tmp_path, monkeypatch):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
     assert "pipeline" in result.output
+
+
+def test_internal_value_error_is_not_reported_as_bad_data(tmp_path, monkeypatch):
+    # exit 3 means bad input data; a ValueError raised inside the program is
+    # a fault of the program and surfaces as an uncaught exception
+    config_path, _, _ = write_config(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "fuse_video", broken)
+    result = CliRunner().invoke(main, ["pipeline", "--config", str(config_path)])
+    assert result.exit_code not in (0, 2, 3, 4)
+    assert isinstance(result.exception, ValueError) and str(result.exception) == "internal"
+    assert "error: internal" not in result.stderr
 
 
 # ===== command line =====

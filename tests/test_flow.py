@@ -10,6 +10,7 @@ from khcv import (
     FlowParams,
     Frame,
     estimate_flow,
+    estimate_flows,
     flow,
     flow_to_color,
     mean_epe,
@@ -267,6 +268,84 @@ def test_a_zero_start_matches_no_start_at_one_level():
     free = estimate_flow(target, source, params)
     zero = estimate_flow(target, source, params, start=FlowField(np.zeros((2, 24, 28), np.float32)))
     assert free.samples.tobytes() == zero.samples.tobytes()
+
+
+def _coarsest_side(side, levels):
+    for _ in range(levels - 1):
+        side = (side + 1) // 2
+    return side
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_estimate_flows_matches_one_pair_calls(data):
+    # K pairs solved as stacks, with a budget small enough that some levels
+    # split into several stacks, give every pair the field it gets alone.
+    # One pair is an identical pair: its solve stops at once while the
+    # others go on, and its field stays exactly zero
+    levels = data.draw(st.integers(1, 3), label="levels")
+    low = flow._min_side(levels)
+    h = data.draw(st.integers(low, 40), label="h")
+    w = data.draw(st.integers(low, 40), label="w")
+    K = data.draw(st.integers(1, 5), label="K")
+    same = data.draw(st.integers(0, K - 1), label="identical pair")
+    budget = data.draw(st.sampled_from([flow._PCG_STACK_ELEMENTS, 2000, 500, 1]), label="budget")
+    with_starts = data.draw(st.booleans(), label="starts")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    params = FlowParams(
+        pyramid_levels=levels,
+        iters_per_level=data.draw(st.integers(1, 8), label="iters"),
+        warps_per_level=data.draw(st.integers(1, 2), label="warps"),
+    )
+    rng = np.random.default_rng(seed)
+    targets, sources = [], []
+    for k in range(K):
+        target, source = shifted_pair(h, w, dx=int(rng.integers(-2, 3)), dy=int(rng.integers(-2, 3)), seed=seed + k)
+        targets.append(target)
+        sources.append(Frame(target.samples.copy()) if k == same else source)
+    starts = None
+    if with_starts:
+        coarsest = (_coarsest_side(h, levels), _coarsest_side(w, levels))
+        starts = [FlowField(rng.uniform(-1.5, 1.5, (2, *coarsest))) for _ in range(K)]
+        # a negative zero start is kept bit for bit by a solve that stops at once
+        starts[same] = FlowField(np.full((2, *coarsest), -0.0, np.float32))
+
+    real_budget = flow._PCG_STACK_ELEMENTS
+    flow._PCG_STACK_ELEMENTS = budget
+    try:
+        stacked = estimate_flows(targets, sources, params, starts=starts)
+    finally:
+        flow._PCG_STACK_ELEMENTS = real_budget
+    assert len(stacked) == K
+    for k in range(K):
+        alone = estimate_flow(targets[k], sources[k], params, start=None if starts is None else starts[k])
+        assert stacked[k].samples.tobytes() == alone.samples.tobytes()
+    assert not stacked[same].samples.any()
+
+
+def test_a_stopped_system_leaves_its_start_untouched_beside_live_ones():
+    # the identical pair stops at its first iteration, the shifted pair goes
+    # on; the stopped field keeps even the sign of its zeros
+    target, source = shifted_pair(24, 24, dx=1, dy=0, seed=9)
+    params = FlowParams(pyramid_levels=1)
+    starts = [FlowField(np.zeros((2, 24, 24), np.float32)), FlowField(np.full((2, 24, 24), -0.0, np.float32))]
+    moving, still = estimate_flows([target, target], [source, Frame(target.samples.copy())], params, starts=starts)
+    assert np.signbit(still.samples).all() and not still.samples.any()
+    alone = estimate_flow(target, source, params, start=starts[0])
+    assert moving.samples.tobytes() == alone.samples.tobytes()
+
+
+def test_estimate_flows_checks_its_inputs():
+    a, b = shifted_pair(32, 32, dx=1, dy=0, seed=3)
+    small = Frame(np.zeros((24, 24), np.float32))
+    assert estimate_flows([], []) == []
+    for targets, sources, starts in (
+        ([a, a], [b], None),
+        ([a], [b], []),
+        ([a, small], [b, small], None),
+    ):
+        with pytest.raises(ValueError):
+            estimate_flows(targets, sources, FlowParams(pyramid_levels=1), starts=starts)
 
 
 def test_rejects_too_small_images():

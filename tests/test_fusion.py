@@ -249,39 +249,57 @@ def test_fusion_recovers_fine_detail_lost_in_intermediate():
 @pytest.mark.parametrize("B", [1, 2, 3, 4, 5, 6, 7, 16])
 def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, monkeypatch):
     # anchors are every third frame from 1, and B; every other frame refines,
-    # at the finest level only, the fields interpolated between its anchors
+    # at the finest level only, the fields interpolated between its anchors.
+    # Flow runs one anchor interval at a time: the first interval's anchors,
+    # then each later anchor, then the frames between, each with both keys
     side = 32
     frames = VideoCube(np.stack([smooth_texture(side, side, seed=40 + k) for k in range(B)]))
     m = _tiny_measurement(Frame(smooth_texture(side, side, seed=30)), B, Frame(smooth_texture(side, side, seed=31)))
     flow = FlowParams()
     solved = {}  # (k, key side) -> field of the full solve
-    starts = {}  # (k, key side) -> start of the refinement
+    seeds = {}  # (k, key side) -> start of the refinement
+    stacks = []  # (full solve?, frames, frames fused before) per estimate_flows call
+    seen = []
 
-    def counting(target, source, params=None, *, start=None):
-        (k,) = [k for k in range(1, B + 1) if np.array_equal(target.samples, frames.samples[k - 1])]
-        call = (k, "left" if source is m.z_left else "right")
-        assert call not in solved and call not in starts
-        result = real(target, source, params, start=start)
-        if start is None:
+    def counting(targets, sources, params=None, *, starts=None):
+        calls = []
+        for target, source in zip(targets, sources, strict=True):
+            (k,) = [k for k in range(1, B + 1) if np.array_equal(target.samples, frames.samples[k - 1])]
+            calls.append((k, "left" if source is m.z_left else "right"))
+        assert not set(calls) & (set(solved) | set(seeds))
+        result = real(targets, sources, params, starts=starts)
+        if starts is None:
             assert params == flow
-            solved[call] = result
+            solved.update(zip(calls, result))
         else:
             assert params == FlowParams(pyramid_levels=1, warps_per_level=2)
-            starts[call] = start
+            seeds.update(zip(calls, starts, strict=True))
+        # each stack pairs every frame with both keys, left first
+        ks = sorted({k for k, _ in calls})
+        assert calls == [(k, s) for k in ks for s in ("left", "right")]
+        stacks.append((starts is None, ks, len(seen)))
         return result
 
-    real = fusion.estimate_flow
-    monkeypatch.setattr(fusion, "estimate_flow", counting)
-    seen = []
+    real = fusion.estimate_flows
+    monkeypatch.setattr(fusion, "estimate_flows", counting)
     fuse_video(m, frames, flow=flow, callback=lambda k, *rest: seen.append(k))
 
     anchors = sorted(set(range(1, B + 1, 3)) | {B})
     assert sorted(solved) == sorted((k, s) for k in anchors for s in ("left", "right"))
     others = [k for k in range(1, B + 1) if k not in anchors]
-    assert sorted(starts) == sorted((k, s) for k in others for s in ("left", "right"))
+    assert sorted(seeds) == sorted((k, s) for k in others for s in ("left", "right"))
+    assert len(solved) + len(seeds) == 2 * B
     assert seen == list(range(1, B + 1))
-    for (k, s), start in starts.items():
+    for (k, s), start in seeds.items():
         a = max(j for j in anchors if j < k)
         b = min(j for j in anchors if j > k)
         want = ((b - k) * solved[(a, s)].samples + (k - a) * solved[(b, s)].samples) / (b - a)
         assert start.samples.tobytes() == want.astype(np.float32).tobytes()
+    # the stacks, in order, with the number of frames fused before each
+    want_stacks = [(True, anchors[:2], 0)]
+    for i, (a, b) in enumerate(zip(anchors, anchors[1:])):
+        if i:
+            want_stacks.append((True, [b], a))
+        if b > a + 1:
+            want_stacks.append((False, list(range(a + 1, b)), a))
+    assert stacks == want_stacks

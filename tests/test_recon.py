@@ -124,6 +124,48 @@ def test_float32_tv_kernel_matches_float64_reference(h, w, weight, inner_iters, 
     assert again.tobytes() == got.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    frames=st.integers(1, 5),
+    spare=st.integers(0, 2),
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    weight=st.floats(0.01, 0.5),
+    inner_iters=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(frames=3, spare=0, h=1, w=7, weight=0.1, inner_iters=5, seed=0)
+@example(frames=3, spare=1, h=7, w=1, weight=0.1, inner_iters=5, seed=0)
+@example(frames=5, spare=0, h=1, w=1, weight=0.5, inner_iters=3, seed=0)
+def test_stacked_tv_kernel_matches_one_frame_calls(frames, spare, h, w, weight, inner_iters, seed):
+    # frames laid end to end share every pass, through work planes that may
+    # hold more frames than the stack; no difference may cross a row or a
+    # frame end, so each frame matches its own one-frame call bit for bit
+    imgs = np.random.default_rng(seed).random((frames, h, w))
+    stack = imgs.copy()
+    work = recon._tv_buffers((h, w), frames + spare)
+    work.fill(np.nan)
+    recon._tv_denoise(stack, weight, inner_iters, work)
+    for k in range(frames):
+        alone = imgs[k].copy()
+        recon._tv_denoise(alone, weight, inner_iters, recon._tv_buffers((h, w)))
+        assert stack[k].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("side", [5, 24, 48])
+def test_gap_tv_output_does_not_depend_on_the_stack_budget(side, monkeypatch):
+    rng = np.random.default_rng(side)
+    masks = CodingCube((rng.random((6, side, side)) < 0.5).astype(np.uint8))
+    y = encode(VideoCube(rng.random((6, side, side)).astype(np.float32)), masks)
+    params = GapTvParams(outer_iters=4)
+    outputs = set()
+    # one frame per stack, stacks of 4 then 2, and all six frames in one
+    for pixels in (1, 4 * side * side, 6 * side * side):
+        monkeypatch.setattr(recon, "_TV_STACK_PIXELS", pixels)
+        outputs.add(gap_tv_reconstruct(y, masks, params).samples.tobytes())
+    assert len(outputs) == 1
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     frames=st.integers(1, 4),
