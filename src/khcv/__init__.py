@@ -27,7 +27,7 @@ from .fusion import (
     visibility_map,
     warp,
 )
-from .metrics import MetricReport, l1_distance, mean_epe, psnr, ssim, video_report
+from .metrics import l1_distance, mean_epe, psnr, ssim
 from .recon import GapTvParams, coverage_map, gap_tv_reconstruct, total_variation, tv_denoise
 from .tensors import (
     CodingCube,

@@ -35,7 +35,7 @@ from .capture import (
 )
 from .flow import FlowParams, _min_side, flow_to_color
 from .fusion import FusionParams, fuse_video
-from .metrics import video_report
+from .metrics import _SSIM_WINDOW, l1_distance, psnr, ssim
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -210,12 +210,10 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
     """Per-frame rows and their mean block, computing each metric once per frame."""
-    psnrs, ssims, l1s = (video_report(name, cube, truth) for name in ("psnr", "ssim", "l1"))
-    rows = [
-        {"k": k, "psnr_db": _encode_value(p), "ssim": s, "l1": l1}
-        for k, (p, s, l1) in enumerate(zip(psnrs.values, ssims.values, l1s.values), start=1)
-    ]
-    mean = {"psnr_db": _encode_value(psnrs.mean), "ssim": ssims.mean, "l1": l1s.mean, "lpips": "unavailable"}
+    scores = [(psnr(c, t), ssim(c, t), l1_distance(c, t)) for c, t in zip(cube.samples, truth.samples)]
+    rows = [{"k": k, "psnr_db": _encode_value(p), "ssim": s, "l1": l1} for k, (p, s, l1) in enumerate(scores, start=1)]
+    p, s, l1 = (float(np.mean(column)) for column in zip(*scores))
+    mean = {"psnr_db": _encode_value(p), "ssim": s, "l1": l1, "lpips": "unavailable"}
     return rows, mean
 
 
@@ -241,12 +239,21 @@ class PipelineResult:
 
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
     """Check that the scene holds enough frames for the block and that its
-    frames are large enough for the configured flow pyramid."""
+    frames are large enough for the configured flow pyramid and for scoring."""
     try:
         _block_start(scene.frames, cfg.B, cfg.gap_frames)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _check_frame_size(cfg, scene.height, scene.width)
+    _check_scorable(scene)
+
+
+def _check_scorable(cube: VideoCube) -> None:
+    """Check that the cube's frames are large enough for the SSIM window."""
+    if min(cube.height, cube.width) < _SSIM_WINDOW:
+        raise DataError(
+            f"frames are {cube.height}x{cube.width} px but SSIM needs both sides at least {_SSIM_WINDOW} px"
+        )
 
 
 def _check_frame_size(cfg: PipelineConfig, height: int, width: int) -> None:
@@ -528,6 +535,7 @@ def metrics(reference, candidate, out_path):
         raise DataError(
             f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}"
         )
+    _check_scorable(truth)
     per_frame, mean = _score(truth, probe)
     report = {"per_frame": per_frame, "mean": mean}
     text = json.dumps(report, indent=2)

@@ -453,17 +453,8 @@ def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarra
     sat = np.clip(mag / max_magnitude, 0.0, 1.0)
     hue = (np.arctan2(v, u) / (2.0 * np.pi)) % 1.0
 
-    # HSV to RGB with value fixed at 1
-    sector = hue * 6.0
-    idx = np.floor(sector).astype(np.intp) % 6
-    frac = sector - np.floor(sector)
-    p = 1.0 - sat
-    q = 1.0 - sat * frac
-    t = 1.0 - sat * (1.0 - frac)
-    one = np.ones_like(sat)
-    lut_r = np.stack([one, q, p, p, t, one])
-    lut_g = np.stack([t, one, one, q, p, p])
-    lut_b = np.stack([p, p, t, one, one, q])
-    rows, cols = np.indices(sat.shape)
-    rgb = np.stack([lut_r[idx, rows, cols], lut_g[idx, rows, cols], lut_b[idx, rows, cols]], axis=-1)
+    # HSV to RGB with value fixed at 1: channel n of (r, g, b) = (5, 3, 1) is
+    # 1 - sat * clip(min(k, 4 - k), 0, 1) with k = (n + 6 hue) mod 6
+    k = (np.array([5.0, 3.0, 1.0]) + 6.0 * hue[..., np.newaxis]) % 6.0
+    rgb = 1.0 - sat[..., np.newaxis] * np.clip(np.minimum(k, 4.0 - k), 0.0, 1.0)
     return rgb.astype(np.float32)

@@ -1,9 +1,8 @@
-"""Image and flow quality metrics, per frame and per video."""
+"""Image and flow quality metrics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -15,8 +14,6 @@ __all__ = [
     "ssim",
     "l1_distance",
     "mean_epe",
-    "MetricReport",
-    "video_report",
 ]
 
 _SSIM_WINDOW = 11
@@ -121,31 +118,3 @@ def mean_epe(f: FlowField, g: FlowField, mask: np.ndarray | None = None) -> floa
             raise ValueError("mask selects no pixels")
         epe = epe[mask]
     return float(epe.mean())
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-frame values of one metric."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError("report holds no values")
-        return float(np.mean(self.values))
-
-
-def video_report(name: str, a: VideoCube, b: VideoCube, peak: float = 1.0) -> MetricReport:
-    """Apply one metric frame by frame across two cubes of equal shape."""
-    if a.samples.shape != b.samples.shape:
-        raise ValueError(f"cube shape mismatch: {a.samples.shape} vs {b.samples.shape}")
-    fn = {"psnr": psnr, "ssim": ssim, "l1": l1_distance}.get(name)
-    if fn is None:
-        raise ValueError(f"unknown metric {name!r}")
-    if name == "l1":
-        values = [fn(a.samples[k], b.samples[k]) for k in range(a.frames)]
-    else:
-        values = [fn(a.samples[k], b.samples[k], peak) for k in range(a.frames)]
-    return MetricReport(name=name, values=values)

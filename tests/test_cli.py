@@ -14,12 +14,12 @@ from khcv import (
     cli,
     export_pgm,
     fusion,
+    l1_distance,
     load_tensor,
     psnr,
     read_measurement,
     save_tensor,
     ssim,
-    video_report,
 )
 from khcv.cli import (
     ConfigError,
@@ -678,6 +678,20 @@ def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["pipeline"], ["sweep", "--gaps", "0"]])
+def test_cli_frames_below_the_ssim_window_exit_3_before_writing(tmp_path, command):
+    # one pyramid level takes 10 px sides, but the SSIM window needs 11
+    scene = translating_scene(10, 10, SCENE_FRAMES, step=(1, 0), seed=9)
+    save_tensor(scene, tmp_path / "small.khcv")
+    raw, _ = base_config(tmp_path, scene=str(tmp_path / "small.khcv"), flow={"pyramid_levels": 1})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, [*command, "--config", str(p)])
+    assert result.exit_code == 3, result.output
+    assert "SSIM" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def _fuse_24px_block(tmp_path, frames: int, pyramid_levels: int):
     """Simulate a 24x24, B=4 measurement, then run `khcv fuse` on it with an
     intermediate cube of this many frames and this flow pyramid depth."""
@@ -747,7 +761,17 @@ def test_cli_metrics_command(tmp_path):
     assert result.exit_code == 3
 
 
-def test_report_means_match_per_metric_video_reports(tmp_path):
+def test_cli_metrics_on_frames_below_the_ssim_window_exits_3_before_writing(tmp_path):
+    pa, pb, out = tmp_path / "a.khcv", tmp_path / "b.khcv", tmp_path / "metrics.json"
+    save_tensor(Frame(np.full((9, 9), 0.5, np.float32)), pa)
+    save_tensor(Frame(np.full((9, 9), 0.25, np.float32)), pb)
+    result = CliRunner().invoke(main, ["metrics", str(pa), str(pb), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "SSIM" in result.output
+    assert not out.exists()
+
+
+def test_report_means_match_per_frame_metrics(tmp_path):
     truth = translating_scene(24, 24, 3, seed=2)
     rng = np.random.default_rng(7)
     noisy = np.clip(truth.samples + rng.normal(0.0, 0.05, truth.samples.shape), 0.0, 1.0).astype(np.float32)
@@ -768,11 +792,11 @@ def test_report_means_match_per_metric_video_reports(tmp_path):
             ssim(probe.samples[k], truth.samples[k]) for k in range(truth.frames)
         ]
         mean = report["mean"]
-        expected_psnr = video_report("psnr", probe, truth).mean
+        expected_psnr = float(np.mean(psnrs))
         assert mean == {
             "psnr_db": "inf" if math.isinf(expected_psnr) else expected_psnr,
-            "ssim": video_report("ssim", probe, truth).mean,
-            "l1": video_report("l1", probe, truth).mean,
+            "ssim": float(np.mean([ssim(probe.samples[k], truth.samples[k]) for k in range(truth.frames)])),
+            "l1": float(np.mean([l1_distance(probe.samples[k], truth.samples[k]) for k in range(truth.frames)])),
             "lpips": "unavailable",
         }
         assert (mean["psnr_db"] == "inf") == (name == "one_exact")

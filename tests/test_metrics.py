@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from khcv import FlowField, Frame, MetricReport, VideoCube, l1_distance, mean_epe, psnr, ssim, video_report
+from khcv import FlowField, Frame, l1_distance, mean_epe, psnr, ssim
 
 from conftest import smooth_texture
 
@@ -112,19 +112,3 @@ def test_mean_epe_masked():
     with pytest.raises(ValueError):
         mean_epe(f, g, np.zeros((4, 4), bool))
 
-
-def test_metric_report_empty_mean_raises():
-    with pytest.raises(ValueError):
-        MetricReport(name="psnr").mean
-
-
-def test_video_report_per_frame():
-    rng = np.random.default_rng(2)
-    a = VideoCube(rng.random((3, 16, 16)).astype(np.float32))
-    b = VideoCube(np.clip(a.samples + 0.01, 0, 2))
-    r = video_report("psnr", a, b)
-    assert len(r.values) == 3
-    for k in range(3):
-        assert abs(r.values[k] - psnr(a.samples[k], b.samples[k])) < 1e-12
-    with pytest.raises(ValueError):
-        video_report("vmaf", a, b)
