@@ -274,20 +274,31 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         return out
 
     def linearize() -> None:
-        # grad, coef and rhs around the current field; the float64 data term
-        # lives only as long as this call
-        u0 = field[:, 0].astype(np.float64)
-        v0 = field[:, 1].astype(np.float64)
-        warped = _warp_by_flow(source, u0, v0)
-        fx, fy = _central_diff(0.5 * (target + warped))
-        denom = alpha_sq + fx * fx + fy * fy
-        ft = warped - target - fx * u0 - fy * v0
+        # grad, coef and rhs around the current field (u0, v0), which is read
+        # as float32 and widens exactly.  The float64 data term lives only as
+        # long as this call, in four (K, h, w) arrays: ft and the denominator
+        # are built in place in the warp and the averaged frame, in the order
+        # of warped - target - fx*u0 - fy*v0 and alpha^2 + fx^2 + fy^2, and
+        # each float32 plane takes its float64 result straight from the ufunc
+        u0, v0 = field[:, 0], field[:, 1]
+        ft = _warp_by_flow(source, u0, v0)
+        mean = np.add(target, ft)
+        mean *= 0.5
+        fx, fy = _central_diff(mean)
+        ft -= target
+        ft -= np.multiply(fx, u0, out=mean)
+        ft -= np.multiply(fy, v0, out=mean)
         grad[:, 0, 1:-1, 1:-1] = fx
         grad[:, 1, 1:-1, 1:-1] = fy
-        coef[:, 0, 1:-1, 1:-1] = fx / denom
-        coef[:, 1, 1:-1, 1:-1] = fy / denom
-        rhs[:, 0, 1:-1, 1:-1] = -fx * ft
-        rhs[:, 1, 1:-1, 1:-1] = -fy * ft
+        # -g ft as g (-ft): negation is exact and commutes with the product
+        np.negative(ft, out=ft)
+        np.multiply(fx, ft, out=rhs[:, 0, 1:-1, 1:-1], casting="same_kind")
+        np.multiply(fy, ft, out=rhs[:, 1, 1:-1, 1:-1], casting="same_kind")
+        denom = np.multiply(fx, fx, out=mean)
+        denom += alpha_sq
+        denom += np.multiply(fy, fy, out=ft)
+        np.divide(fx, denom, out=coef[:, 0, 1:-1, 1:-1], casting="same_kind")
+        np.divide(fy, denom, out=coef[:, 1, 1:-1, 1:-1], casting="same_kind")
 
     for _ in range(params.warps_per_level):
         linearize()

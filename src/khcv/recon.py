@@ -13,11 +13,14 @@ is open; the TV step pulls each frame toward a piecewise-smooth image.
 
 The data step runs in float64, so the residual right after a projection,
 which the callback reports and the tests require to be non-increasing to
-1e-9, stays at rounding level.  The TV step's dual iterations run in float32,
-in place on work planes allocated once per reconstruction; the result stays
-within about 2e-7 of a float64 dual at a fraction of its cost.  Small frames
-are denoised as stacks that share each numpy pass, as many as fit a fixed
-pixel budget; each frame comes out as it would alone.
+1e-9, stays at rounding level.  It runs one frame at a time through two
+(H, W) planes, so beyond its estimate and its copy of the masks a
+reconstruction holds no (B, H, W) cube.  The TV step's dual iterations run
+in float32, in place on six work planes allocated once per reconstruction;
+the result stays within about 2e-7 of a float64 dual at a fraction of its
+cost, and bit for bit matches a plain float32 dual loop.  Small frames are
+denoised as stacks that share each numpy pass, as many as fit a fixed pixel
+budget; each frame comes out as it would alone.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def total_variation(img) -> float:
 
 # Frames of one reconstruction are denoised as stacks that share every numpy
 # pass, with at most this many pixels per stack (at least one frame).  The
-# seven float32 work planes of a stack then stay within the 2 MB L2 cache:
+# six float32 work planes of a stack then stay within the 2 MB L2 cache:
 # the step on four 48x48 frames as one stack takes 0.59x the time of four
 # one-frame calls, while at 128x128 two or four frames per stack are within
 # noise of one (0.96x, 1.03x) and all 16 take 1.28x.
@@ -91,9 +94,10 @@ _TV_STACK_PIXELS = 16_384
 
 
 def _tv_buffers(shape: tuple[int, int], frames: int = 1) -> np.ndarray:
-    """The seven float32 work planes _tv_denoise needs for stacks of up to
-    this many frames of this shape."""
-    return np.empty((7, frames * shape[0] * shape[1]), np.float32)
+    """The six float32 work planes _tv_denoise needs for stacks of up to
+    this many frames of this shape: px, py, gx, gy, the divergence and the
+    shift plane -tau * img / weight."""
+    return np.empty((6, frames * shape[0] * shape[1]), np.float32)
 
 
 def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -110,6 +114,19 @@ def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.n
     out[w:] += tmp[: n - w]
 
 
+def _flat_grad(src: np.ndarray, w: int, n: int, gx: np.ndarray, gy: np.ndarray) -> None:
+    # _grad on flat planes of row length w, frames of n pixels laid end to
+    # end: the differences are read flat, and the pair straddling each row end
+    # is zeroed, as is the last row of every frame, which is the replicate
+    # border; gy is read as (frames, pixels), so no difference crosses a frame
+    np.subtract(src[1:], src[:-1], out=gx[:-1])
+    gx[w - 1 :: w] = 0.0
+    src_frames = src.reshape(-1, n)
+    gy_frames = gy.reshape(-1, n)
+    np.subtract(src_frames[:, w:], src_frames[:, :-w], out=gy_frames[:, : n - w])
+    gy_frames[:, n - w :] = 0.0
+
+
 def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarray) -> None:
     """Proximal isotropic TV step solved in the dual with fixed step 0.25, in place.
 
@@ -119,41 +136,46 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
     field (Chambolle 2004).  The dual iterations run in float32 on the planes
     of work (from _tv_buffers, for at least F frames), so a call allocates
     nothing.  Every frame of a stack comes out bit for bit as it would alone.
+
+    Each iteration is p = (p + tau g) / (1 + |tau g|) with
+    g = grad(div(p) - img / weight).  tau is a power of two, so it is folded
+    into the divergence plane, div(p) * tau + shift with shift = -tau * img /
+    weight, instead of scaling g, and no bit changes.  The denominator is
+    built in the gradient planes once p + tau g is formed.  The first
+    iteration starts from p = 0, so its tau g is the gradient of the shift
+    plane itself.
     """
     h, w = img.shape[-2:]
     n = h * w
     size = img.size
-    px, py, gx, gy, div, sq, scaled = work[:, :size]
-    # gy read as (frames, pixels): its difference must not cross a frame end
-    gy_frames = gy.reshape(-1, n)
-    div_frames = div.reshape(-1, n)
-    tau = np.float32(0.25)
-    np.divide(img.reshape(size), weight, out=scaled, casting="same_kind")
-    px.fill(0.0)
-    py.fill(0.0)
-    gy_frames[:, n - w :] = 0.0
-    for _ in range(inner_iters):
-        _flat_div(px, py, w, div, gx)
-        div -= scaled
-        # forward differences read flat; the pair straddling each row end is
-        # zeroed, which is the replicate border of _grad
-        np.subtract(div[1:], div[:-1], out=gx[:-1])
-        gx[w - 1 :: w] = 0.0
-        np.subtract(div_frames[:, w:], div_frames[:, :-w], out=gy_frames[:, : n - w])
-        # the divergence plane now takes the denominator 1 + |tau * g|; tau is
-        # a power of two, so scaling g first changes no bit, and the square
-        # root of a sum of squares is far cheaper than np.hypot in float32
-        gx *= tau
-        gy *= tau
-        np.multiply(gx, gx, out=div)
-        np.multiply(gy, gy, out=sq)
-        div += sq
-        np.sqrt(div, out=div)
-        div += 1.0
-        px += gx
-        px /= div
-        py += gy
-        py /= div
+    px, py, gx, gy, div, shift = work[:, :size]
+    tau = 0.25
+    np.divide(img.reshape(size), -weight / tau, out=shift, casting="same_kind")
+    # a dual started from p = 0 never holds a negative zero; adding 0 turns
+    # those of shift positive, as the first iteration reads its gradient
+    # straight from shift
+    shift += 0.0
+    for it in range(inner_iters):
+        if it == 0:
+            _flat_grad(shift, w, n, px, py)
+            np.multiply(px, px, out=gx)
+            np.multiply(py, py, out=gy)
+        else:
+            _flat_div(px, py, w, div, gx)
+            div *= tau
+            div += shift
+            _flat_grad(div, w, n, gx, gy)
+            px += gx
+            py += gy
+            gx *= gx
+            gy *= gy
+        # 1 + |tau g|: the square root of a sum of squares is far cheaper than
+        # np.hypot in float32
+        gx += gy
+        np.sqrt(gx, out=gx)
+        gx += 1.0
+        px /= gx
+        py /= gx
     _flat_div(px, py, w, div, gx)
     div *= np.float32(weight)
     np.subtract(img, div.reshape(img.shape), out=img)
@@ -235,30 +257,39 @@ def gap_tv_reconstruct(
     # where it is 0 every mask is closed and the update is 0 whatever the divisor
     safe_cov = np.maximum(coverage, 1.0)
 
-    # The data step stays float64 and runs in place through one (B, H, W)
-    # scratch cube and one plane; only the TV dual is float32.
+    # The data step stays float64 and runs one frame at a time through two
+    # (H, W) planes; only the TV dual is float32.
     x = masks * (meas / safe_cov)
-    scratch = np.empty_like(x)
     plane = np.empty_like(meas)
+    product = np.empty_like(meas)
     stack = min(x.shape[0], max(1, _TV_STACK_PIXELS // meas.size))
     work = _tv_buffers(meas.shape, stack)
 
     def residual() -> np.ndarray:
-        np.multiply(masks, x, out=scratch)
-        np.sum(scratch, axis=0, out=plane)
+        # meas - sum_k c_k x_k, the products added to zero in frame order: bit
+        # for bit numpy's axis-0 sum of the stack, for frames of more than one
+        # pixel
+        plane.fill(0.0)
+        for mask, frame in zip(masks, x):
+            np.multiply(mask, frame, out=product)
+            np.add(plane, product, out=plane)
         return np.subtract(meas, plane, out=plane)
 
     for it in range(params.outer_iters):
         residual()
         plane /= safe_cov
-        np.multiply(masks, plane, out=scratch)
-        x += scratch
+        for mask, frame in zip(masks, x):
+            np.multiply(mask, plane, out=product)
+            frame += product
         if callback is not None:
             callback(it, float(np.linalg.norm(residual())))
         if params.tv_weight > 0.0:
             for k in range(0, x.shape[0], stack):
                 _tv_denoise(x[k : k + stack], params.tv_weight, params.tv_inner_iters, work)
 
+    # the float32 result is made next; the mask copy and the work planes go
+    # first, which keeps them out of the peak
+    del masks, work
     np.clip(x, 0.0, 1.0, out=x)
     if not np.isfinite(x).all():
         raise FloatingPointError("reconstruction diverged to non-finite values")

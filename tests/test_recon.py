@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,50 +52,90 @@ def test_tv_denoise_never_increases_tv():
         assert total_variation(out) <= total_variation(img) + 1e-6
 
 
+def ref_grad(a):
+    gx = np.zeros_like(a)
+    gy = np.zeros_like(a)
+    gx[:, :-1] = a[:, 1:] - a[:, :-1]
+    gy[:-1, :] = a[1:, :] - a[:-1, :]
+    return gx, gy
+
+
+def ref_div(px, py):
+    d = np.zeros_like(px)
+    d[:, 0] += px[:, 0]
+    d[:, 1:] += px[:, 1:] - px[:, :-1]
+    d[0, :] += py[0, :]
+    d[1:, :] += py[1:, :] - py[:-1, :]
+    return d
+
+
 def reference_tv_denoise(img, weight, inner_iters):
     """The Chambolle dual loop in float64 with freshly allocated arrays."""
-
-    def grad(a):
-        gx = np.zeros_like(a)
-        gy = np.zeros_like(a)
-        gx[:, :-1] = a[:, 1:] - a[:, :-1]
-        gy[:-1, :] = a[1:, :] - a[:-1, :]
-        return gx, gy
-
-    def div(px, py):
-        d = np.zeros_like(px)
-        d[:, 0] += px[:, 0]
-        d[:, 1:] += px[:, 1:] - px[:, :-1]
-        d[0, :] += py[0, :]
-        d[1:, :] += py[1:, :] - py[:-1, :]
-        return d
-
     tau = 0.25
     px = np.zeros_like(img)
     py = np.zeros_like(img)
     scaled = img / weight
     for _ in range(inner_iters):
-        gx, gy = grad(div(px, py) - scaled)
+        gx, gy = ref_grad(ref_div(px, py) - scaled)
         denom = 1.0 + tau * np.hypot(gx, gy)
         px = (px + tau * gx) / denom
         py = (py + tau * gy) / denom
-    return img - weight * div(px, py)
+    return img - weight * ref_div(px, py)
 
 
-def reference_gap_tv(y, c, params):
-    """The GAP-TV loop in float64 throughout, TV step by reference_tv_denoise.
+def plain_float32_tv_denoise(img, weight, inner_iters):
+    """The same loop in float32, written plainly: the dual starts from zero,
+    tau * g is added to it, and the correction is applied in float64."""
+    f32 = np.float32
+    tau = f32(0.25)
+    px = np.zeros(img.shape, f32)
+    py = np.zeros(img.shape, f32)
+    scaled = (img / weight).astype(f32)
+    for _ in range(inner_iters):
+        gx, gy = ref_grad(ref_div(px, py) - scaled)
+        gx *= tau
+        gy *= tau
+        denom = f32(1.0) + np.sqrt(gx * gx + gy * gy)
+        px = (px + gx) / denom
+        py = (py + gy) / denom
+    return img - (f32(weight) * ref_div(px, py)).astype(np.float64)
 
-    It divides by max(R, 1e-8), not the solver's max(R, 1).  R counts open
-    binary masks, so the two agree wherever a mask is open, and elsewhere
-    the update is 0 under either; comparing with the solver checks that."""
+
+def image_with_zeros(rng, shape, zeros):
+    """Uniform [0, 1) samples; zeros is "none", "all" (an all-zero image),
+    "half" (about half the pixels +0) or "signed" (zeros of both signs)."""
+    img = rng.random(shape)
+    if zeros == "all":
+        img[...] = 0.0
+    elif zeros in ("half", "signed"):
+        img[rng.random(shape) < 0.5] = 0.0
+        if zeros == "signed":
+            img[rng.random(shape) < 0.25] = -0.0
+    return img
+
+
+ZEROS = st.sampled_from(["none", "all", "half", "signed"])
+
+
+def reference_gap_tv(y, c, params, tv=reference_tv_denoise, floor=1e-8, callback=None):
+    """The GAP-TV loop with a cube-wide float64 data step, TV step by tv.
+
+    By default it divides by max(R, 1e-8), not the solver's max(R, 1), and
+    denoises in float64.  R counts open binary masks, so the two divisors
+    agree wherever a mask is open, and elsewhere the update is 0 under
+    either; comparing with the solver checks that.  With floor=1 and
+    tv=plain_float32_tv_denoise it is the solver's arithmetic, written
+    plainly.  callback is called as the solver calls it."""
     masks = c.samples.astype(np.float64)
     meas = y.samples.astype(np.float64)
-    safe_cov = np.maximum((masks * masks).sum(axis=0), 1e-8)
+    safe_cov = np.maximum((masks * masks).sum(axis=0), floor)
     x = masks * (meas / safe_cov)
-    for _ in range(params.outer_iters):
+    for it in range(params.outer_iters):
         x = x + masks * ((meas - (masks * x).sum(axis=0)) / safe_cov)
+        if callback is not None:
+            callback(it, float(np.linalg.norm(meas - (masks * x).sum(axis=0))))
         for k in range(x.shape[0]):
-            x[k] = reference_tv_denoise(x[k], params.tv_weight, params.tv_inner_iters)
+            x[k] = tv(x[k], params.tv_weight, params.tv_inner_iters)
     return np.clip(x, 0.0, 1.0)
 
 
@@ -104,18 +145,28 @@ def reference_gap_tv(y, c, params):
     w=st.integers(1, 40),
     weight=st.floats(0.01, 0.5),
     inner_iters=st.integers(1, 8),
+    zeros=ZEROS,
     seed=st.integers(0, 2**32 - 1),
 )
-@example(h=1, w=40, weight=0.1, inner_iters=5, seed=0)
-@example(h=40, w=1, weight=0.1, inner_iters=5, seed=0)
-@example(h=1, w=1, weight=0.5, inner_iters=8, seed=0)
-def test_float32_tv_kernel_matches_float64_reference(h, w, weight, inner_iters, seed):
-    img = np.random.default_rng(seed).random((h, w))
+@example(h=1, w=40, weight=0.1, inner_iters=5, zeros="none", seed=0)
+@example(h=40, w=1, weight=0.1, inner_iters=5, zeros="none", seed=0)
+@example(h=1, w=1, weight=0.5, inner_iters=8, zeros="none", seed=0)
+# only the first iteration, from p = 0, runs
+@example(h=9, w=7, weight=0.1, inner_iters=1, zeros="none", seed=0)
+@example(h=9, w=7, weight=0.1, inner_iters=3, zeros="all", seed=0)
+@example(h=12, w=10, weight=0.1, inner_iters=1, zeros="signed", seed=1)
+@example(h=12, w=10, weight=0.1, inner_iters=4, zeros="signed", seed=2)
+def test_float32_tv_kernel_matches_float64_reference(h, w, weight, inner_iters, zeros, seed):
+    img = image_with_zeros(np.random.default_rng(seed), (h, w), zeros)
     ref = reference_tv_denoise(img, weight, inner_iters)
     work = recon._tv_buffers((h, w))
     got = img.copy()
     recon._tv_denoise(got, weight, inner_iters, work)
     assert np.abs(got - ref).max() <= 1e-6
+    # and bit for bit the plain float32 loop, signed zeros included: tau is
+    # folded into the divergence and the first iteration is specialised
+    # without changing a bit
+    assert got.tobytes() == plain_float32_tv_denoise(img, weight, inner_iters).tobytes()
 
     # a second call through the same, now dirty, work planes repeats exactly
     work.fill(np.nan)
@@ -132,16 +183,21 @@ def test_float32_tv_kernel_matches_float64_reference(h, w, weight, inner_iters, 
     w=st.integers(1, 24),
     weight=st.floats(0.01, 0.5),
     inner_iters=st.integers(1, 6),
+    zeros=ZEROS,
     seed=st.integers(0, 2**32 - 1),
 )
-@example(frames=3, spare=0, h=1, w=7, weight=0.1, inner_iters=5, seed=0)
-@example(frames=3, spare=1, h=7, w=1, weight=0.1, inner_iters=5, seed=0)
-@example(frames=5, spare=0, h=1, w=1, weight=0.5, inner_iters=3, seed=0)
-def test_stacked_tv_kernel_matches_one_frame_calls(frames, spare, h, w, weight, inner_iters, seed):
+@example(frames=3, spare=0, h=1, w=7, weight=0.1, inner_iters=5, zeros="none", seed=0)
+@example(frames=3, spare=1, h=7, w=1, weight=0.1, inner_iters=5, zeros="none", seed=0)
+@example(frames=5, spare=0, h=1, w=1, weight=0.5, inner_iters=3, zeros="none", seed=0)
+@example(frames=3, spare=1, h=6, w=5, weight=0.1, inner_iters=1, zeros="none", seed=0)
+@example(frames=3, spare=0, h=6, w=5, weight=0.1, inner_iters=3, zeros="all", seed=0)
+@example(frames=4, spare=0, h=8, w=6, weight=0.1, inner_iters=1, zeros="signed", seed=1)
+@example(frames=4, spare=2, h=8, w=6, weight=0.1, inner_iters=4, zeros="signed", seed=2)
+def test_stacked_tv_kernel_matches_one_frame_calls(frames, spare, h, w, weight, inner_iters, zeros, seed):
     # frames laid end to end share every pass, through work planes that may
     # hold more frames than the stack; no difference may cross a row or a
     # frame end, so each frame matches its own one-frame call bit for bit
-    imgs = np.random.default_rng(seed).random((frames, h, w))
+    imgs = image_with_zeros(np.random.default_rng(seed), (frames, h, w), zeros)
     stack = imgs.copy()
     work = recon._tv_buffers((h, w), frames + spare)
     work.fill(np.nan)
@@ -150,6 +206,29 @@ def test_stacked_tv_kernel_matches_one_frame_calls(frames, spare, h, w, weight, 
         alone = imgs[k].copy()
         recon._tv_denoise(alone, weight, inner_iters, recon._tv_buffers((h, w)))
         assert stack[k].tobytes() == alone.tobytes()
+
+
+def test_gap_tv_allocates_no_scratch_cube():
+    # a reconstruction holds its float64 estimate, a float64 copy of the
+    # masks, the TV work planes and the float32 result; the data step runs a
+    # frame at a time, so beyond those it allocates less than one float64
+    # cube, where a (B, H, W) scratch cube alone would be one
+    B, side = 8, 64
+    rng = np.random.default_rng(5)
+    masks = CodingCube((rng.random((B, side, side)) < 0.5).astype(np.uint8))
+    y = encode(VideoCube(rng.random((B, side, side)).astype(np.float32)), masks)
+    params = GapTvParams(outer_iters=2)
+    gap_tv_reconstruct(y, masks, params)  # one-time allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        gap_tv_reconstruct(y, masks, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cube = B * side * side * 8
+    stack = min(B, recon._TV_STACK_PIXELS // (side * side))
+    held = 2 * cube + recon._tv_buffers((side, side), stack).nbytes + cube // 2
+    assert peak - held < cube
 
 
 @pytest.mark.parametrize("side", [5, 24, 48])
@@ -188,9 +267,17 @@ def test_gap_tv_matches_float64_reference(frames, h, w, outer_iters, weight, inn
     y = encode(VideoCube(rng.random((frames, h, w)).astype(np.float32)), masks)
     params = GapTvParams(outer_iters=outer_iters, tv_weight=weight, tv_inner_iters=inner_iters)
     caplog.clear()
+    residuals = ([], [])
     with caplog.at_level(logging.WARNING, logger="khcv.recon"):
-        got = gap_tv_reconstruct(y, masks, params)
+        got = gap_tv_reconstruct(y, masks, params, callback=lambda k, r: residuals[0].append(r))
     assert np.abs(got.samples - reference_gap_tv(y, masks, params)).max() <= 1e-6
+    # the data step a frame at a time adds in the order of the cube-wide sum,
+    # so the float64 residuals repeat bit for bit
+    plain = reference_gap_tv(
+        y, masks, params, plain_float32_tv_denoise, floor=1.0, callback=lambda k, r: residuals[1].append(r)
+    )
+    assert got.samples.tobytes() == plain.astype(np.float32).tobytes()
+    assert residuals[0] == residuals[1]
     warned = any("zero mask coverage" in rec.message for rec in caplog.records)
     assert warned == bool((planes.sum(axis=0) == 0).any())
 
