@@ -5,14 +5,13 @@ warping: out(p) = source(p + f(p)).  estimate_flow returns the field that
 makes that warp match the target.  The solver builds binomially filtered
 image pyramids and, at each level, linearizes the data term around the
 current warp a few times.  Each linearization is the sparse symmetric
-Horn-Schunck system, solved by a fixed number of preconditioned conjugate
-gradient (PCG) iterations started from the current field.  The field is
+Horn-Schunck system, solved by a fixed number of conjugate gradient (CG)
+iterations started from the current field.  The field is
 upsampled between levels.  The coarsest level starts from zero, or from a
 field the caller gives, such as a guess interpolated from nearby frames.
 
-The data term (warp, image gradients and the Horn-Schunck denominator) is
-formed in float64; the PCG iterations run in float32 with float64 inner
-products.
+The data term (warp, image gradients and right-hand side) is formed in
+float64; the CG iterations run in float32 with float64 inner products.
 
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .capture import _is_int
 from .tensors import FlowField, Frame
 
 __all__ = [
@@ -44,11 +44,13 @@ _MIN_COARSE_SIDE = 8
 
 # The systems of one pyramid level are solved in stacks of at most
 # max(1, _PCG_STACK_ELEMENTS // (2 (h + 2) (w + 2))), the systems whose padded
-# float32 fields fit this many elements, so that the PCG work arrays of a
-# stack stay within the 2 MB L2 cache.  Per-system PCG cost with K systems
-# stacked, against one at a time: 0.32x at 12x12 (K=4), 0.45x at 24x24
-# (K=4), 0.41x at 32x32 (K=12), 0.74x at 48x48 (K=4), 0.61x at 64x64 (K=4),
-# but 1.07x at 128x128 (K=2); at 128x128 and above a stack holds one system.
+# float32 fields fit this many elements, so that the CG work arrays of a
+# stack stay within the 2 MB L2 cache.  Per-system cost with K systems
+# stacked, against one at a time, measured with a block-preconditioned
+# kernel that made four more passes per iteration: 0.32x at 12x12 (K=4),
+# 0.45x at 24x24 (K=4), 0.41x at 32x32 (K=12), 0.74x at 48x48 (K=4), 0.61x
+# at 64x64 (K=4), but 1.07x at 128x128 (K=2); at 128x128 and above a stack
+# holds one system.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -62,34 +64,30 @@ class FlowParams:
     alpha weighs the smoothness term against the data term on the [0, 1]
     intensity scale; larger values give smoother fields.  Each level runs
     warps_per_level linearizations of the data term (float64).  Each
-    linearization is solved by exactly iters_per_level preconditioned
-    conjugate-gradient iterations (float32), with no tolerance stop, so the
-    work per call depends only on the image size and these settings.  The
-    preconditioner inverts the per-pixel part alpha^2 I + g g^T of the
-    system exactly, g being the image gradient.
+    linearization is solved by exactly iters_per_level conjugate-gradient
+    iterations (float32), with no tolerance stop, so the work per call
+    depends only on the image size and these settings.  The counts are
+    integers (a bool is not one).
 
     The defaults are what fusion runs: alpha this strong keeps the
     reconstruction artifacts of GAP-TV targets from dominating the data
-    term, and 20 iterations fuse the 128x128 scene of acceptance criterion 6,
-    anchor frames and refinements included, within 0.07 dB of 200 iterations
-    (26.502 dB, SSIM 0.7711, against 26.568 dB, SSIM 0.7756).
+    term, and 22 iterations fuse the 128x128 scene of acceptance criterion 6,
+    anchor frames and refinements included, to 26.513 dB, SSIM 0.7718.
     """
 
     pyramid_levels: int = 3
     alpha: float = 0.2
-    iters_per_level: int = 20
+    iters_per_level: int = 22
     warps_per_level: int = 3
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.pyramid_levels >= 1:
-            raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.iters_per_level >= 1:
-            raise ValueError(f"iters_per_level must be >= 1, got {self.iters_per_level}")
-        if not self.warps_per_level >= 1:
-            raise ValueError(f"warps_per_level must be >= 1, got {self.warps_per_level}")
+        for name in ("pyramid_levels", "iters_per_level", "warps_per_level"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _min_side(pyramid_levels: int) -> int:
@@ -181,17 +179,16 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     where M is the original Horn-Schunck neighborhood average (cardinal
     1/6, diagonal 1/12) with replicate borders.  M is symmetric, so A is
     symmetric positive (semi)definite, and iters_per_level iterations of
-    preconditioned conjugate gradients, started from the current field,
-    solve it.  The preconditioner is the per-pixel inverse of
-    alpha^2 I + g g^T: by Sherman-Morrison it maps r to
-    (r - g (coef . r)) / alpha^2 with coef = g / (alpha^2 + fx^2 + fy^2).
-    Its constant factor 1/alpha^2 does not change the iterates and is left
-    out.  The iterations run in float32 on padded planes; the two inner
-    products accumulate in float64, one per system.  A zero preconditioned
-    residual, or a search direction with no positive curvature, stops that
-    system's solve, so identical frames leave the field exactly zero.  The
-    systems share every numpy pass, but no operation mixes two of them:
-    each field comes out bit for bit as it would from a stack of one.
+    conjugate gradients, started from the current field, solve it.  No
+    preconditioner is applied: |g|^2 is far below alpha^2 on the fused
+    scenes, so A is close to alpha^2 (I - M) and a per-pixel inverse of
+    alpha^2 I + g g^T is nearly a plain scaling.  The iterations run in
+    float32 on padded planes; the two inner products accumulate in float64,
+    one per system.  A zero residual, or a search direction with no
+    positive curvature, stops that system's solve, so identical frames
+    leave the field exactly zero.  The systems share every numpy pass, but
+    no operation mixes two of them: each field comes out bit for bit as it
+    would from a stack of one.
     """
     K, h, w = target.shape
     alpha_sq = params.alpha * params.alpha
@@ -211,10 +208,8 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     x_run = x_pad.reshape(K, 2, plane)[..., lo:hi]
     p_run = p_pad.reshape(K, 2, plane)[..., lo:hi]
     grad = np.zeros_like(x_pad)
-    coef = np.zeros_like(x_pad)
     rhs = np.zeros_like(x_pad)
     grad_run = grad.reshape(K, 2, plane)[..., lo:hi]
-    coef_run = coef.reshape(K, 2, plane)[..., lo:hi]
     rhs_run = rhs.reshape(K, 2, plane)[..., lo:hi]
     diff = np.empty((K, 2, n + 2 * row + 1), np.float32)
     h2 = np.empty((K, 2, n + 2 * row), np.float32)
@@ -224,7 +219,6 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     ap = ap_rows.reshape(K, 2, h * row)[..., :n]
     ap_border = ap_rows[..., w:]
     r = np.empty((K, 2, n), np.float32)
-    z = np.empty_like(r)
     tmp = np.empty_like(r)
     t = np.empty((K, 1, n), np.float32)
 
@@ -255,31 +249,26 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.add(ap, tmp, out=ap)
         ap_border[...] = 0.0
 
-    def precondition() -> list[float]:
-        # z = r - g (coef . r); returns r . z per system
-        np.multiply(coef_run, r, out=tmp)
-        np.add(tmp[:, 0], tmp[:, 1], out=t[:, 0])
-        np.multiply(grad_run, t, out=tmp)
-        np.subtract(r, tmp, out=z)
-        return np.einsum("kij,kij->k", r, z, dtype=np.float64).tolist()
+    def residual_sq() -> list[float]:
+        # r . r per system
+        return np.einsum("kij,kij->k", r, r, dtype=np.float64).tolist()
 
     step = np.empty((K, 1, 1), np.float32)
     beta = np.empty_like(step)
 
     def ratios(num: list[float], den: list[float], live: list[bool], out: np.ndarray) -> np.ndarray:
         # num / den per live system, rounded to float32 as a lone solve's
-        # np.float32(rz / pap) is; 0 for a stopped system, whose quotient is
+        # np.float32(rr / pap) is; 0 for a stopped system, whose quotient is
         # never formed
         out.reshape(K)[:] = [a / b if on else 0.0 for a, b, on in zip(num, den, live)]
         return out
 
     def linearize() -> None:
-        # grad, coef and rhs around the current field (u0, v0), which is read
-        # as float32 and widens exactly.  The float64 data term lives only as
-        # long as this call, in four (K, h, w) arrays: ft and the denominator
-        # are built in place in the warp and the averaged frame, in the order
-        # of warped - target - fx*u0 - fy*v0 and alpha^2 + fx^2 + fy^2, and
-        # each float32 plane takes its float64 result straight from the ufunc
+        # grad and rhs around the current field (u0, v0), which is read as
+        # float32 and widens exactly.  The float64 data term lives only as
+        # long as this call, in four (K, h, w) arrays: ft is built in place in
+        # the warp, in the order of warped - target - fx*u0 - fy*v0, and each
+        # float32 plane takes its float64 result straight from the ufunc
         u0, v0 = field[:, 0], field[:, 1]
         ft = _warp_by_flow(source, u0, v0)
         mean = np.add(target, ft)
@@ -294,24 +283,19 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.negative(ft, out=ft)
         np.multiply(fx, ft, out=rhs[:, 0, 1:-1, 1:-1], casting="same_kind")
         np.multiply(fy, ft, out=rhs[:, 1, 1:-1, 1:-1], casting="same_kind")
-        denom = np.multiply(fx, fx, out=mean)
-        denom += alpha_sq
-        denom += np.multiply(fy, fy, out=ft)
-        np.divide(fx, denom, out=coef[:, 0, 1:-1, 1:-1], casting="same_kind")
-        np.divide(fy, denom, out=coef[:, 1, 1:-1, 1:-1], casting="same_kind")
 
     for _ in range(params.warps_per_level):
         linearize()
         apply_a(x_pad)
         np.subtract(rhs_run, ap, out=r)
-        rz = precondition()
-        p_run[...] = z
+        rr = residual_sq()
+        p_run[...] = r
         # the systems whose solve goes on; a stopped one takes steps of 0 from
         # then on and keeps its field bit for bit
         live = [True] * K
         for _ in range(params.iters_per_level):
-            if not all(rz):
-                live = [on and q != 0.0 for on, q in zip(live, rz)]
+            if not all(rr):
+                live = [on and q != 0.0 for on, q in zip(live, rr)]
                 if not any(live):
                     break
             apply_a(p_pad)
@@ -320,17 +304,17 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
                 live = [on and not q <= 0.0 for on, q in zip(live, pap)]
                 if not any(live):
                     break
-            np.multiply(p_run, ratios(rz, pap, live, step), out=tmp)
+            np.multiply(p_run, ratios(rr, pap, live, step), out=tmp)
             if all(live):
                 x_run += tmp
             else:
                 np.add(x_run, tmp, out=x_run, where=np.array(live)[:, None, None])
             ap *= step
             r -= ap
-            rz_next = precondition()
-            p_run *= ratios(rz_next, rz, live, beta)
-            p_run += z
-            rz = rz_next
+            rr_next = residual_sq()
+            p_run *= ratios(rr_next, rr, live, beta)
+            p_run += r
+            rr = rr_next
     return field
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .capture import HybridMeasurement
+from .capture import HybridMeasurement, _is_int
 from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
@@ -83,8 +83,8 @@ class FusionParams:
         # each check is written so that NaN fails it
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.error_smooth_radius >= 0:
-            raise ValueError(f"error_smooth_radius must be >= 0, got {self.error_smooth_radius}")
+        if not _is_int(self.error_smooth_radius) or self.error_smooth_radius < 0:
+            raise ValueError(f"error_smooth_radius must be an integer >= 0, got {self.error_smooth_radius!r}")
         if self.fallback_threshold is not None and not self.fallback_threshold > 0:
             raise ValueError(
                 f"fallback_threshold must be positive or None, got {self.fallback_threshold}"

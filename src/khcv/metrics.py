@@ -37,8 +37,8 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < math.inf:  # NaN fails it too
+        raise ValueError(f"peak must be a finite number > 0, got {peak}")
     a, b = _pair(a, b)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
@@ -70,8 +70,8 @@ def ssim(a, b, peak: float = 1.0) -> float:
     padding bias enters near the borders.  Inputs must be at least 11 pixels
     in each dimension.
     """
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < math.inf:  # NaN fails it too
+        raise ValueError(f"peak must be a finite number > 0, got {peak}")
     a, b = _pair(a, b)
     if a.ndim != 2:
         raise ValueError(f"ssim expects single frames, got shape {a.shape}")

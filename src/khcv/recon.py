@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .capture import _is_int
 from .tensors import CodingCube, Frame, VideoCube
 
 __all__ = [
@@ -57,12 +58,12 @@ class GapTvParams:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.outer_iters >= 1:
-            raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
+        for name in ("outer_iters", "tv_inner_iters"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.tv_weight >= 0:
             raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
-        if not self.tv_inner_iters >= 1:
-            raise ValueError(f"tv_inner_iters must be >= 1, got {self.tv_inner_iters}")
 
 
 # ===== Total variation denoising =====
@@ -86,10 +87,11 @@ def total_variation(img) -> float:
 
 # Frames of one reconstruction are denoised as stacks that share every numpy
 # pass, with at most this many pixels per stack (at least one frame).  The
-# six float32 work planes of a stack then stay within the 2 MB L2 cache:
-# the step on four 48x48 frames as one stack takes 0.59x the time of four
-# one-frame calls, while at 128x128 two or four frames per stack are within
-# noise of one (0.96x, 1.03x) and all 16 take 1.28x.
+# six float32 work planes of a stack then stay within the 2 MB L2 cache.
+# Repeated micro-runs on one pinned CPU of a 2-vCPU Xeon, against one-frame
+# calls: four 48x48 frames as one stack take 0.32-0.45x the time; at
+# 128x128 two frames per stack read 0.75-1.10x, no steady gain, and all 16
+# read 1.38-1.64x, so a stack holds one frame there.
 _TV_STACK_PIXELS = 16_384
 
 
@@ -193,7 +195,8 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
     Args:
         frame: input image.
         weight: TV weight; 0 returns the input unchanged.
-        inner_iters: dual projected-gradient iterations.
+        inner_iters: dual projected-gradient iterations, an integer >= 1
+            (a bool is not one).
 
     Returns:
         Denoised frame.  The discrete TV of the result never exceeds that of
@@ -201,8 +204,8 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
     """
     if not weight >= 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-    if not inner_iters >= 1:
-        raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
+    if not _is_int(inner_iters) or inner_iters < 1:
+        raise ValueError(f"inner_iters must be an integer >= 1, got {inner_iters!r}")
     img = frame.samples.astype(np.float64)
     if weight > 0:
         _tv_denoise(img, float(weight), int(inner_iters), _tv_buffers(img.shape))

@@ -32,6 +32,12 @@ def test_params_validation():
             FlowParams(alpha=alpha)
     with pytest.raises(ValueError):
         FlowParams(iters_per_level=0)
+    # the counts follow the integer rule: no fraction, and a bool is not a count
+    for name in ("pyramid_levels", "iters_per_level", "warps_per_level"):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError):
+                FlowParams(**{name: bad})
+    FlowParams(iters_per_level=np.int64(3))
 
 
 def test_sample_bilinear_identity_at_integer_coords():
@@ -169,8 +175,8 @@ def hs_average_matrix(h, w):
 
 def single_warp_system(target, source, alpha):
     """The linearization at zero flow in float64, unknowns ordered (u, v):
-    the sparse A = alpha^2 (I - M) + g g^T, the right side
-    b = -g (source - target), and the per-pixel 2x2 blocks alpha^2 I + g g^T."""
+    the sparse A = alpha^2 (I - M) + g g^T and the right side
+    b = -g (source - target)."""
     tgt = target.samples.astype(np.float64)
     src = source.samples.astype(np.float64)
     h, w = tgt.shape
@@ -184,34 +190,24 @@ def single_warp_system(target, source, alpha):
         ],
         format="csc",
     )
-    blocks = np.empty((h * w, 2, 2))
-    blocks[:, 0, 0] = alpha * alpha + gx * gx
-    blocks[:, 1, 1] = alpha * alpha + gy * gy
-    blocks[:, 0, 1] = blocks[:, 1, 0] = gx * gy
-    return a, np.concatenate([-gx * ft, -gy * ft]), blocks
+    return a, np.concatenate([-gx * ft, -gy * ft])
 
 
-def textbook_pcg(a, b, blocks, iters):
-    """Float64 PCG from zero whose preconditioner inverts each 2x2 block."""
-
-    def precondition(r):
-        return np.linalg.solve(blocks, r.reshape(2, -1).T[..., None])[..., 0].T.ravel()
-
+def textbook_cg(a, b, iters):
+    """Float64 conjugate gradients from zero with no preconditioner."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = r @ z
+    p = r.copy()
+    rr = r @ r
     for _ in range(iters):
-        if rz == 0.0:
+        if rr == 0.0:
             break
         ap = a @ p
-        step = rz / (p @ ap)
+        step = rr / (p @ ap)
         x += step * p
         r -= step * ap
-        z = precondition(r)
-        rz, rz_prev = r @ z, rz
-        p = z + (rz / rz_prev) * p
+        rr, rr_prev = r @ r, rr
+        p = r + (rr / rr_prev) * p
     return x
 
 
@@ -226,7 +222,7 @@ def textbook_pcg(a, b, blocks, iters):
 )
 def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
     target, source = shifted_pair(h, w, dx=dx, dy=dy, seed=seed)
-    a, b, blocks = single_warp_system(target, source, alpha)
+    a, b = single_warp_system(target, source, alpha)
 
     def solve(iters, src=source):
         params = FlowParams(pyramid_levels=1, alpha=alpha, iters_per_level=iters, warps_per_level=1)
@@ -235,16 +231,49 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
     def stacked(f):
         return np.concatenate([f.u.ravel(), f.v.ravel()])
 
-    # converged, the field is the system's solution whatever the preconditioner
+    # converged, the field is the system's solution whatever the solver
     got = solve(400)
     assert np.abs(stacked(got) - spsolve(a, b)).max() <= 1e-4
-    # a few iterations in, it is the iterate of PCG with the block preconditioner
-    assert np.abs(stacked(solve(5)) - textbook_pcg(a, b, blocks, 5)).max() <= 1e-4
+    # a few iterations in, it is the iterate of textbook conjugate gradients
+    assert np.abs(stacked(solve(5)) - textbook_cg(a, b, 5)).max() <= 1e-4
 
     again = solve(400)
     assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
     still = solve(400, Frame(target.samples.copy()))
     assert not still.u.any() and not still.v.any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.integers(8, 20),
+    w=st.integers(8, 20),
+    alpha=st.floats(0.05, 0.5),
+    dx=st.integers(-2, 2),
+    dy=st.integers(-2, 2),
+    seed=st.integers(0, 1000),
+)
+def test_solver_error_in_the_a_norm_never_rises(h, w, alpha, dx, dy, seed):
+    # conjugate gradients, preconditioned or not, shrink the A-norm error
+    # ||x_k - x*||_A at every iteration, as each step is an exact line
+    # search; a step that misses the line minimum breaks that
+    target, source = shifted_pair(h, w, dx=dx, dy=dy, seed=seed)
+    a, b = single_warp_system(target, source, alpha)
+    exact = spsolve(a, b)
+
+    def iterate(k):
+        if k == 0:  # the solve starts from zero
+            return np.zeros_like(b)
+        params = FlowParams(pyramid_levels=1, alpha=alpha, iters_per_level=k, warps_per_level=1)
+        f = estimate_flow(target, source, params)
+        return np.concatenate([f.u.ravel(), f.v.ravel()]).astype(np.float64)
+
+    def a_norm_error(x):
+        e = x - exact
+        return float(np.sqrt(e @ (a @ e)))
+
+    errors = [a_norm_error(iterate(k)) for k in range(11)]
+    slack = 1e-6 * errors[0]
+    assert all(later <= earlier + slack for earlier, later in zip(errors, errors[1:])), errors
 
 
 def test_identical_frames_from_a_zero_start_give_zero_flow():

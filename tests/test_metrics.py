@@ -30,8 +30,12 @@ def test_psnr_peak_scaling():
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
-    with pytest.raises(ValueError):
-        psnr(np.zeros((4, 4)), np.zeros((4, 4)), peak=0.0)
+    # the peak must be finite and positive; NaN and inf fail as 0 does
+    for peak in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            psnr(np.zeros((4, 4)), np.zeros((4, 4)), peak=peak)
+        with pytest.raises(ValueError):
+            ssim(np.zeros((12, 12)), np.zeros((12, 12)), peak=peak)
 
 
 def test_ssim_self_is_one():

@@ -34,6 +34,19 @@ def test_params_validation():
             tv_denoise(Frame(np.zeros((4, 4), np.float32)), weight)
     with pytest.raises(ValueError):
         GapTvParams(tv_inner_iters=0)
+    # the counts follow the integer rule: no fraction, and a bool is not a count
+    frame = Frame(smooth_texture(8, 8, seed=2))
+    for bad in (2.5, True):
+        for name in ("outer_iters", "tv_inner_iters"):
+            with pytest.raises(ValueError):
+                GapTvParams(**{name: bad})
+        with pytest.raises(ValueError):
+            tv_denoise(frame, 0.1, inner_iters=bad)
+    with pytest.raises(ValueError):
+        tv_denoise(frame, 0.1, inner_iters=0)
+    GapTvParams(outer_iters=np.int64(3))
+    numpy_count = tv_denoise(frame, 0.1, inner_iters=np.int64(2))
+    assert numpy_count.samples.tobytes() == tv_denoise(frame, 0.1, 2).samples.tobytes()
 
 
 def test_tv_denoise_weight_zero_is_identity():
