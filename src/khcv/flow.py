@@ -5,13 +5,18 @@ warping: out(p) = source(p + f(p)).  estimate_flow returns the field that
 makes that warp match the target.  The solver builds binomially filtered
 image pyramids and, at each level, linearizes the data term around the
 current warp a few times.  Each linearization is the sparse symmetric
-Horn-Schunck system, solved by a fixed number of conjugate gradient (CG)
-iterations started from the current field.  The field is
-upsampled between levels.  The coarsest level starts from zero, or from a
-field the caller gives, such as a guess interpolated from nearby frames.
+Horn-Schunck system, solved by a fixed number of preconditioned conjugate
+gradient (PCG) iterations started from the current field.  The
+preconditioner inverts the smoothness term, plus the mean of the data term,
+exactly in the orthonormal 2-D DCT-II basis, which diagonalizes the
+Horn-Schunck average with replicate borders (Simchony, Chellappa & Shao,
+IEEE TPAMI 1990).  The field is upsampled between levels.  The coarsest
+level starts from zero, or from a field the caller gives, such as a guess
+interpolated from nearby frames.
 
 The data term (warp, image gradients and right-hand side) is formed in
-float64; the CG iterations run in float32 with float64 inner products.
+float64; the PCG iterations and their DCTs run in float32 with float64
+inner products.
 
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
@@ -27,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from .capture import _is_int
 from .tensors import FlowField, Frame
@@ -44,13 +49,13 @@ _MIN_COARSE_SIDE = 8
 
 # The systems of one pyramid level are solved in stacks of at most
 # max(1, _PCG_STACK_ELEMENTS // (2 (h + 2) (w + 2))), the systems whose padded
-# float32 fields fit this many elements, so that the CG work arrays of a
-# stack stay within the 2 MB L2 cache.  Per-system cost with K systems
-# stacked, against one at a time, measured with a block-preconditioned
-# kernel that made four more passes per iteration: 0.32x at 12x12 (K=4),
-# 0.45x at 24x24 (K=4), 0.41x at 32x32 (K=12), 0.74x at 48x48 (K=4), 0.61x
-# at 64x64 (K=4), but 1.07x at 128x128 (K=2); at 128x128 and above a stack
-# holds one system.
+# float32 fields fit this many elements, so that the PCG work arrays of a
+# stack stay within the 2 MB L2 cache.  Per-system cost of _relax_level at
+# the default settings with K systems stacked, against one at a time, in two
+# runs on one pinned CPU of a 2-vCPU Xeon: 0.33-0.35x at 12x12 (K=4),
+# 0.42-0.44x at 24x24 (K=4), 0.50-0.82x at 32x32 (K=12), 0.78-0.80x at 48x48
+# (K=4), 0.88-0.92x at 64x64 (K=4), but 0.99-1.03x at 128x128 (K=2); at
+# 128x128 and above a stack holds one system.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -64,26 +69,28 @@ class FlowParams:
     alpha weighs the smoothness term against the data term on the [0, 1]
     intensity scale; larger values give smoother fields.  Each level runs
     warps_per_level linearizations of the data term (float64).  Each
-    linearization is solved by exactly iters_per_level conjugate-gradient
-    iterations (float32), with no tolerance stop, so the work per call
-    depends only on the image size and these settings.  The counts are
-    integers (a bool is not one).
+    linearization is solved by exactly iters_per_level preconditioned
+    conjugate-gradient iterations (float32), with no tolerance stop, so the
+    work per call depends only on the image size and these settings.  The
+    counts are integers (a bool is not one), and alpha is a finite number
+    above 0.
 
     The defaults are what fusion runs: alpha this strong keeps the
     reconstruction artifacts of GAP-TV targets from dominating the data
-    term, and 22 iterations fuse the 128x128 scene of acceptance criterion 6,
-    anchor frames and refinements included, to 26.513 dB, SSIM 0.7718.
+    term, and 5 iterations fuse the 128x128 scene of acceptance criterion 6,
+    anchor frames and refinements included, to 26.568 dB, SSIM 0.7756, as
+    200 iterations of the former block-preconditioned solver did.
     """
 
     pyramid_levels: int = 3
     alpha: float = 0.2
-    iters_per_level: int = 22
+    iters_per_level: int = 5
     warps_per_level: int = 3
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # each check is written so that NaN and infinity fail it
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
         for name in ("pyramid_levels", "iters_per_level", "warps_per_level"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -168,6 +175,22 @@ def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
+def _smoothness_eigenvalues(h: int, w: int, alpha_sq: float) -> np.ndarray:
+    """The (h, w) eigenvalues of alpha^2 (I - M) in the orthonormal 2-D DCT-II
+    basis, M being the Horn-Schunck average with replicate borders.
+
+    With replicate borders the average of the two neighbors along an axis
+    has the DCT-II eigenvalue cos(pi j / n), and M is 2/6 of each axis's
+    average plus 4/12 of their product.  The constant mode's eigenvalue is
+    exactly 0; the formula leaves about 2e-18 there.
+    """
+    cx = np.cos(np.pi * np.arange(w) / w)
+    cy = np.cos(np.pi * np.arange(h) / h)[:, None]
+    eig = alpha_sq * (1.0 - (2.0 * cx + 2.0 * cy) / 6.0 - cx * cy / 3.0)
+    eig[0, 0] = 0.0
+    return eig
+
+
 def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, params: FlowParams) -> np.ndarray:
     """Run warps_per_level linearizations of the data term at one level for
     a stack of K systems: targets and sources (K, h, w), fields started from
@@ -179,19 +202,23 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     where M is the original Horn-Schunck neighborhood average (cardinal
     1/6, diagonal 1/12) with replicate borders.  M is symmetric, so A is
     symmetric positive (semi)definite, and iters_per_level iterations of
-    conjugate gradients, started from the current field, solve it.  No
-    preconditioner is applied: |g|^2 is far below alpha^2 on the fused
-    scenes, so A is close to alpha^2 (I - M) and a per-pixel inverse of
-    alpha^2 I + g g^T is nearly a plain scaling.  The iterations run in
-    float32 on padded planes; the two inner products accumulate in float64,
-    one per system.  A zero residual, or a search direction with no
-    positive curvature, stops that system's solve, so identical frames
-    leave the field exactly zero.  The systems share every numpy pass, but
-    no operation mixes two of them: each field comes out bit for bit as it
-    would from a stack of one.
+    preconditioned conjugate gradients, started from the current field,
+    solve it.  |g|^2 is far below alpha^2 on the fused scenes, so A is close
+    to alpha^2 (I - M), which the orthonormal 2-D DCT-II diagonalizes
+    exactly.  The preconditioner solves, per system and per component,
+    (alpha^2 (I - M) + c I) z = r in that basis, with c the frame mean of
+    fx^2 for u and of fy^2 for v; the constant mode with c = 0, a null
+    direction of A, gets 0, so z never feeds it.  The iterations and the
+    DCTs run in float32 on padded planes; the two inner products accumulate
+    in float64, one per system.  A zero r . z, or a search direction with
+    no positive curvature, stops that system's solve, so identical frames
+    leave the field exactly zero.  The systems share every numpy pass and
+    every DCT, but no operation mixes two of them: each field comes out bit
+    for bit as it would from a stack of one.
     """
     K, h, w = target.shape
     alpha_sq = params.alpha * params.alpha
+    eig = _smoothness_eigenvalues(h, w, alpha_sq)
     # Each padded plane is also read flat, where a neighbor is a fixed offset
     # (+-1 across, +-row down), so every stencil operand is one contiguous
     # run.  The run [lo, hi) spans the interior rows end to end and so also
@@ -213,13 +240,18 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     rhs_run = rhs.reshape(K, 2, plane)[..., lo:hi]
     diff = np.empty((K, 2, n + 2 * row + 1), np.float32)
     h2 = np.empty((K, 2, n + 2 * row), np.float32)
-    # A p is written into the first n entries of h full rows, so that the
-    # border columns of the run are one strided view
+    # A p, r and z are written into the first n entries of h full rows, so
+    # that the border columns of the run are one strided view and the
+    # interior pixels another; r and z keep theirs at zero
     ap_rows = np.empty((K, 2, h, row), np.float32)
     ap = ap_rows.reshape(K, 2, h * row)[..., :n]
     ap_border = ap_rows[..., w:]
-    r = np.empty((K, 2, n), np.float32)
-    tmp = np.empty_like(r)
+    r_rows = np.zeros_like(ap_rows)
+    z_rows = np.zeros_like(ap_rows)
+    r = r_rows.reshape(K, 2, h * row)[..., :n]
+    z = z_rows.reshape(K, 2, h * row)[..., :n]
+    inv = np.empty((K, 2, h, w), np.float32)
+    tmp = np.empty((K, 2, n), np.float32)
     t = np.empty((K, 1, n), np.float32)
 
     def apply_a(padded: np.ndarray) -> None:
@@ -249,23 +281,27 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.add(ap, tmp, out=ap)
         ap_border[...] = 0.0
 
-    def residual_sq() -> list[float]:
-        # r . r per system
-        return np.einsum("kij,kij->k", r, r, dtype=np.float64).tolist()
+    def precondition() -> list[float]:
+        # z = (alpha^2 (I - M) + c I)^-1 r in the DCT basis; returns r . z
+        # per system
+        spectrum = fft.dctn(r_rows[..., :w], type=2, norm="ortho", axes=(-2, -1))
+        spectrum *= inv
+        z_rows[..., :w] = fft.idctn(spectrum, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+        return np.einsum("kij,kij->k", r, z, dtype=np.float64).tolist()
 
     step = np.empty((K, 1, 1), np.float32)
     beta = np.empty_like(step)
 
     def ratios(num: list[float], den: list[float], live: list[bool], out: np.ndarray) -> np.ndarray:
         # num / den per live system, rounded to float32 as a lone solve's
-        # np.float32(rr / pap) is; 0 for a stopped system, whose quotient is
+        # np.float32(rz / pap) is; 0 for a stopped system, whose quotient is
         # never formed
         out.reshape(K)[:] = [a / b if on else 0.0 for a, b, on in zip(num, den, live)]
         return out
 
     def linearize() -> None:
-        # grad and rhs around the current field (u0, v0), which is read as
-        # float32 and widens exactly.  The float64 data term lives only as
+        # grad, rhs and inv around the current field (u0, v0), which is read
+        # as float32 and widens exactly.  The float64 data term lives only as
         # long as this call, in four (K, h, w) arrays: ft is built in place in
         # the warp, in the order of warped - target - fx*u0 - fy*v0, and each
         # float32 plane takes its float64 result straight from the ufunc
@@ -283,19 +319,23 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.negative(ft, out=ft)
         np.multiply(fx, ft, out=rhs[:, 0, 1:-1, 1:-1], casting="same_kind")
         np.multiply(fy, ft, out=rhs[:, 1, 1:-1, 1:-1], casting="same_kind")
+        # 1 / (eigenvalue + c); the constant mode keeps 0 where c is 0
+        c = np.stack([np.einsum("kij,kij->k", d, d) for d in (fx, fy)], axis=1) / (h * w)
+        np.add(eig, c[:, :, None, None], out=inv, casting="same_kind")
+        np.reciprocal(inv, out=inv, where=inv != 0.0)
 
     for _ in range(params.warps_per_level):
         linearize()
         apply_a(x_pad)
         np.subtract(rhs_run, ap, out=r)
-        rr = residual_sq()
-        p_run[...] = r
+        rz = precondition()
+        p_run[...] = z
         # the systems whose solve goes on; a stopped one takes steps of 0 from
         # then on and keeps its field bit for bit
         live = [True] * K
         for _ in range(params.iters_per_level):
-            if not all(rr):
-                live = [on and q != 0.0 for on, q in zip(live, rr)]
+            if not all(rz):
+                live = [on and q != 0.0 for on, q in zip(live, rz)]
                 if not any(live):
                     break
             apply_a(p_pad)
@@ -304,17 +344,17 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
                 live = [on and not q <= 0.0 for on, q in zip(live, pap)]
                 if not any(live):
                     break
-            np.multiply(p_run, ratios(rr, pap, live, step), out=tmp)
+            np.multiply(p_run, ratios(rz, pap, live, step), out=tmp)
             if all(live):
                 x_run += tmp
             else:
                 np.add(x_run, tmp, out=x_run, where=np.array(live)[:, None, None])
             ap *= step
             r -= ap
-            rr_next = residual_sq()
-            p_run *= ratios(rr_next, rr, live, beta)
-            p_run += r
-            rr = rr_next
+            rz_next = precondition()
+            p_run *= ratios(rz_next, rz, live, beta)
+            p_run += z
+            rz = rz_next
     return field
 
 

@@ -26,6 +26,7 @@ where the position is k / (B + 1), and tau does not change with the gap.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -80,15 +81,13 @@ class FusionParams:
     fallback_threshold: float | None = 0.15
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        # each check is written so that NaN and infinity fail it
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
         if not _is_int(self.error_smooth_radius) or self.error_smooth_radius < 0:
             raise ValueError(f"error_smooth_radius must be an integer >= 0, got {self.error_smooth_radius!r}")
-        if self.fallback_threshold is not None and not self.fallback_threshold > 0:
-            raise ValueError(
-                f"fallback_threshold must be positive or None, got {self.fallback_threshold}"
-            )
+        if self.fallback_threshold is not None and not 0 < self.fallback_threshold < math.inf:
+            raise ValueError(f"fallback_threshold must be a finite number > 0 or None, got {self.fallback_threshold}")
 
 
 @dataclass(frozen=True, eq=False)

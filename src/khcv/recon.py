@@ -26,6 +26,7 @@ budget; each frame comes out as it would alone.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,13 +58,13 @@ class GapTvParams:
     tv_inner_iters: int = 5
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN and infinity fail it
         for name in ("outer_iters", "tv_inner_iters"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.tv_weight >= 0:
-            raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
+        if not 0 <= self.tv_weight < math.inf:
+            raise ValueError(f"tv_weight must be a finite number >= 0, got {self.tv_weight}")
 
 
 # ===== Total variation denoising =====
@@ -202,8 +203,8 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = 5) -> Frame:
         Denoised frame.  The discrete TV of the result never exceeds that of
         the input.
     """
-    if not weight >= 0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
+    if not 0 <= weight < math.inf:
+        raise ValueError(f"weight must be a finite number >= 0, got {weight}")
     if not _is_int(inner_iters) or inner_iters < 1:
         raise ValueError(f"inner_iters must be an integer >= 1, got {inner_iters!r}")
     img = frame.samples.astype(np.float64)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import fft, sparse
 from scipy.sparse.linalg import spsolve
 
 from khcv import (
@@ -27,7 +29,7 @@ def constant_flow(h, w, dx, dy):
 def test_params_validation():
     with pytest.raises(ValueError):
         FlowParams(pyramid_levels=0)
-    for alpha in (0.0, float("nan")):
+    for alpha in (0.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             FlowParams(alpha=alpha)
     with pytest.raises(ValueError):
@@ -173,15 +175,21 @@ def hs_average_matrix(h, w):
     )
 
 
+def zero_flow_gradients(target, source):
+    """The image gradients g = (fx, fy) of the linearization at zero flow, in float64."""
+    tgt = target.samples.astype(np.float64)
+    src = source.samples.astype(np.float64)
+    return flow._central_diff(0.5 * (tgt + src))
+
+
 def single_warp_system(target, source, alpha):
     """The linearization at zero flow in float64, unknowns ordered (u, v):
     the sparse A = alpha^2 (I - M) + g g^T and the right side
     b = -g (source - target)."""
-    tgt = target.samples.astype(np.float64)
-    src = source.samples.astype(np.float64)
-    h, w = tgt.shape
-    fx, fy = flow._central_diff(0.5 * (tgt + src))
-    gx, gy, ft = fx.ravel(), fy.ravel(), (src - tgt).ravel()
+    h, w = target.samples.shape
+    fx, fy = zero_flow_gradients(target, source)
+    ft = source.samples.astype(np.float64) - target.samples.astype(np.float64)
+    gx, gy, ft = fx.ravel(), fy.ravel(), ft.ravel()
     smooth = alpha * alpha * (sparse.identity(h * w) - hs_average_matrix(h, w))
     a = sparse.bmat(
         [
@@ -193,21 +201,47 @@ def single_warp_system(target, source, alpha):
     return a, np.concatenate([-gx * ft, -gy * ft])
 
 
-def textbook_cg(a, b, iters):
-    """Float64 conjugate gradients from zero with no preconditioner."""
+def dct_preconditioner(target, source, alpha):
+    """The solver's preconditioner in float64 at zero flow: r = (r_u, r_v)
+    maps to (alpha^2 (I - M) + c I)^-1 r per component, solved in the
+    orthonormal DCT-II basis, with c the mean of fx^2 for u and of fy^2 for
+    v, and 0 for a zero eigenvalue."""
+    fx, fy = zero_flow_gradients(target, source)
+    h, w = fx.shape
+    eig = flow._smoothness_eigenvalues(h, w, alpha * alpha)
+    invs = []
+    for d in (fx, fy):
+        total = eig + np.mean(d * d)
+        invs.append(np.divide(1.0, total, out=np.zeros_like(total), where=total != 0.0))
+
+    def apply(r):
+        return np.concatenate(
+            [
+                fft.idctn(inv * fft.dctn(part.reshape(h, w), norm="ortho"), norm="ortho").ravel()
+                for part, inv in zip(np.split(r, 2), invs)
+            ]
+        )
+
+    return apply
+
+
+def textbook_pcg(a, b, iters, precondition):
+    """Float64 preconditioned conjugate gradients from zero."""
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rr = r @ r
+    z = precondition(r)
+    p = z.copy()
+    rz = r @ z
     for _ in range(iters):
-        if rr == 0.0:
+        if rz == 0.0:
             break
         ap = a @ p
-        step = rr / (p @ ap)
+        step = rz / (p @ ap)
         x += step * p
         r -= step * ap
-        rr, rr_prev = r @ r, rr
-        p = r + (rr / rr_prev) * p
+        z = precondition(r)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
     return x
 
 
@@ -235,7 +269,9 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
     got = solve(400)
     assert np.abs(stacked(got) - spsolve(a, b)).max() <= 1e-4
     # a few iterations in, it is the iterate of textbook conjugate gradients
-    assert np.abs(stacked(solve(5)) - textbook_cg(a, b, 5)).max() <= 1e-4
+    # with the same DCT preconditioner
+    pcg = textbook_pcg(a, b, 5, dct_preconditioner(target, source, alpha))
+    assert np.abs(stacked(solve(5)) - pcg).max() <= 1e-4
 
     again = solve(400)
     assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
@@ -274,6 +310,40 @@ def test_solver_error_in_the_a_norm_never_rises(h, w, alpha, dx, dy, seed):
     errors = [a_norm_error(iterate(k)) for k in range(11)]
     slack = 1e-6 * errors[0]
     assert all(later <= earlier + slack for earlier, later in zip(errors, errors[1:])), errors
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.integers(8, 20),
+    w=st.integers(8, 20),
+    alpha=st.floats(0.05, 0.5),
+    seed=st.integers(0, 1000),
+)
+def test_dct_eigenvalues_diagonalize_the_smoothness_term(h, w, alpha, seed):
+    # the preconditioner's eigenvalues, applied in the orthonormal DCT-II
+    # basis, are alpha^2 (I - M) with the replicate-border average M
+    x = np.random.default_rng(seed).standard_normal((h, w))
+    eig = flow._smoothness_eigenvalues(h, w, alpha * alpha)
+    spectral = fft.idctn(eig * fft.dctn(x, norm="ortho"), norm="ortho")
+    direct = alpha * alpha * (x.ravel() - hs_average_matrix(h, w) @ x.ravel())
+    assert np.abs(spectral.ravel() - direct).max() <= 1e-12
+    assert eig[0, 0] == 0.0 and (eig.ravel()[1:] > 0.0).all()
+
+
+def test_flat_frames_hold_a_nonzero_start_at_its_mean():
+    # flat frames leave only the smoothness term, whose null space is the
+    # constant field; from a random start the solve flattens the field to
+    # the start's mean at once and stays there, however long it runs,
+    # instead of stepping along that null space on rounding errors
+    flat = Frame(np.full((16, 16), 0.5, np.float32))
+    start = np.random.default_rng(3).uniform(-1.5, 1.5, (2, 16, 16)).astype(np.float32)
+    spread = np.ptp(start, axis=(1, 2))
+    for iters in (1, 5, 22, 400):
+        params = FlowParams(pyramid_levels=1, warps_per_level=1, iters_per_level=iters)
+        f = estimate_flow(flat, Frame(flat.samples.copy()), params, start=FlowField(start))
+        assert np.isfinite(f.samples).all()
+        assert (np.ptp(f.samples, axis=(1, 2)) <= 1e-5 * spread).all(), iters
+        assert np.abs(f.samples.mean(axis=(1, 2)) - start.mean(axis=(1, 2))).max() <= 1e-6, iters
 
 
 def test_identical_frames_from_a_zero_start_give_zero_flow():

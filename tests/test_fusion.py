@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,9 @@ def constant_flow(h, w, dx, dy):
 
 def test_params_validation():
     nan = float("nan")
-    for bad in ({"beta": 0.0}, {"beta": nan}, {"error_smooth_radius": -1}, {"error_smooth_radius": 1.5},
-                {"error_smooth_radius": True}, {"fallback_threshold": -0.1}, {"fallback_threshold": nan}):
+    for bad in ({"beta": 0.0}, {"beta": nan}, {"beta": math.inf}, {"error_smooth_radius": -1},
+                {"error_smooth_radius": 1.5}, {"error_smooth_radius": True}, {"fallback_threshold": -0.1},
+                {"fallback_threshold": nan}, {"fallback_threshold": math.inf}):
         with pytest.raises(ValueError):
             FusionParams(**bad)
     FusionParams(fallback_threshold=None)  # disabling the fallback is allowed

@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from conftest import full_coverage_masks, moving_square_scene, smooth_texture
 def test_params_validation():
     with pytest.raises(ValueError):
         GapTvParams(outer_iters=0)
-    for weight in (-0.1, float("nan")):
+    for weight in (-0.1, float("nan"), math.inf):
         with pytest.raises(ValueError):
             GapTvParams(tv_weight=weight)
         with pytest.raises(ValueError):
