@@ -222,7 +222,7 @@ def test_config_dict_round_trip(tmp_path):
         noise_seed=8,
         dump_intermediates=True,
         save_pgm=True,
-        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 3},
+        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 4},
         fusion={"beta": 15.0, "error_smooth_radius": 2, "fallback_threshold": 0.2},
         flow={"pyramid_levels": 2, "alpha": 0.3, "iters_per_level": 50, "warps_per_level": 2},
     )

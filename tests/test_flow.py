@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +483,34 @@ def test_flow_color_conventions():
 def test_flow_color_default_scale_guard():
     rgb = flow_to_color(constant_flow(8, 8, 0.0, 0.0))
     assert np.isfinite(rgb).all()
+
+
+def test_scipy_fft_loads_only_when_flow_is_solved():
+    # the DCT preconditioner imports scipy.fft on its first solve, so the
+    # package, the CLI and a GAP-TV reconstruction leave it unloaded
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import khcv, khcv.cli
+        from khcv import CodingCube, FlowParams, Frame, estimate_flow, gap_tv_reconstruct
+
+        rng = np.random.default_rng(0)
+        masks = CodingCube((rng.random((4, 16, 16)) < 0.5).astype(np.uint8))
+        gap_tv_reconstruct(Frame(rng.random((16, 16)).astype(np.float32)), masks)
+        print("scipy.fft" in sys.modules)
+        frame = Frame(rng.random((16, 16)).astype(np.float32))
+        estimate_flow(frame, frame, FlowParams(pyramid_levels=1))
+        print("scipy.fft" in sys.modules)
+        """
+    )
+    src = str(Path(flow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

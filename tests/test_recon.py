@@ -50,6 +50,16 @@ def test_params_validation():
     assert numpy_count.samples.tobytes() == tv_denoise(frame, 0.1, 2).samples.tobytes()
 
 
+def test_tv_denoise_default_count_is_the_reconstructions():
+    # one default per setting: a lone TV call runs the dual count that
+    # gap_tv_reconstruct runs by default
+    frame = Frame(smooth_texture(12, 10, seed=4))
+    for weight in (0.035, 0.1):
+        alone = tv_denoise(frame, weight)
+        explicit = tv_denoise(frame, weight, GapTvParams().tv_inner_iters)
+        assert alone.samples.tobytes() == explicit.samples.tobytes()
+
+
 def test_tv_denoise_weight_zero_is_identity():
     img = Frame(smooth_texture(16, 16, seed=1))
     out = tv_denoise(img, 0.0)
