@@ -14,6 +14,7 @@ block and each key frame.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,22 +119,23 @@ def build_schedule(t_x: int, B: int, t_g: int = 0) -> TimingSchedule:
 
 def compressive_ratio(B: int) -> float:
     """Fraction of frames read out per coded block: 2 key frames over B + 1 slots."""
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    if not _is_int(B) or B < 1:
+        raise ValueError(f"B must be an integer >= 1, got {B!r}")
     return 2.0 / (B + 1)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive Gaussian noise on the normalized intensity scale; sigma 0
-    adds none.  The seed must fit in 64 bits whatever sigma is."""
+    """Additive Gaussian noise on the normalized intensity scale; sigma is a
+    finite number >= 0, and 0 adds none.  The seed must fit in 64 bits
+    whatever sigma is."""
 
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 0:  # written so that NaN fails too
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # written so that NaN fails too
+            raise ValueError(f"noise sigma must be a finite number >= 0, got {self.sigma}")
         _check_seed(self.seed, "noise seed")
 
     @classmethod
@@ -187,8 +189,8 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
     identical on every platform and independent of evaluation order.
     """
     _check_seed(seed, "seed")
-    if height < 1 or width < 1 or frames < 1:
-        raise ValueError(f"mask dims must be positive, got {(frames, height, width)}")
+    if not all(_is_int(n) and n >= 1 for n in (height, width, frames)):
+        raise ValueError(f"mask dims must be integers >= 1, got {(frames, height, width)!r}")
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

@@ -6,13 +6,16 @@ makes that warp match the target.  The solver builds binomially filtered
 image pyramids and, at each level, linearizes the data term around the
 current warp a few times.  Each linearization is the sparse symmetric
 Horn-Schunck system, solved by a fixed number of preconditioned conjugate
-gradient (PCG) iterations started from the current field.  The
-preconditioner inverts the smoothness term, plus the mean of the data term,
-exactly in the orthonormal 2-D DCT-II basis, which diagonalizes the
-Horn-Schunck average with replicate borders (Simchony, Chellappa & Shao,
-IEEE TPAMI 1990).  The field is upsampled between levels.  The coarsest
-level starts from zero, or from a field the caller gives, such as a guess
-interpolated from nearby frames.
+gradient (PCG) iterations started from the current field.  The orthonormal
+2-D DCT-II diagonalizes the system's smoothness term, the Horn-Schunck
+average with replicate borders (Simchony, Chellappa & Shao, IEEE TPAMI
+1990), so PCG keeps its residual and search direction in that basis: the
+smoothness term is a product with its eigenvalues there, and the
+preconditioner, which inverts it plus the mean of the data term, is a
+division.  Only the data term and the field update go back to the pixel
+grid.  The field is upsampled between levels.  The coarsest level starts
+from zero, or from a field the caller gives, such as a guess interpolated
+from nearby frames.
 
 The data term (warp, image gradients and right-hand side) is formed in
 float64; the PCG iterations and their DCTs run in float32 with float64
@@ -48,14 +51,14 @@ __all__ = [
 _MIN_COARSE_SIDE = 8
 
 # The systems of one pyramid level are solved in stacks of at most
-# max(1, _PCG_STACK_ELEMENTS // (2 (h + 2) (w + 2))), the systems whose padded
-# float32 fields fit this many elements, so that the PCG work arrays of a
-# stack stay within the 2 MB L2 cache.  Per-system cost of _relax_level at
-# the default settings with K systems stacked, against one at a time, in two
-# runs on one pinned CPU of a 2-vCPU Xeon: 0.33-0.35x at 12x12 (K=4),
-# 0.42-0.44x at 24x24 (K=4), 0.50-0.82x at 32x32 (K=12), 0.78-0.80x at 48x48
-# (K=4), 0.88-0.92x at 64x64 (K=4), but 0.99-1.03x at 128x128 (K=2); at
-# 128x128 and above a stack holds one system.
+# max(1, _PCG_STACK_ELEMENTS // (2 h w)), the systems whose float32 fields
+# fit this many elements, so that the PCG work arrays of a stack stay within
+# the 2 MB L2 cache.  Per-system cost of _relax_level at the default settings
+# with K systems stacked, against one at a time, on one pinned CPU of a
+# 2-vCPU Xeon (two runs, five at 48x48 and 64x64): 0.35-0.36x at 12x12
+# (K=4), 0.43-0.49x at 24x24 (K=4), 0.43-0.57x at 32x32 (K=12), 0.47-0.92x at
+# 48x48 (K=4), but 0.86-1.40x at 64x64 (K=4) and 0.97-0.99x at 128x128
+# (K=2); at 128x128 and above a stack holds one system.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -79,9 +82,9 @@ class FlowParams:
     reconstruction artifacts of GAP-TV targets from dominating the data
     term.  With 5 iterations the 128x128 scene of acceptance criterion 6,
     anchor frames and refinements included, fuses to 27.924 dB, SSIM
-    0.8507, at GapTvParams' defaults.  From the intermediate of the former
-    TV point (0.07, 5), 5 iterations gave 26.568 dB, SSIM 0.7756, as 200
-    iterations of the former block-preconditioned solver did.
+    0.8507, at GapTvParams' defaults; 4 or 6 iterations move the fused
+    PSNR of each of the four 128x128 quality cases GapTvParams names by
+    0.011 dB or less.
     """
 
     pyramid_levels: int = 3
@@ -205,97 +208,51 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     1/6, diagonal 1/12) with replicate borders.  M is symmetric, so A is
     symmetric positive (semi)definite, and iters_per_level iterations of
     preconditioned conjugate gradients, started from the current field,
-    solve it.  |g|^2 is far below alpha^2 on the fused scenes, so A is close
-    to alpha^2 (I - M), which the orthonormal 2-D DCT-II diagonalizes
-    exactly.  The preconditioner solves, per system and per component,
-    (alpha^2 (I - M) + c I) z = r in that basis, with c the frame mean of
-    fx^2 for u and of fy^2 for v; the constant mode with c = 0, a null
-    direction of A, gets 0, so z never feeds it.  The iterations and the
-    DCTs run in float32 on padded planes; the two inner products accumulate
-    in float64, one per system.  A zero r . z, or a search direction with
-    no positive curvature, stops that system's solve, so identical frames
-    leave the field exactly zero.  The systems share every numpy pass and
-    every DCT, but no operation mixes two of them: each field comes out bit
-    for bit as it would from a stack of one.
+    solve it.  The orthonormal 2-D DCT-II diagonalizes alpha^2 (I - M)
+    exactly, with the eigenvalues eig, so the residual R, the
+    preconditioned residual Z and the search direction P are kept in that
+    basis, where the smoothness term is a product with eig:
+        A p  ->  eig P + dct(g (g . p)),   with p = idct(P)
+    Each iteration takes two transforms, the idct of P and the dct of
+    g (g . p); the field itself is updated in space from p.  |g|^2 is far
+    below alpha^2 on the fused scenes, so A is close to alpha^2 (I - M), and
+    the preconditioner divides each component by eig + c, with c the frame
+    mean of fx^2 for u and of fy^2 for v; the constant mode with c = 0, a
+    null direction of A, gets 0, so Z never feeds it.  The iterations and
+    the DCTs run in float32; the inner products, which the orthonormal basis
+    leaves unchanged, accumulate in float64, one per system:
+    r . z = sum R Z and p . A p = sum eig P^2 + sum (g . p)^2.  A zero r . z,
+    or a search direction with no positive curvature, stops that system's
+    solve, so identical frames leave the field exactly zero.  The systems
+    share every numpy pass and every DCT, but no operation mixes two of
+    them: each field comes out bit for bit as it would from a stack of one.
     """
     # imported here so processes that never solve flow never load scipy.fft
     from scipy import fft
 
+    def dct(x: np.ndarray) -> np.ndarray:
+        return fft.dctn(x, type=2, norm="ortho", axes=(-2, -1))
+
     K, h, w = target.shape
-    alpha_sq = params.alpha * params.alpha
-    eig = _smoothness_eigenvalues(h, w, alpha_sq)
-    # Each padded plane is also read flat, where a neighbor is a fixed offset
-    # (+-1 across, +-row down), so every stencil operand is one contiguous
-    # run.  The run [lo, hi) spans the interior rows end to end and so also
-    # holds the border columns between them; A p is zeroed there, which keeps
-    # the residual, and with it both inner products, to interior pixels.
-    row = w + 2
-    plane = (h + 2) * row
-    lo, hi = row + 1, plane - row - 1
-    n = hi - lo
-    x_pad = np.empty((K, 2, h + 2, w + 2), np.float32)
-    p_pad = np.empty_like(x_pad)
-    field = x_pad[..., 1:-1, 1:-1]
-    field[...] = start
-    x_run = x_pad.reshape(K, 2, plane)[..., lo:hi]
-    p_run = p_pad.reshape(K, 2, plane)[..., lo:hi]
-    grad = np.zeros_like(x_pad)
-    rhs = np.zeros_like(x_pad)
-    grad_run = grad.reshape(K, 2, plane)[..., lo:hi]
-    rhs_run = rhs.reshape(K, 2, plane)[..., lo:hi]
-    diff = np.empty((K, 2, n + 2 * row + 1), np.float32)
-    h2 = np.empty((K, 2, n + 2 * row), np.float32)
-    # A p, r and z are written into the first n entries of h full rows, so
-    # that the border columns of the run are one strided view and the
-    # interior pixels another; r and z keep theirs at zero
-    ap_rows = np.empty((K, 2, h, row), np.float32)
-    ap = ap_rows.reshape(K, 2, h * row)[..., :n]
-    ap_border = ap_rows[..., w:]
-    r_rows = np.zeros_like(ap_rows)
-    z_rows = np.zeros_like(ap_rows)
-    r = r_rows.reshape(K, 2, h * row)[..., :n]
-    z = z_rows.reshape(K, 2, h * row)[..., :n]
-    inv = np.empty((K, 2, h, w), np.float32)
-    tmp = np.empty((K, 2, n), np.float32)
-    t = np.empty((K, 1, n), np.float32)
-
-    def apply_a(padded: np.ndarray) -> None:
-        # ap = alpha^2 (p - M p) + g (g . p) for the fields p in padded
-        padded[..., 0, 1:-1] = padded[..., 1, 1:-1]
-        padded[..., -1, 1:-1] = padded[..., -2, 1:-1]
-        padded[..., 0] = padded[..., 1]
-        padded[..., -1] = padded[..., -2]
-        flat = padded.reshape(K, 2, plane)
-        # 12 (M p - p) = h2(up) + h2(down) + 2 h2 + 4 v2, where h2 and v2 are
-        # the horizontal and vertical second differences; built from first
-        # differences, it keeps its relative precision on smooth fields,
-        # where forming M p and subtracting p would cancel
-        np.subtract(flat[..., lo - row : hi + row + 1], flat[..., lo - row - 1 : hi + row], out=diff)
-        np.subtract(diff[..., 1:], diff[..., :-1], out=h2)
-        np.add(h2[..., :n], h2[..., 2 * row :], out=ap)
-        np.subtract(flat[..., lo : hi + row], flat[..., lo - row : hi], out=diff[..., : n + row])
-        np.subtract(diff[..., row : n + row], diff[..., :n], out=tmp)
-        np.add(tmp, tmp, out=tmp)
-        np.add(tmp, h2[..., row : row + n], out=tmp)
-        np.add(tmp, tmp, out=tmp)
-        np.add(ap, tmp, out=ap)
-        np.multiply(ap, np.float32(-alpha_sq / 12.0), out=ap)
-        np.multiply(grad_run, flat[..., lo:hi], out=tmp)
-        np.add(tmp[:, 0], tmp[:, 1], out=t[:, 0])
-        np.multiply(grad_run, t, out=tmp)
-        np.add(ap, tmp, out=ap)
-        ap_border[...] = 0.0
-
-    def precondition() -> list[float]:
-        # z = (alpha^2 (I - M) + c I)^-1 r in the DCT basis; returns r . z
-        # per system
-        spectrum = fft.dctn(r_rows[..., :w], type=2, norm="ortho", axes=(-2, -1))
-        spectrum *= inv
-        z_rows[..., :w] = fft.idctn(spectrum, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
-        return np.einsum("kij,kij->k", r, z, dtype=np.float64).tolist()
-
-    step = np.empty((K, 1, 1), np.float32)
+    eig = _smoothness_eigenvalues(h, w, params.alpha * params.alpha).astype(np.float32)
+    field = np.array(start, np.float32)
+    grad = np.empty_like(field)
+    rhs = np.empty_like(field)
+    inv = np.empty_like(field)
+    g_dot = np.empty((K, 1, h, w), np.float32)
+    data = np.empty_like(field)
+    step = np.empty((K, 1, 1, 1), np.float32)
     beta = np.empty_like(step)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> list[float]:
+        # the float64 inner product of each system's planes
+        return np.einsum("kij,kij->k", a.reshape(K, -1, h * w), b.reshape(K, -1, h * w), dtype=np.float64).tolist()
+
+    def data_term(x: np.ndarray) -> None:
+        # g_dot = g . x and data = g (g . x), the data term of A x, in space
+        np.multiply(grad, x, out=data)
+        np.add(data[:, 0], data[:, 1], out=g_dot[:, 0])
+        np.multiply(grad, g_dot, out=data)
 
     def ratios(num: list[float], den: list[float], live: list[bool], out: np.ndarray) -> np.ndarray:
         # num / den per live system, rounded to float32 as a lone solve's
@@ -318,12 +275,12 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         ft -= target
         ft -= np.multiply(fx, u0, out=mean)
         ft -= np.multiply(fy, v0, out=mean)
-        grad[:, 0, 1:-1, 1:-1] = fx
-        grad[:, 1, 1:-1, 1:-1] = fy
+        grad[:, 0] = fx
+        grad[:, 1] = fy
         # -g ft as g (-ft): negation is exact and commutes with the product
         np.negative(ft, out=ft)
-        np.multiply(fx, ft, out=rhs[:, 0, 1:-1, 1:-1], casting="same_kind")
-        np.multiply(fy, ft, out=rhs[:, 1, 1:-1, 1:-1], casting="same_kind")
+        np.multiply(fx, ft, out=rhs[:, 0], casting="same_kind")
+        np.multiply(fy, ft, out=rhs[:, 1], casting="same_kind")
         # 1 / (eigenvalue + c); the constant mode keeps 0 where c is 0
         c = np.stack([np.einsum("kij,kij->k", d, d) for d in (fx, fy)], axis=1) / (h * w)
         np.add(eig, c[:, :, None, None], out=inv, casting="same_kind")
@@ -331,10 +288,13 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
 
     for _ in range(params.warps_per_level):
         linearize()
-        apply_a(x_pad)
-        np.subtract(rhs_run, ap, out=r)
-        rz = precondition()
-        p_run[...] = z
+        # R = dct(b - g (g . x)) - eig dct(x)
+        data_term(field)
+        r_hat = dct(np.subtract(rhs, data, out=data))
+        r_hat -= eig * dct(field)
+        z_hat = inv * r_hat
+        p_hat = z_hat.copy()
+        rz = dot(r_hat, z_hat)
         # the systems whose solve goes on; a stopped one takes steps of 0 from
         # then on and keeps its field bit for bit
         live = [True] * K
@@ -343,22 +303,26 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
                 live = [on and q != 0.0 for on, q in zip(live, rz)]
                 if not any(live):
                     break
-            apply_a(p_pad)
-            pap = np.einsum("kij,kij->k", p_run, ap, dtype=np.float64).tolist()
+            p = fft.idctn(p_hat, type=2, norm="ortho", axes=(-2, -1))
+            data_term(p)
+            ap_hat = eig * p_hat
+            pap = [a + b for a, b in zip(dot(p_hat, ap_hat), dot(g_dot, g_dot))]
             if any(q <= 0.0 for q in pap):  # p lies in the null space of A: no step to take
                 live = [on and not q <= 0.0 for on, q in zip(live, pap)]
                 if not any(live):
                     break
-            np.multiply(p_run, ratios(rz, pap, live, step), out=tmp)
+            ap_hat += dct(data)
+            p *= ratios(rz, pap, live, step)
             if all(live):
-                x_run += tmp
+                field += p
             else:
-                np.add(x_run, tmp, out=x_run, where=np.array(live)[:, None, None])
-            ap *= step
-            r -= ap
-            rz_next = precondition()
-            p_run *= ratios(rz_next, rz, live, beta)
-            p_run += z
+                np.add(field, p, out=field, where=np.array(live)[:, None, None, None])
+            ap_hat *= step
+            r_hat -= ap_hat
+            np.multiply(inv, r_hat, out=z_hat)
+            rz_next = dot(r_hat, z_hat)
+            p_hat *= ratios(rz_next, rz, live, beta)
+            p_hat += z_hat
             rz = rz_next
     return field
 

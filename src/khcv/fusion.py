@@ -49,13 +49,14 @@ __all__ = [
 # Full flow solves run at frames 1, 1 + _ANCHOR_STRIDE, ... and B; the other
 # frames refine interpolated fields with _REFINE_WARPS finest-level warps.
 # On the 128x128, B=16 block of acceptance criterion 6 that is 12 full
-# solves and 20 refinements instead of 32 full solves: fusion takes 0.87 s
-# of CPU instead of 1.47 s (medians of 9 runs on a 2-vCPU Xeon), and fused
-# PSNR rises from 26.26 to 26.50 dB, as the refinement starts closer to the
-# answer than a coarse-to-fine solve from zero ends.  Against full solves at
-# every frame, interpolation with no refinement loses 0.54 dB on a noisy
-# translating scene, and one refine warp in place of two loses 0.11 dB on
-# average over six 48x48, B=4 blocks.
+# solves and 20 refinements instead of 32 full solves, and fused PSNR rises
+# from 27.73 to 27.92 dB, as the refinement starts closer to the answer
+# than a coarse-to-fine solve from zero ends.  Stride 4 raises PSNR on all
+# four 128x128 quality cases of GapTvParams but lowers the moving square's
+# SSIM by 0.00004; stride 5 loses PSNR or SSIM on three of them.  Against
+# full solves at every frame, interpolation with no refinement loses 0.54 dB
+# on a noisy translating scene, and one refine warp in place of two loses
+# 0.11 dB on average over six 48x48, B=4 blocks.
 _ANCHOR_STRIDE = 3
 _REFINE_WARPS = 2
 

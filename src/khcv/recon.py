@@ -59,10 +59,9 @@ class GapTvParams:
     raises both fused PSNR and SSIM over the former (0.07, 5) on all four
     128x128 quality cases (translating texture and moving square, noise 0
     and 0.02).  The scene of acceptance criterion 6 fuses to 27.924 dB,
-    SSIM 0.8507 (26.568 dB, 0.7756 before), and criterion 2 reads 46.40 dB
-    against its closed form (45.34 before).  One or two iterations gain
-    more on the texture but cut the square's SSIM; at weight 0.02 criterion
-    2 falls to 42.59 dB.
+    SSIM 0.8507, and criterion 2 reads 46.40 dB against its closed form.
+    One or two iterations gain more on the texture but cut the square's
+    SSIM; at weight 0.02 criterion 2 falls to 42.59 dB.
     """
 
     outer_iters: int = 60

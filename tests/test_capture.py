@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from khcv import (
     simulate_capture,
     write_measurement,
 )
+from khcv.cli import ConfigError, PipelineConfig
 
 from conftest import translating_scene
 
@@ -55,6 +57,11 @@ def test_compressive_ratio():
     assert compressive_ratio(16) == 2.0 / 17.0
     assert compressive_ratio(8) == 2.0 / 9.0
     assert compressive_ratio(1) == 1.0
+    assert compressive_ratio(np.int64(8)) == 2.0 / 9.0
+    # B is a count: a float or a bool is refused, not read as one
+    for B in (0, 2.5, 3.0, True):
+        with pytest.raises(ValueError):
+            compressive_ratio(B)
 
 
 def test_masks_deterministic_and_binary():
@@ -69,6 +76,11 @@ def test_masks_deterministic_and_binary():
         with pytest.raises(ValueError):
             generate_masks(seed, 4, 4, 2)
     assert generate_masks(np.uint64(7), 16, 16, 8) == generate_masks(np.int32(7), 16, 16, 8) == a
+    # so are the three mask dimensions
+    for dims in ((2.5, 4, 2), (True, 4, 2), (4, 4.0, 2), (4, 4, True), (0, 4, 2)):
+        with pytest.raises(ValueError):
+            generate_masks(1, *dims)
+    assert generate_masks(7, np.int64(16), np.uint8(16), np.int32(8)) == a
 
 
 def test_masks_match_philox_replay():
@@ -183,9 +195,12 @@ def test_simulate_capture_rejects_short_scene():
 
 
 def test_noise_model_validation():
-    for sigma in (-0.5, float("nan")):
+    for sigma in (-0.5, float("nan"), math.inf):
         with pytest.raises(ValueError):
             NoiseModel.gaussian(sigma=sigma, seed=1)
+    # an infinite sigma would only fail later, inside encode
+    with pytest.raises(ConfigError, match="sigma"):
+        PipelineConfig(scene="x", noise_sigma=math.inf)
     for sigma in (0.0, 0.1):
         for seed in (-1, 2**64, 3.7, 3.0, True):
             with pytest.raises(ValueError):

@@ -60,3 +60,8 @@ def test_benchmark_entry_points_keep_their_parameters():
     assert _parameters(capture.write_measurement)[-2:] == ["seed", "extra"]
     for name in ("mean_psnr", "mean_ssim", "intermediate_mean_psnr"):
         assert isinstance(getattr(cli.PipelineResult, name), property), name
+    # tracer.py binds coverage_map when a Tracer is built, and workloads.py
+    # passes these arguments by position
+    assert _parameters(recon.coverage_map)[:1] == ["c"]
+    assert _parameters(capture.generate_masks)[:5] == ["seed", "height", "width", "frames", "density"]
+    assert _parameters(capture.simulate_capture)[:5] == ["scene", "masks", "schedule", "gap_frames", "noise"]
