@@ -293,9 +293,10 @@ def write_measurement(
     """Store a measurement as binary tensors plus a JSON manifest.
 
     Returns the manifest path.  `seed` records the mask seed used to build
-    the coding cube; `extra` fields are merged into the manifest verbatim.
-    The manifest is encoded before any file is written, so a value JSON
-    cannot hold leaves nothing behind.
+    the coding cube; `extra` fields are added to the manifest verbatim, and
+    a key that names one of the manifest's own fields raises ValueError.
+    The manifest is encoded before any file is written, so a bad key or a
+    value JSON cannot hold leaves nothing behind.
     """
     manifest = {
         "files": dict(_MANIFEST_FILES),
@@ -308,6 +309,9 @@ def write_measurement(
         "seed": seed,
     }
     if extra:
+        taken = sorted(manifest.keys() & extra.keys())
+        if taken:
+            raise ValueError(f"extra fields {taken} would overwrite the manifest's own")
         manifest.update(extra)
     text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_scalar) + "\n"
     out = Path(out_dir)

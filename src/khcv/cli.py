@@ -71,7 +71,8 @@ class DataError(Exception):
 
 
 class NumericalError(Exception):
-    """A solver produced non-finite values."""
+    """A computation produced non-finite values: a solver's iterates, or a
+    simulated measurement past float32's range."""
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,10 @@ def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, 
     _check_scene(cfg, scene)
     schedule = build_schedule(cfg.t_x, cfg.B, cfg.t_g)
     masks = generate_masks(cfg.mask_seed, scene.height, scene.width, cfg.B, cfg.mask_density)
-    m = simulate_capture(scene, masks, schedule, cfg.gap_frames, NoiseModel(cfg.noise_sigma, cfg.noise_seed))
+    try:
+        m = simulate_capture(scene, masks, schedule, cfg.gap_frames, NoiseModel(cfg.noise_sigma, cfg.noise_seed))
+    except ValueError as exc:  # the scene, masks and schedule are checked; only float32 overflow is left
+        raise NumericalError(f"the simulated measurement does not fit float32: {exc}") from exc
     manifest = write_measurement(
         m, cfg.out_dir, seed=cfg.mask_seed,
         extra={"noise_sigma": cfg.noise_sigma, "noise_seed": cfg.noise_seed},
@@ -314,7 +318,10 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_intermediates:
         dump.mkdir(exist_ok=True)
-    fused = fuse_video(m, x_mid, cfg.fusion, cfg.flow, write_dump if cfg.dump_intermediates else None)
+    try:
+        fused = fuse_video(m, x_mid, cfg.fusion, cfg.flow, write_dump if cfg.dump_intermediates else None)
+    except FloatingPointError as exc:
+        raise NumericalError(str(exc)) from exc
     save_tensor(fused, out / "fused.khcv")
     return fused
 

@@ -24,8 +24,9 @@ inner products.
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
 many per stack as keep the work arrays within a fixed budget, while inner
-products and stopping stay per system.  Each pair's field is bit for bit
-the one estimate_flow, its one-pair call, returns.
+products and step lengths stay per system.  Every system runs every
+iteration, and none's arithmetic depends on another's, so each pair's field
+is bit for bit the one estimate_flow, its one-pair call, returns.
 """
 
 from __future__ import annotations
@@ -221,11 +222,16 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     null direction of A, gets 0, so Z never feeds it.  The iterations and
     the DCTs run in float32; the inner products, which the orthonormal basis
     leaves unchanged, accumulate in float64, one per system:
-    r . z = sum R Z and p . A p = sum eig P^2 + sum (g . p)^2.  A zero r . z,
-    or a search direction with no positive curvature, stops that system's
-    solve, so identical frames leave the field exactly zero.  The systems
-    share every numpy pass and every DCT, but no operation mixes two of
-    them: each field comes out bit for bit as it would from a stack of one.
+    r . z = sum R Z and p . A p = sum eig P^2 + sum (g . p)^2.  Every system
+    runs all iters_per_level iterations; its step r . z / p . A p and its
+    beta r' . z' / r . z are formed in float64 and read 0 where the
+    denominator is 0, so a system with nothing left to solve, such as an
+    identical or a flat pair, takes steps of 0, and identical frames leave a
+    zero field exactly zero.  The systems share every numpy pass and every
+    DCT, but no operation mixes two of them: each field comes out bit for
+    bit as it would from a stack of one.  A field that is no longer finite
+    after a linearization, as products of the frames past float32's range
+    make it, raises FloatingPointError.
     """
     # imported here so processes that never solve flow never load scipy.fft
     from scipy import fft
@@ -241,25 +247,21 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     inv = np.empty_like(field)
     g_dot = np.empty((K, 1, h, w), np.float32)
     data = np.empty_like(field)
-    step = np.empty((K, 1, 1, 1), np.float32)
-    beta = np.empty_like(step)
 
-    def dot(a: np.ndarray, b: np.ndarray) -> list[float]:
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # the float64 inner product of each system's planes
-        return np.einsum("kij,kij->k", a.reshape(K, -1, h * w), b.reshape(K, -1, h * w), dtype=np.float64).tolist()
+        return np.einsum("kij,kij->k", a.reshape(K, -1, h * w), b.reshape(K, -1, h * w), dtype=np.float64)
+
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        # num / den per system, formed in float64 and 0 where den is 0, as
+        # the float32 factor that scales that system's planes
+        return np.divide(num, den, out=np.zeros(K), where=den != 0.0).astype(np.float32).reshape(K, 1, 1, 1)
 
     def data_term(x: np.ndarray) -> None:
         # g_dot = g . x and data = g (g . x), the data term of A x, in space
         np.multiply(grad, x, out=data)
         np.add(data[:, 0], data[:, 1], out=g_dot[:, 0])
         np.multiply(grad, g_dot, out=data)
-
-    def ratios(num: list[float], den: list[float], live: list[bool], out: np.ndarray) -> np.ndarray:
-        # num / den per live system, rounded to float32 as a lone solve's
-        # np.float32(rz / pap) is; 0 for a stopped system, whose quotient is
-        # never formed
-        out.reshape(K)[:] = [a / b if on else 0.0 for a, b, on in zip(num, den, live)]
-        return out
 
     def linearize() -> None:
         # grad, rhs and inv around the current field (u0, v0), which is read
@@ -295,35 +297,25 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         z_hat = inv * r_hat
         p_hat = z_hat.copy()
         rz = dot(r_hat, z_hat)
-        # the systems whose solve goes on; a stopped one takes steps of 0 from
-        # then on and keeps its field bit for bit
-        live = [True] * K
         for _ in range(params.iters_per_level):
-            if not all(rz):
-                live = [on and q != 0.0 for on, q in zip(live, rz)]
-                if not any(live):
-                    break
             p = fft.idctn(p_hat, type=2, norm="ortho", axes=(-2, -1))
             data_term(p)
             ap_hat = eig * p_hat
-            pap = [a + b for a, b in zip(dot(p_hat, ap_hat), dot(g_dot, g_dot))]
-            if any(q <= 0.0 for q in pap):  # p lies in the null space of A: no step to take
-                live = [on and not q <= 0.0 for on, q in zip(live, pap)]
-                if not any(live):
-                    break
+            pap = dot(p_hat, ap_hat) + dot(g_dot, g_dot)
             ap_hat += dct(data)
-            p *= ratios(rz, pap, live, step)
-            if all(live):
-                field += p
-            else:
-                np.add(field, p, out=field, where=np.array(live)[:, None, None, None])
+            step = ratio(rz, pap)
+            p *= step
+            field += p
             ap_hat *= step
             r_hat -= ap_hat
             np.multiply(inv, r_hat, out=z_hat)
             rz_next = dot(r_hat, z_hat)
-            p_hat *= ratios(rz_next, rz, live, beta)
+            p_hat *= ratio(rz_next, rz)
             p_hat += z_hat
             rz = rz_next
+        # a field past float32's range would be warped at NaN positions next
+        if not np.isfinite(field).all():
+            raise FloatingPointError(f"the flow field at {h}x{w} is not finite: products of the frames overflow float32")
     return field
 
 
@@ -339,8 +331,9 @@ def estimate_flows(
 
     The K systems run through the pyramid together: at each level they are
     solved in stacks that share every numpy pass, as many per stack as keep
-    the solver's work arrays within a fixed budget.  Each field is bit for
-    bit the one estimate_flow gives for its pair alone.
+    the solver's work arrays within a fixed budget.  Every system runs the
+    same iterations, with its own inner products and step lengths, so each
+    field is bit for bit the one estimate_flow gives for its pair alone.
 
     Args:
         targets: frames the flows are anchored to, all of one shape.
@@ -359,6 +352,8 @@ def estimate_flows(
             shape, the frames are too small for the requested pyramid depth
             (coarsest level must keep both sides at least 8 px), or a start
             does not have the coarsest level's shape.
+        FloatingPointError: if a field stops being finite, as it does when
+            products of the frames' samples overflow float32.
     """
     params = params or FlowParams()
     K = len(targets)
@@ -397,7 +392,7 @@ def estimate_flows(
         field = np.array([start.samples for start in starts])
     for level in range(params.pyramid_levels - 1, -1, -1):
         h, w = target_levels[level].shape[1:]
-        stack = max(1, _PCG_STACK_ELEMENTS // (2 * (h + 2) * (w + 2)))
+        stack = max(1, _PCG_STACK_ELEMENTS // (2 * h * w))
         relaxed = np.empty((K, 2, h, w), np.float32)
         for i in range(0, K, stack):
             part = slice(i, i + stack)
@@ -433,6 +428,8 @@ def estimate_flow(
         ValueError: if the shapes differ, the image is too small for the
             requested pyramid depth (coarsest level must keep both sides at
             least 8 px), or start does not have the coarsest level's shape.
+        FloatingPointError: if the field stops being finite, as it does when
+            products of the frames' samples overflow float32.
     """
     (field,) = estimate_flows([target], [source], params, starts=None if start is None else [start])
     return field

@@ -299,6 +299,18 @@ def test_numpy_seed_is_written_to_the_manifest(tmp_path):
     assert (stored["seed"], stored["noise_seed"]) == (3, 4)
 
 
+def test_extra_fields_may_not_overwrite_the_manifest(tmp_path):
+    # a gap-1 measurement must not read back with another gap, schedule or file map
+    scene = translating_scene(16, 16, 12, seed=8)
+    m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(2083, 8), gap_frames=1)
+    for extra in ({"gap_frames": 3}, {"B": 4}, {"t_x": 1}, {"files": {}}, {"seed": 9}, {"note": 1, "t_g": 5}):
+        with pytest.raises(ValueError, match="overwrite"):
+            write_measurement(m, tmp_path / "cap", seed=3, extra=extra)
+        assert not (tmp_path / "cap").exists()
+    manifest = write_measurement(m, tmp_path / "cap", seed=3, extra={"noise_sigma": 0.0, "noise_seed": 2})
+    assert read_measurement(manifest).gap_frames == 1
+
+
 def test_manifest_is_encoded_before_any_file_is_written(tmp_path):
     scene = translating_scene(16, 16, 12, seed=8)
     m = simulate_capture(scene, generate_masks(3, 16, 16, 8), build_schedule(2083, 8))

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,6 +633,30 @@ def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monke
         assert "GAP-TV diverged" in r.output
     assert not (tmp_path / "out" / "intermediate.khcv").exists()
     assert not (staged / "intermediate.khcv").exists()
+
+
+def test_measurements_and_flows_past_float32_exit_4(tmp_path):
+    # finite configs whose noise overflows float32: 1e20 overflows the flow
+    # solver's data term, 1e39 the compressive frame itself.  The CLI runs in
+    # a child process, where numpy's overflow warnings stay warnings
+    scene_path = tmp_path / "scene.khcv"
+    save_tensor(translating_scene(32, 32, 10, seed=9), scene_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command, sigma, left_out in (("pipeline", 1e20, "fused.khcv"), ("simulate", 1e39, "manifest.json")):
+        out = tmp_path / f"out_{command}"
+        config = tmp_path / f"{command}.json"
+        raw = {"scene": str(scene_path), "B": 4, "t_x": 1000, "noise_sigma": sigma, "out_dir": str(out)}
+        config.write_text(json.dumps({**raw, "gap_tv": {"outer_iters": 5}}))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from khcv.cli import main; main()", command, "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert not (out / left_out).exists()
 
 
 def test_cli_pipeline_single_frame_block(tmp_path):

@@ -385,8 +385,8 @@ def _coarsest_side(side, levels):
 def test_estimate_flows_matches_one_pair_calls(data):
     # K pairs solved as stacks, with a budget small enough that some levels
     # split into several stacks, give every pair the field it gets alone.
-    # One pair is an identical pair: its solve stops at once while the
-    # others go on, and its field stays exactly zero
+    # One pair is an identical pair: its steps are 0 while the others' are
+    # not, and its field stays exactly zero
     levels = data.draw(st.integers(1, 3), label="levels")
     low = flow._min_side(levels)
     h = data.draw(st.integers(low, 40), label="h")
@@ -411,7 +411,7 @@ def test_estimate_flows_matches_one_pair_calls(data):
     if with_starts:
         coarsest = (_coarsest_side(h, levels), _coarsest_side(w, levels))
         starts = [FlowField(rng.uniform(-1.5, 1.5, (2, *coarsest))) for _ in range(K)]
-        # a negative zero start is kept bit for bit by a solve that stops at once
+        # a negative zero start stays zero, stacked and alone alike
         starts[same] = FlowField(np.full((2, *coarsest), -0.0, np.float32))
 
     real_budget = flow._PCG_STACK_ELEMENTS
@@ -427,16 +427,38 @@ def test_estimate_flows_matches_one_pair_calls(data):
     assert not stacked[same].samples.any()
 
 
-def test_a_stopped_system_leaves_its_start_untouched_beside_live_ones():
-    # the identical pair stops at its first iteration, the shifted pair goes
-    # on; the stopped field keeps even the sign of its zeros
+def test_an_identical_pair_takes_zero_steps_beside_a_moving_one():
+    # the identical pair's steps are 0 from its first iteration, while the
+    # shifted pair's solve goes on in the same stack
     target, source = shifted_pair(24, 24, dx=1, dy=0, seed=9)
     params = FlowParams(pyramid_levels=1)
     starts = [FlowField(np.zeros((2, 24, 24), np.float32)), FlowField(np.full((2, 24, 24), -0.0, np.float32))]
     moving, still = estimate_flows([target, target], [source, Frame(target.samples.copy())], params, starts=starts)
-    assert np.signbit(still.samples).all() and not still.samples.any()
+    assert not still.samples.any()
     alone = estimate_flow(target, source, params, start=starts[0])
     assert moving.samples.tobytes() == alone.samples.tobytes()
+
+
+@pytest.mark.parametrize("iters", [5, 50, 200])
+def test_degenerate_systems_run_every_iteration_and_stay_finite(iters):
+    # systems with nothing left to solve, or with a null direction, run all
+    # their iterations: identical frames from a zero start keep the field
+    # exactly zero, and flat frames and stripes that vary along x alone keep
+    # it finite from random starts
+    frame = Frame(smooth_texture(32, 32, seed=4))
+    flat = Frame(np.full((32, 32), 0.5, np.float32))
+    x = np.arange(32)
+    stripes = [Frame(np.tile(0.5 + 0.3 * np.sin(0.6 * (x + dx)), (32, 1))) for dx in (0, 1)]
+    params = FlowParams(iters_per_level=iters)
+    rng = np.random.default_rng(iters)
+    starts = [FlowField(np.zeros((2, 8, 8), np.float32))]
+    starts += [FlowField(rng.uniform(-1.5, 1.5, (2, 8, 8))) for _ in range(2)]
+    targets = [frame, flat, stripes[0]]
+    sources = [Frame(frame.samples.copy()), Frame(flat.samples.copy()), stripes[1]]
+    still, *others = estimate_flows(targets, sources, params, starts=starts)
+    assert not still.samples.any()
+    for f in others:
+        assert np.isfinite(f.samples).all()
 
 
 def test_estimate_flows_checks_its_inputs():
