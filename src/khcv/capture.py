@@ -13,6 +13,7 @@ block and each key frame.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -47,6 +48,19 @@ _ROLE_KEY_RIGHT = 2
 def _is_int(value) -> bool:
     """The integer rule: any integer type, numpy's too, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _raise_fp_errors(fn):
+    """The numerical-failure rule: numpy overflow, invalid and divide-by-zero
+    in fn, float32 casts too, raise FloatingPointError where they happen.  A
+    fresh errstate per call restores the caller's under nesting and threads."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(*args, **kwargs)
+
+    return guarded
 
 
 def _check_seed(seed, name: str) -> None:
@@ -198,6 +212,7 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
     return CodingCube(uniform < density)
 
 
+@_raise_fp_errors
 def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Frame:
     """Integrate a coded block into one compressive frame.
 
@@ -232,6 +247,7 @@ def _block_start(scene_frames: int, B: int, gap_frames: int) -> int:
     return start
 
 
+@_raise_fp_errors
 def sample_keyframes(
     scene: VideoCube, B: int, gap_frames: int, noise: NoiseModel | None = None
 ) -> tuple[Frame, Frame]:

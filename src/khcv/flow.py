@@ -26,7 +26,9 @@ pyramid level their systems run as stacks that share every numpy pass, as
 many per stack as keep the work arrays within a fixed budget, while inner
 products and step lengths stay per system.  Every system runs every
 iteration, and none's arithmetic depends on another's, so each pair's field
-is bit for bit the one estimate_flow, its one-pair call, returns.
+is bit for bit the one estimate_flow, its one-pair call, returns.  An
+overflow raises FloatingPointError in place, but pocketfft's DCTs raise
+nothing, so each linearization also checks that its field is finite.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .capture import _is_int
+from .capture import _is_int, _raise_fp_errors
 from .tensors import FlowField, Frame
 
 __all__ = [
@@ -229,9 +231,7 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     identical or a flat pair, takes steps of 0, and identical frames leave a
     zero field exactly zero.  The systems share every numpy pass and every
     DCT, but no operation mixes two of them: each field comes out bit for
-    bit as it would from a stack of one.  A field that is no longer finite
-    after a linearization, as products of the frames past float32's range
-    make it, raises FloatingPointError.
+    bit as it would from a stack of one.
     """
     # imported here so processes that never solve flow never load scipy.fft
     from scipy import fft
@@ -313,12 +313,13 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
             p_hat *= ratio(rz_next, rz)
             p_hat += z_hat
             rz = rz_next
-        # a field past float32's range would be warped at NaN positions next
+        # pocketfft raises nothing, and a field past float32 would be warped at NaN positions next
         if not np.isfinite(field).all():
             raise FloatingPointError(f"the flow field at {h}x{w} is not finite: products of the frames overflow float32")
     return field
 
 
+@_raise_fp_errors
 def estimate_flows(
     targets: Sequence[Frame],
     sources: Sequence[Frame],
@@ -352,8 +353,8 @@ def estimate_flows(
             shape, the frames are too small for the requested pyramid depth
             (coarsest level must keep both sides at least 8 px), or a start
             does not have the coarsest level's shape.
-        FloatingPointError: if a field stops being finite, as it does when
-            products of the frames' samples overflow float32.
+        FloatingPointError: at the first operation that overflows, or if a
+            field stops being finite (products of the frames past float32).
     """
     params = params or FlowParams()
     K = len(targets)
@@ -428,8 +429,7 @@ def estimate_flow(
         ValueError: if the shapes differ, the image is too small for the
             requested pyramid depth (coarsest level must keep both sides at
             least 8 px), or start does not have the coarsest level's shape.
-        FloatingPointError: if the field stops being finite, as it does when
-            products of the frames' samples overflow float32.
+        FloatingPointError: as estimate_flows raises it.
     """
     (field,) = estimate_flows([target], [source], params, starts=None if start is None else [start])
     return field

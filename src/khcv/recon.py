@@ -20,7 +20,8 @@ in float32, in place on six work planes allocated once per reconstruction;
 the result stays within about 2e-7 of a float64 dual at a fraction of its
 cost, and bit for bit matches a plain float32 dual loop.  Small frames are
 denoised as stacks that share each numpy pass, as many as fit a fixed pixel
-budget; each frame comes out as it would alone.
+budget; each frame comes out as it would alone.  An overflow, such as the
+dual's square of a huge measurement, raises FloatingPointError in place.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capture import _is_int
+from .capture import _is_int, _raise_fp_errors
 from .tensors import CodingCube, Frame, VideoCube
 
 __all__ = [
@@ -195,6 +196,7 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
     np.subtract(img, div.reshape(img.shape), out=img)
 
 
+@_raise_fp_errors
 def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_inner_iters) -> Frame:
     """Isotropic TV denoising of a single frame.
 
@@ -213,7 +215,7 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
 
     Returns:
         Denoised frame.  The discrete TV of the result never exceeds that of
-        the input.
+        the input.  A dual past float32's range raises FloatingPointError.
     """
     if not 0 <= weight < math.inf:
         raise ValueError(f"weight must be a finite number >= 0, got {weight}")
@@ -228,12 +230,17 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
 # ===== GAP-TV solver =====
 
 
+def _coverage(c: CodingCube) -> np.ndarray:
+    # the count of open masks at each pixel, summed straight from the uint8 cube
+    return c.samples.sum(axis=0, dtype=np.float64)
+
+
 def coverage_map(c: CodingCube) -> Frame:
-    """Per-pixel sum of squared mask values; 0 marks pixels no mask observes."""
-    cov = (c.samples.astype(np.float64) ** 2).sum(axis=0)
-    return Frame(cov)
+    """Per-pixel count of open masks; 0 marks pixels no mask observes."""
+    return Frame(_coverage(c))
 
 
+@_raise_fp_errors
 def gap_tv_reconstruct(
     y: Frame,
     c: CodingCube,
@@ -260,7 +267,7 @@ def gap_tv_reconstruct(
 
     masks = c.samples.astype(np.float64)
     meas = y.samples.astype(np.float64)
-    coverage = (masks * masks).sum(axis=0)
+    coverage = _coverage(c)
     zero_cov = int((coverage == 0).sum())
     if zero_cov:
         logger.warning(
@@ -307,6 +314,4 @@ def gap_tv_reconstruct(
     # first, which keeps them out of the peak
     del masks, work
     np.clip(x, 0.0, 1.0, out=x)
-    if not np.isfinite(x).all():
-        raise FloatingPointError("reconstruction diverged to non-finite values")
     return VideoCube(x)

@@ -16,10 +16,13 @@ from khcv import (
     build_schedule,
     compressive_ratio,
     encode,
+    estimate_flows,
+    gap_tv_reconstruct,
     generate_masks,
     read_measurement,
     sample_keyframes,
     simulate_capture,
+    tv_denoise,
     write_measurement,
 )
 from khcv.cli import ConfigError, PipelineConfig
@@ -317,3 +320,38 @@ def test_manifest_is_encoded_before_any_file_is_written(tmp_path):
     with pytest.raises(TypeError):
         write_measurement(m, tmp_path / "cap", extra={"note": object()})
     assert not (tmp_path / "cap").exists()
+
+
+def _guarded_calls(name: str, overflow: bool):
+    """A call of the named entry point of the numerical-failure rule, on
+    inputs at the [0, 1] scale or on ones that overflow float32."""
+    scene = translating_scene(32, 32, 4, seed=2)
+    masks = generate_masks(3, 32, 32, 2)
+    block = VideoCube(scene.samples[1:3])
+    scale = np.float32(1e30 if overflow else 1.0)
+    target, source = (Frame(f * scale) for f in scene.samples[1:3])
+    calls = {
+        # two open masks add two frames of up to 0.9 * 3e38
+        "encode": lambda: encode(VideoCube(block.samples * np.float32(3e38 if overflow else 1)), CodingCube(np.ones((2, 32, 32)))),
+        "sample_keyframes": lambda: sample_keyframes(scene, 2, 0, NoiseModel(1e39 if overflow else 0.1, 1)),
+        "tv_denoise": lambda: tv_denoise(target, 0.01),
+        "gap_tv_reconstruct": lambda: gap_tv_reconstruct(Frame(encode(block, masks).samples * scale), masks),
+        "estimate_flows": lambda: estimate_flows([target], [source]),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("name", ["encode", "sample_keyframes", "tv_denoise", "gap_tv_reconstruct", "estimate_flows"])
+def test_numeric_entry_points_raise_overflow_and_restore_the_errstate(name, overflow):
+    # each runs under its own errstate, whatever the caller's; an overflow
+    # raises where it happens, and the caller's state is back either way
+    call = _guarded_calls(name, overflow)
+    with np.errstate(over="ignore", divide="warn", invalid="print", under="ignore"):
+        before = np.geterr()
+        if overflow:
+            with pytest.raises(FloatingPointError, match="overflow encountered"):
+                call()
+        else:
+            call()
+        assert np.geterr() == before

@@ -1,10 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +24,6 @@ from khcv import (
 from khcv.cli import (
     ConfigError,
     DataError,
-    NumericalError,
     PipelineConfig,
     load_scene,
     main,
@@ -508,7 +503,6 @@ def test_guarded_exit_codes(tmp_path, monkeypatch):
         (DataError("bad"), 3),
         (FormatError("bad"), 3),
         (FileNotFoundError("bad"), 3),
-        (NumericalError("bad"), 4),
         (FloatingPointError("bad"), 4),
     ):
 
@@ -636,27 +630,36 @@ def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monke
 
 
 def test_measurements_and_flows_past_float32_exit_4(tmp_path):
-    # finite configs whose noise overflows float32: 1e20 overflows the flow
-    # solver's data term, 1e39 the compressive frame itself.  The CLI runs in
-    # a child process, where numpy's overflow warnings stay warnings
+    # finite configs whose noise overflows float32: 1e20 overflows GAP-TV's TV
+    # dual, 1e39 the compressive frame itself.  numpy raises at the operation
+    # that overflows, so the command stops there: no RuntimeWarning, which the
+    # test settings would turn into an uncaught error, and no partial output
     scene_path = tmp_path / "scene.khcv"
     save_tensor(translating_scene(32, 32, 10, seed=9), scene_path)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    for command, sigma, left_out in (("pipeline", 1e20, "fused.khcv"), ("simulate", 1e39, "manifest.json")):
-        out = tmp_path / f"out_{command}"
-        config = tmp_path / f"{command}.json"
-        raw = {"scene": str(scene_path), "B": 4, "t_x": 1000, "noise_sigma": sigma, "out_dir": str(out)}
-        config.write_text(json.dumps({**raw, "gap_tv": {"outer_iters": 5}}))
-        proc = subprocess.run(
-            [sys.executable, "-c", "from khcv.cli import main; main()", command, "--config", str(config)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 4, proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
-        assert not (out / left_out).exists()
+    runner = CliRunner()
+
+    def config(name, sigma):
+        path = tmp_path / f"{name}.json"
+        raw = {"scene": str(scene_path), "B": 4, "t_x": 1000, "noise_sigma": sigma, "out_dir": str(tmp_path / name)}
+        path.write_text(json.dumps({**raw, "gap_tv": {"outer_iters": 5}}))
+        return str(path)
+
+    staged = tmp_path / "staged"
+    r = runner.invoke(main, ["simulate", "--config", config("staged", 1e20)])
+    assert r.exit_code == 0, r.output
+    for args, out, left_out in (
+        (["reconstruct", "--manifest", str(staged / "manifest.json"), "--config", config("rec", 1e20)],
+         tmp_path / "rec", ["intermediate.khcv"]),
+        (["pipeline", "--config", config("pipe", 1e20)], tmp_path / "pipe", ["intermediate.khcv", "fused.khcv"]),
+        (["simulate", "--config", config("sim", 1e39)], tmp_path / "sim", ["manifest.json"]),
+    ):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 4, (args[0], r.output, r.exception)
+        assert "RuntimeWarning" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert lines[-1].startswith("error: overflow encountered in ")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        assert not any((out / name).exists() for name in left_out), args[0]
 
 
 def test_cli_pipeline_single_frame_block(tmp_path):
