@@ -52,13 +52,18 @@ def _is_int(value) -> bool:
 
 def _raise_fp_errors(fn):
     """The numerical-failure rule: numpy overflow, invalid and divide-by-zero
-    in fn, float32 casts too, raise FloatingPointError where they happen.  A
-    fresh errstate per call restores the caller's under nesting and threads."""
+    in fn, float32 casts too, raise FloatingPointError where they happen,
+    its message ending in the stage's name, as in "overflow encountered in
+    multiply (in gap_tv_reconstruct)".  A fresh errstate per call restores
+    the caller's under nesting and threads."""
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return fn(*args, **kwargs)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} (in {fn.__name__})") from exc
 
     return guarded
 

@@ -58,10 +58,14 @@ _MIN_COARSE_SIDE = 8
 # fit this many elements, so that the PCG work arrays of a stack stay within
 # the 2 MB L2 cache.  Per-system cost of _relax_level at the default settings
 # with K systems stacked, against one at a time, on one pinned CPU of a
-# 2-vCPU Xeon (two runs, five at 48x48 and 64x64): 0.35-0.36x at 12x12
-# (K=4), 0.43-0.49x at 24x24 (K=4), 0.43-0.57x at 32x32 (K=12), 0.47-0.92x at
-# 48x48 (K=4), but 0.86-1.40x at 64x64 (K=4) and 0.97-0.99x at 128x128
-# (K=2); at 128x128 and above a stack holds one system.
+# 2-vCPU Xeon (five runs): 0.28-0.34x at 12x12 (K=4), 0.30-0.41x at 24x24,
+# 0.47-0.74x at 32x32, 0.54-1.29x at 48x48 and 0.84-1.02x at 64x64 (all K=4),
+# 0.60-1.05x at 64x64 (K=2) and 1.04-1.23x at 128x128 (K=2); at 128x128 and
+# above a stack holds one system.  End to end the 64x64 stacks, the middle
+# level of the perfbench gate128 workload, are a wash: over six alternating
+# runs of 30 s each, budgets of 20,000 (two per stack) and 16,000 (one) read
+# +0.4% (ahead in 4) and -1.0% (behind in 5) frames per second against this
+# one in the median, inside the 4-5% spread of two identical runs.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -83,17 +87,24 @@ class FlowParams:
 
     The defaults are what fusion runs: alpha this strong keeps the
     reconstruction artifacts of GAP-TV targets from dominating the data
-    term.  With 5 iterations the 128x128 scene of acceptance criterion 6,
-    anchor frames and refinements included, fuses to 27.924 dB, SSIM
-    0.8507, at GapTvParams' defaults; 4 or 6 iterations move the fused
-    PSNR of each of the four 128x128 quality cases GapTvParams names by
-    0.011 dB or less.
+    term.  The DCT preconditioner solves each linearization almost exactly
+    in 2 iterations, and the data term holds only near the field it is
+    linearized around, so the budget goes to warps.  With 2 iterations and
+    4 warps the 128x128 scene of acceptance criterion 6, anchor frames and
+    refinements included, fuses to 27.988 dB, SSIM 0.8540, at GapTvParams'
+    defaults, against 27.924 dB, SSIM 0.8507 with 5 iterations and 3 warps,
+    which take 36 DCTs per system and level where these take 24.  Each of
+    the four 128x128 quality cases GapTvParams names gains fused PSNR over
+    (5, 3), and only the square at noise 0.02 loses SSIM, 0.0008.  Against
+    (2, 4) on those cases, 1 iteration loses up to 0.36 dB, 3 or 4 move
+    each by 0.07 dB or less, 3 warps lose up to 0.15 dB, and 5 warps gain
+    up to 0.06 dB on the texture but lose 0.016 dB on the square.
     """
 
     pyramid_levels: int = 3
     alpha: float = 0.2
-    iters_per_level: int = 5
-    warps_per_level: int = 3
+    iters_per_level: int = 2
+    warps_per_level: int = 4
 
     def __post_init__(self):
         # each check is written so that NaN and infinity fail it

@@ -47,16 +47,23 @@ __all__ = [
 ]
 
 # Full flow solves run at frames 1, 1 + _ANCHOR_STRIDE, ... and B; the other
-# frames refine interpolated fields with _REFINE_WARPS finest-level warps.
-# On the 128x128, B=16 block of acceptance criterion 6 that is 12 full
-# solves and 20 refinements instead of 32 full solves, and fused PSNR rises
-# from 27.73 to 27.92 dB, as the refinement starts closer to the answer
-# than a coarse-to-fine solve from zero ends.  Stride 4 raises PSNR on all
-# four 128x128 quality cases of GapTvParams but lowers the moving square's
-# SSIM by 0.00004; stride 5 loses PSNR or SSIM on three of them.  Against
-# full solves at every frame, interpolation with no refinement loses 0.54 dB
-# on a noisy translating scene, and one refine warp in place of two loses
-# 0.11 dB on average over six 48x48, B=4 blocks.
+# frames refine interpolated fields with _REFINE_WARPS finest-level warps, at
+# the caller's iteration count.  On the 128x128, B=16 block of acceptance
+# criterion 6 that is 12 full solves and 20 refinements instead of 32 full
+# solves, and fused PSNR rises from 27.79 to 27.99 dB, as the refinement
+# starts closer to the answer than a coarse-to-fine solve from zero ends.
+# Fused dB / SSIM on the four 128x128 quality cases GapTvParams names
+# (criterion 6, the square at noise 0, the texture and the square at noise
+# 0.02) at FlowParams' default 2 iterations and 4 warps:
+#   stride 3, 2 refine warps  27.988/0.8540 25.692/0.9631 25.017/0.8024 25.583/0.8700
+#   stride 3, 1 refine warp   27.931/0.8524 25.698/0.9633 24.889/0.7969 25.570/0.8701
+#   stride 3, 3 refine warps  27.946/0.8541 25.700/0.9632 25.019/0.8051 25.568/0.8701
+#   stride 4, 2 refine warps  28.018/0.8546 25.672/0.9631 25.101/0.8060 25.580/0.8705
+#   stride 4, 3 refine warps  27.972/0.8546 25.686/0.9633 25.085/0.8079 25.562/0.8702
+#   stride 5, 2 refine warps  27.982/0.8527 25.676/0.9627 25.065/0.8042 25.571/0.8711
+#   stride 1, all full solves 27.794/0.8480 25.695/0.9630 24.917/0.8014 25.558/0.8700
+# No other row is at least the first on all four: 3 refine warps lose
+# 0.04 dB on criterion 6, stride 4 loses 0.02 dB on the square at noise 0.
 _ANCHOR_STRIDE = 3
 _REFINE_WARPS = 2
 

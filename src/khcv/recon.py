@@ -56,13 +56,15 @@ class GapTvParams:
 
     Every TV step restarts the dual from zero, so tv_inner_iters sets how
     hard a step smooths as much as tv_weight does.  The defaults are the
-    one point of a sweep over weights 0.02-0.14 and 1-5 iterations that
-    raises both fused PSNR and SSIM over the former (0.07, 5) on all four
-    128x128 quality cases (translating texture and moving square, noise 0
-    and 0.02).  The scene of acceptance criterion 6 fuses to 27.924 dB,
-    SSIM 0.8507, and criterion 2 reads 46.40 dB against its closed form.
-    One or two iterations gain more on the texture but cut the square's
-    SSIM; at weight 0.02 criterion 2 falls to 42.59 dB.
+    one point of a sweep over weights 0.02-0.14 and 1-5 iterations, run
+    with 5 flow iterations and 3 warps, that raises both fused PSNR and
+    SSIM over the former (0.07, 5) on all four 128x128 quality cases
+    (translating texture and moving square, noise 0 and 0.02); at
+    FlowParams' defaults it still does.  The scene of acceptance criterion
+    6 fuses to 27.988 dB, SSIM 0.8540, and criterion 2 reads 46.40 dB
+    against its closed form.  One or two iterations gain more on the
+    texture but cut the square's SSIM; at weight 0.02 criterion 2 falls to
+    42.59 dB.
     """
 
     outer_iters: int = 60

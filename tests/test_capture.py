@@ -350,8 +350,9 @@ def test_numeric_entry_points_raise_overflow_and_restore_the_errstate(name, over
     with np.errstate(over="ignore", divide="warn", invalid="print", under="ignore"):
         before = np.geterr()
         if overflow:
-            with pytest.raises(FloatingPointError, match="overflow encountered"):
+            with pytest.raises(FloatingPointError, match="overflow encountered") as raised:
                 call()
+            assert str(raised.value).endswith(f" (in {name})")
         else:
             call()
         assert np.geterr() == before

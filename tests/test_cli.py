@@ -647,17 +647,19 @@ def test_measurements_and_flows_past_float32_exit_4(tmp_path):
     staged = tmp_path / "staged"
     r = runner.invoke(main, ["simulate", "--config", config("staged", 1e20)])
     assert r.exit_code == 0, r.output
-    for args, out, left_out in (
+    for args, out, left_out, stage in (
         (["reconstruct", "--manifest", str(staged / "manifest.json"), "--config", config("rec", 1e20)],
-         tmp_path / "rec", ["intermediate.khcv"]),
-        (["pipeline", "--config", config("pipe", 1e20)], tmp_path / "pipe", ["intermediate.khcv", "fused.khcv"]),
-        (["simulate", "--config", config("sim", 1e39)], tmp_path / "sim", ["manifest.json"]),
+         tmp_path / "rec", ["intermediate.khcv"], "gap_tv_reconstruct"),
+        (["pipeline", "--config", config("pipe", 1e20)], tmp_path / "pipe", ["intermediate.khcv", "fused.khcv"],
+         "gap_tv_reconstruct"),
+        (["simulate", "--config", config("sim", 1e39)], tmp_path / "sim", ["manifest.json"], "encode"),
     ):
         r = runner.invoke(main, args)
         assert r.exit_code == 4, (args[0], r.output, r.exception)
         assert "RuntimeWarning" not in r.stderr
         lines = r.stderr.splitlines()
         assert lines[-1].startswith("error: overflow encountered in ")
+        assert lines[-1].endswith(f" (in {stage})"), args[0]
         assert sum(line.startswith("error:") for line in lines) == 1
         assert not any((out / name).exists() for name in left_out), args[0]
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from khcv import (
     fuse_video,
     fusion,
     psnr,
+    save_tensor,
     visibility_map,
     warp,
 )
-from conftest import shifted_pair, smooth_texture
+from khcv.cli import PipelineConfig, run_pipeline
+
+from conftest import moving_square_scene, shifted_pair, smooth_texture
 
 
 def constant_flow(h, w, dx, dy):
@@ -249,16 +253,33 @@ def test_fusion_recovers_fine_detail_lost_in_intermediate():
     assert psnr(truth, Frame(fused.samples[0])) > psnr(truth, degraded)
 
 
-@pytest.mark.parametrize("B", [1, 2, 3, 4, 5, 6, 7, 16])
-def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, monkeypatch):
+def test_fusion_tracks_an_occluder_over_a_flat_background(tmp_path):
+    # the second kind of motion next to criterion 6's sliding texture: a
+    # bright square over a flat background, whose edges alone carry the flow
+    # and hide or reveal background, through the whole pipeline
+    save_tensor(moving_square_scene(128, 128, 26), tmp_path / "scene.khcv")
+    cfg = PipelineConfig(
+        scene=str(tmp_path / "scene.khcv"), B=16, t_g=300, mask_seed=21, out_dir=str(tmp_path / "out")
+    )
+    result = run_pipeline(cfg)
+    assert result.mean_psnr >= result.intermediate_mean_psnr + 0.3
+    assert result.mean_ssim >= 0.96
+
+
+@pytest.mark.parametrize(
+    "B, flow",
+    [pytest.param(B, FlowParams(), id=str(B)) for B in (1, 2, 3, 4, 5, 6, 7, 16)]
+    + [pytest.param(7, FlowParams(iters_per_level=3), id="7-iters3")],
+)
+def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, flow, monkeypatch):
     # anchors are every third frame from 1, and B; every other frame refines,
-    # at the finest level only, the fields interpolated between its anchors.
+    # at the finest level only, the fields interpolated between its anchors,
+    # with the caller's flow settings but for the pyramid and the warps.
     # Flow runs one anchor interval at a time: the first interval's anchors,
     # then each later anchor, then the frames between, each with both keys
     side = 32
     frames = VideoCube(np.stack([smooth_texture(side, side, seed=40 + k) for k in range(B)]))
     m = _tiny_measurement(Frame(smooth_texture(side, side, seed=30)), B, Frame(smooth_texture(side, side, seed=31)))
-    flow = FlowParams()
     solved = {}  # (k, key side) -> field of the full solve
     seeds = {}  # (k, key side) -> start of the refinement
     stacks = []  # (full solve?, frames, frames fused before) per estimate_flows call
@@ -275,7 +296,7 @@ def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, monkeypatch):
             assert params == flow
             solved.update(zip(calls, result))
         else:
-            assert params == FlowParams(pyramid_levels=1, warps_per_level=2)
+            assert params == replace(flow, pyramid_levels=1, warps_per_level=fusion._REFINE_WARPS)
             seeds.update(zip(calls, starts, strict=True))
         # each stack pairs every frame with both keys, left first
         ks = sorted({k for k, _ in calls})
