@@ -17,9 +17,9 @@ grid.  The field is upsampled between levels.  The coarsest level starts
 from zero, or from a field the caller gives, such as a guess interpolated
 from nearby frames.
 
-The data term (warp, image gradients and right-hand side) is formed in
-float64; the PCG iterations and their DCTs run in float32 with float64
-inner products.
+The data term (warp, image gradients and their product with the warp
+error) is formed in float64; the PCG iterations and their DCTs run in
+float32 with float64 inner products.
 
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
@@ -215,17 +215,22 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     a stack of K systems: targets and sources (K, h, w), fields started from
     the (K, 2, h, w) start; returns the (K, 2, h, w) float32 result.
 
-    Each linearization around the current field (u0, v0) fixes, with
-    g = (fx, fy), the system A w = b for the field w = (u, v):
-        A = alpha^2 (I - M) + g g^T,   b = -g (ft - fx*u0 - fy*v0)
+    Each linearization around the current field x0 = (u0, v0) fixes, with
+    g = (fx, fy) and ft = warped - target, the source warped by x0 less the
+    target, the system A w = b for the field w = (u, v):
+        A = alpha^2 (I - M) + g g^T,   b = -g (ft - g . x0)
     where M is the original Horn-Schunck neighborhood average (cardinal
     1/6, diagonal 1/12) with replicate borders.  M is symmetric, so A is
     symmetric positive (semi)definite, and iters_per_level iterations of
-    preconditioned conjugate gradients, started from the current field,
-    solve it.  The orthonormal 2-D DCT-II diagonalizes alpha^2 (I - M)
-    exactly, with the eigenvalues eig, so the residual R, the
-    preconditioned residual Z and the search direction P are kept in that
-    basis, where the smoothness term is a product with eig:
+    preconditioned conjugate gradients, started from x0, solve it.  That
+    start's residual needs no b: the g (g . x0) in b cancels the one in
+    A x0, which leaves
+        b - A x0 = -g ft - alpha^2 (I - M) x0,
+    the incremental form of warping solvers (Brox et al., ECCV 2004).  The
+    orthonormal 2-D DCT-II diagonalizes alpha^2 (I - M) exactly, with the
+    eigenvalues eig, so the residual R, the preconditioned residual Z and
+    the search direction P are kept in that basis, where the smoothness
+    term is a product with eig:
         A p  ->  eig P + dct(g (g . p)),   with p = idct(P)
     Each iteration takes two transforms, the idct of P and the dct of
     g (g . p); the field itself is updated in space from p.  |g|^2 is far
@@ -254,7 +259,6 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     eig = _smoothness_eigenvalues(h, w, params.alpha * params.alpha).astype(np.float32)
     field = np.array(start, np.float32)
     grad = np.empty_like(field)
-    rhs = np.empty_like(field)
     inv = np.empty_like(field)
     g_dot = np.empty((K, 1, h, w), np.float32)
     data = np.empty_like(field)
@@ -268,32 +272,22 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         # the float32 factor that scales that system's planes
         return np.divide(num, den, out=np.zeros(K), where=den != 0.0).astype(np.float32).reshape(K, 1, 1, 1)
 
-    def data_term(x: np.ndarray) -> None:
-        # g_dot = g . x and data = g (g . x), the data term of A x, in space
-        np.multiply(grad, x, out=data)
-        np.add(data[:, 0], data[:, 1], out=g_dot[:, 0])
-        np.multiply(grad, g_dot, out=data)
-
     def linearize() -> None:
-        # grad, rhs and inv around the current field (u0, v0), which is read
-        # as float32 and widens exactly.  The float64 data term lives only as
-        # long as this call, in four (K, h, w) arrays: ft is built in place in
-        # the warp, in the order of warped - target - fx*u0 - fy*v0, and each
-        # float32 plane takes its float64 result straight from the ufunc
-        u0, v0 = field[:, 0], field[:, 1]
-        ft = _warp_by_flow(source, u0, v0)
-        mean = np.add(target, ft)
+        # grad, inv and, in data, -g (warped - target) around the current
+        # field, which is read as float32 and widens exactly.  The float64
+        # data term lives only as long as this call, in four (K, h, w)
+        # arrays: target - warped, exactly -(warped - target), is built in
+        # place in the warp, and each float32 plane takes its float64 result
+        # straight from the ufunc
+        warped = _warp_by_flow(source, field[:, 0], field[:, 1])
+        mean = np.add(target, warped)
         mean *= 0.5
         fx, fy = _central_diff(mean)
-        ft -= target
-        ft -= np.multiply(fx, u0, out=mean)
-        ft -= np.multiply(fy, v0, out=mean)
+        error = np.subtract(target, warped, out=warped)
         grad[:, 0] = fx
         grad[:, 1] = fy
-        # -g ft as g (-ft): negation is exact and commutes with the product
-        np.negative(ft, out=ft)
-        np.multiply(fx, ft, out=rhs[:, 0], casting="same_kind")
-        np.multiply(fy, ft, out=rhs[:, 1], casting="same_kind")
+        np.multiply(fx, error, out=data[:, 0], casting="same_kind")
+        np.multiply(fy, error, out=data[:, 1], casting="same_kind")
         # 1 / (eigenvalue + c); the constant mode keeps 0 where c is 0
         c = np.stack([np.einsum("kij,kij->k", d, d) for d in (fx, fy)], axis=1) / (h * w)
         np.add(eig, c[:, :, None, None], out=inv, casting="same_kind")
@@ -301,16 +295,18 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
 
     for _ in range(params.warps_per_level):
         linearize()
-        # R = dct(b - g (g . x)) - eig dct(x)
-        data_term(field)
-        r_hat = dct(np.subtract(rhs, data, out=data))
+        # R = dct(-g (warped - target)) - eig dct(x), which is dct(b - A x)
+        r_hat = dct(data)
         r_hat -= eig * dct(field)
         z_hat = inv * r_hat
         p_hat = z_hat.copy()
         rz = dot(r_hat, z_hat)
         for _ in range(params.iters_per_level):
             p = fft.idctn(p_hat, type=2, norm="ortho", axes=(-2, -1))
-            data_term(p)
+            # g_dot = g . p and data = g (g . p), the data term of A p, in space
+            np.multiply(grad, p, out=data)
+            np.add(data[:, 0], data[:, 1], out=g_dot[:, 0])
+            np.multiply(grad, g_dot, out=data)
             ap_hat = eig * p_hat
             pap = dot(p_hat, ap_hat) + dot(g_dot, g_dot)
             ap_hat += dct(data)

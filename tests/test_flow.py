@@ -180,21 +180,25 @@ def hs_average_matrix(h, w):
     )
 
 
-def zero_flow_gradients(target, source):
-    """The image gradients g = (fx, fy) of the linearization at zero flow, in float64."""
+def linearization(target, source, start):
+    """The data term linearized at the (2, h, w) field start, in float64: the
+    image gradients g = (fx, fy) and the temporal difference ft between the
+    source warped by start and the target."""
     tgt = target.samples.astype(np.float64)
-    src = source.samples.astype(np.float64)
-    return flow._central_diff(0.5 * (tgt + src))
+    warped = flow._warp_by_flow(source.samples.astype(np.float64), *start)
+    fx, fy = flow._central_diff(0.5 * (tgt + warped))
+    return fx, fy, warped - tgt
 
 
-def single_warp_system(target, source, alpha):
-    """The linearization at zero flow in float64, unknowns ordered (u, v):
-    the sparse A = alpha^2 (I - M) + g g^T and the right side
-    b = -g (source - target)."""
+def single_warp_system(target, source, alpha, start=None):
+    """The linearization at the field start (zero if None) in float64,
+    unknowns ordered (u, v): the sparse A = alpha^2 (I - M) + g g^T and the
+    right side b = -g (ft - g . start), from the definition."""
     h, w = target.samples.shape
-    fx, fy = zero_flow_gradients(target, source)
-    ft = source.samples.astype(np.float64) - target.samples.astype(np.float64)
-    gx, gy, ft = fx.ravel(), fy.ravel(), ft.ravel()
+    start = np.zeros((2, h, w)) if start is None else start
+    fx, fy, ft = linearization(target, source, start)
+    gx, gy = fx.ravel(), fy.ravel()
+    ft = ft.ravel() - gx * start[0].ravel() - gy * start[1].ravel()
     smooth = alpha * alpha * (sparse.identity(h * w) - hs_average_matrix(h, w))
     a = sparse.bmat(
         [
@@ -206,12 +210,12 @@ def single_warp_system(target, source, alpha):
     return a, np.concatenate([-gx * ft, -gy * ft])
 
 
-def dct_preconditioner(target, source, alpha):
-    """The solver's preconditioner in float64 at zero flow: r = (r_u, r_v)
-    maps to (alpha^2 (I - M) + c I)^-1 r per component, solved in the
+def dct_preconditioner(target, source, alpha, start):
+    """The solver's preconditioner in float64 at the field start: r = (r_u,
+    r_v) maps to (alpha^2 (I - M) + c I)^-1 r per component, solved in the
     orthonormal DCT-II basis, with c the mean of fx^2 for u and of fy^2 for
     v, and 0 for a zero eigenvalue."""
-    fx, fy = zero_flow_gradients(target, source)
+    fx, fy, _ = linearization(target, source, start)
     h, w = fx.shape
     eig = flow._smoothness_eigenvalues(h, w, alpha * alpha)
     invs = []
@@ -230,10 +234,10 @@ def dct_preconditioner(target, source, alpha):
     return apply
 
 
-def textbook_pcg(a, b, iters, precondition):
-    """Float64 preconditioned conjugate gradients from zero."""
-    x = np.zeros_like(b)
-    r = b.copy()
+def textbook_pcg(a, b, iters, precondition, x0):
+    """Float64 preconditioned conjugate gradients from x0."""
+    x = x0.copy()
+    r = b - a @ x
     z = precondition(r)
     p = z.copy()
     rz = r @ z
@@ -258,14 +262,19 @@ def textbook_pcg(a, b, iters, precondition):
     dx=st.integers(-2, 2),
     dy=st.integers(-2, 2),
     seed=st.integers(0, 1000),
+    moved=st.booleans(),  # start from zero, or from a random field within 1.5 px
 )
-def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
+def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed, moved):
     target, source = shifted_pair(h, w, dx=dx, dy=dy, seed=seed)
-    a, b = single_warp_system(target, source, alpha)
+    start = np.zeros((2, h, w), np.float32)
+    if moved:
+        start[:] = np.random.default_rng(seed).uniform(-1.5, 1.5, start.shape)
+    x0 = start.astype(np.float64)
+    a, b = single_warp_system(target, source, alpha, x0)
 
-    def solve(iters, src=source):
+    def solve(iters, src=source, start=FlowField(start)):
         params = FlowParams(pyramid_levels=1, alpha=alpha, iters_per_level=iters, warps_per_level=1)
-        return estimate_flow(target, src, params)
+        return estimate_flow(target, src, params, start=start)
 
     def stacked(f):
         return np.concatenate([f.u.ravel(), f.v.ravel()])
@@ -274,13 +283,13 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed):
     got = solve(400)
     assert np.abs(stacked(got) - spsolve(a, b)).max() <= 1e-4
     # a few iterations in, it is the iterate of textbook conjugate gradients
-    # with the same DCT preconditioner
-    pcg = textbook_pcg(a, b, 5, dct_preconditioner(target, source, alpha))
+    # with the same DCT preconditioner, started from the same field
+    pcg = textbook_pcg(a, b, 5, dct_preconditioner(target, source, alpha, x0), x0.ravel())
     assert np.abs(stacked(solve(5)) - pcg).max() <= 1e-4
 
     again = solve(400)
     assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
-    still = solve(400, Frame(target.samples.copy()))
+    still = solve(400, Frame(target.samples.copy()), None)
     assert not still.u.any() and not still.v.any()
 
 

@@ -228,7 +228,7 @@ def test_fuse_video_validates_block_length():
 )
 def test_fuse_video_of_a_static_block_returns_the_block(B, height, width, seed):
     # keys and every intermediate frame are one texture: both fields are zero,
-    # the two warps tie, and the blend returns the frame up to its epsilon
+    # the two warps tie, and the blend returns the frame up to rounding
     frame = Frame(smooth_texture(height, width, seed=seed))
     seen = []
 
