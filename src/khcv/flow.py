@@ -18,21 +18,28 @@ from zero, or from a field the caller gives, such as a guess interpolated
 from nearby frames.
 
 The data term (warp, image gradients and their product with the warp
-error) is formed in float64; the PCG iterations and their DCTs run in
-float32 with float64 inner products.
+error) is formed in float64; the PCG iterations run in float32 with float64
+inner products.  Each 2-D DCT is a pair of float32 matrix products with the
+orthonormal DCT-II matrix of each side, built once per side and cached:
+dct(x) = C_h x C_w^T and idct(X) = C_h^T X C_w.  On the stacks of the
+pyramid levels below 128x128 they take a quarter to a half of the time of
+scipy.fft's DCTs (pocketfft), and a tenth to a third more at 128x128, on
+one core of a 2-vCPU AVX-512 Xeon; unlike pocketfft they run under numpy's
+floating-point checks.
 
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
 many per stack as keep the work arrays within a fixed budget, while inner
 products and step lengths stay per system.  Every system runs every
 iteration, and none's arithmetic depends on another's, so each pair's field
-is bit for bit the one estimate_flow, its one-pair call, returns.  An
-overflow raises FloatingPointError in place, but pocketfft's DCTs raise
-nothing, so each linearization also checks that its field is finite.
+is bit for bit the one estimate_flow, its one-pair call, returns: a
+matrix product over a stack runs one product per plane.  An overflow
+raises FloatingPointError in place, the transforms' included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -65,7 +72,9 @@ _MIN_COARSE_SIDE = 8
 # level of the perfbench gate128 workload, are a wash: over six alternating
 # runs of 30 s each, budgets of 20,000 (two per stack) and 16,000 (one) read
 # +0.4% (ahead in 4) and -1.0% (behind in 5) frames per second against this
-# one in the median, inside the 4-5% spread of two identical runs.
+# one in the median, inside the 4-5% spread of two identical runs.  These
+# figures were measured with the DCTs in pocketfft, before they became
+# matrix products.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -93,7 +102,8 @@ class FlowParams:
     4 warps the 128x128 scene of acceptance criterion 6, anchor frames and
     refinements included, fuses to 27.988 dB, SSIM 0.8540, at GapTvParams'
     defaults, against 27.924 dB, SSIM 0.8507 with 5 iterations and 3 warps,
-    which take 36 DCTs per system and level where these take 24.  Each of
+    which take 30 DCTs per system and level where these take 16, besides
+    one of the level's start field.  Each of
     the four 128x128 quality cases GapTvParams names gains fused PSNR over
     (5, 3), and only the square at noise 0.02 loses SSIM, 0.0008.  Against
     (2, 4) on those cases, 1 iteration loses up to 0.36 dB, 3 or 4 move
@@ -210,6 +220,23 @@ def _smoothness_eigenvalues(h: int, w: int, alpha_sq: float) -> np.ndarray:
     return eig
 
 
+@functools.lru_cache(maxsize=16)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The (n, n) orthonormal DCT-II matrix C in float32, read-only: C @ x
+    transforms the columns of x, and C.T @ X inverts it.
+
+    Row k samples cos(pi k (2j + 1) / 2n) over the columns j, scaled by
+    sqrt(2 / n), and by sqrt(1 / n) for k = 0.  It is formed in float64
+    and rounded once.
+    """
+    k = np.arange(n)[:, None]
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    c[0] *= np.sqrt(0.5)
+    c = c.astype(np.float32)
+    c.flags.writeable = False
+    return c
+
+
 def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, params: FlowParams) -> np.ndarray:
     """Run warps_per_level linearizations of the data term at one level for
     a stack of K systems: targets and sources (K, h, w), fields started from
@@ -233,31 +260,42 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     term is a product with eig:
         A p  ->  eig P + dct(g (g . p)),   with p = idct(P)
     Each iteration takes two transforms, the idct of P and the dct of
-    g (g . p); the field itself is updated in space from p.  |g|^2 is far
-    below alpha^2 on the fused scenes, so A is close to alpha^2 (I - M), and
-    the preconditioner divides each component by eig + c, with c the frame
-    mean of fx^2 for u and of fy^2 for v; the constant mode with c = 0, a
-    null direction of A, gets 0, so Z never feeds it.  The iterations and
-    the DCTs run in float32; the inner products, which the orthonormal basis
-    leaves unchanged, accumulate in float64, one per system:
-    r . z = sum R Z and p . A p = sum eig P^2 + sum (g . p)^2.  Every system
-    runs all iters_per_level iterations; its step r . z / p . A p and its
-    beta r' . z' / r . z are formed in float64 and read 0 where the
-    denominator is 0, so a system with nothing left to solve, such as an
-    identical or a flat pair, takes steps of 0, and identical frames leave a
-    zero field exactly zero.  The systems share every numpy pass and every
-    DCT, but no operation mixes two of them: each field comes out bit for
-    bit as it would from a stack of one.
+    g (g . p), and the field is updated in space from p.  The field's
+    transform X = dct(x) is formed once per level and takes each step's
+    share of P, so a warp's first residual, dct(-g ft) - eig X, costs one
+    transform.  The last iteration of a warp stops at the field update, as
+    the next warp rebuilds R, Z and P: a warp takes 2 iters_per_level
+    transforms.  |g|^2 is far below alpha^2 on the fused scenes, so A is
+    close to alpha^2 (I - M), and the preconditioner divides each component
+    by eig + c, with c the frame mean of fx^2 for u and of fy^2 for v; the
+    constant mode with c = 0, a null direction of A, gets 0, so Z never
+    feeds it.  The iterations and the transforms run in float32; the inner
+    products, which the orthonormal basis leaves unchanged, accumulate in
+    float64, one per system: r . z = sum R Z and
+    p . A p = sum eig P^2 + sum (g . p)^2.  Every system runs all
+    iters_per_level iterations; its step r . z / p . A p and its beta
+    r' . z' / r . z are formed in float64 and read 0 where the denominator
+    is 0, so a system with nothing left to solve, such as an identical or a
+    flat pair, takes steps of 0, and identical frames leave a zero field
+    exactly zero.  The systems share every numpy pass and every transform,
+    but no operation mixes two of them: each field comes out bit for bit as
+    it would from a stack of one.
     """
-    # imported here so processes that never solve flow never load scipy.fft
-    from scipy import fft
-
-    def dct(x: np.ndarray) -> np.ndarray:
-        return fft.dctn(x, type=2, norm="ortho", axes=(-2, -1))
-
     K, h, w = target.shape
     eig = _smoothness_eigenvalues(h, w, params.alpha * params.alpha).astype(np.float32)
+    c_h, c_w = _dct_matrix(h), _dct_matrix(w)
+    # numpy multiplies a stack by a transposed view up to twice as slowly as
+    # by a contiguous copy (64x64 and 32x32 stacks)
+    c_w_t = np.ascontiguousarray(c_w.T)
+
+    def dct(x: np.ndarray) -> np.ndarray:
+        return c_h @ x @ c_w_t
+
+    def idct(x: np.ndarray) -> np.ndarray:
+        return c_h.T @ x @ c_w
+
     field = np.array(start, np.float32)
+    field_hat = dct(field)
     grad = np.empty_like(field)
     inv = np.empty_like(field)
     g_dot = np.empty((K, 1, h, w), np.float32)
@@ -293,26 +331,30 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.add(eig, c[:, :, None, None], out=inv, casting="same_kind")
         np.reciprocal(inv, out=inv, where=inv != 0.0)
 
+    last = params.iters_per_level - 1
     for _ in range(params.warps_per_level):
         linearize()
-        # R = dct(-g (warped - target)) - eig dct(x), which is dct(b - A x)
+        # R = dct(-g (warped - target)) - eig X, which is dct(b - A x)
         r_hat = dct(data)
-        r_hat -= eig * dct(field)
+        r_hat -= eig * field_hat
         z_hat = inv * r_hat
         p_hat = z_hat.copy()
         rz = dot(r_hat, z_hat)
-        for _ in range(params.iters_per_level):
-            p = fft.idctn(p_hat, type=2, norm="ortho", axes=(-2, -1))
-            # g_dot = g . p and data = g (g . p), the data term of A p, in space
+        for i in range(params.iters_per_level):
+            p = idct(p_hat)
+            # g_dot = g . p, the data term's share of p . A p, in space
             np.multiply(grad, p, out=data)
             np.add(data[:, 0], data[:, 1], out=g_dot[:, 0])
-            np.multiply(grad, g_dot, out=data)
             ap_hat = eig * p_hat
-            pap = dot(p_hat, ap_hat) + dot(g_dot, g_dot)
-            ap_hat += dct(data)
-            step = ratio(rz, pap)
+            step = ratio(rz, dot(p_hat, ap_hat) + dot(g_dot, g_dot))
             p *= step
             field += p
+            field_hat += step * p_hat
+            if i == last:  # the next warp rebuilds R, Z and P
+                break
+            # A P = eig P + dct(g (g . p))
+            np.multiply(grad, g_dot, out=data)
+            ap_hat += dct(data)
             ap_hat *= step
             r_hat -= ap_hat
             np.multiply(inv, r_hat, out=z_hat)
@@ -320,9 +362,6 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
             p_hat *= ratio(rz_next, rz)
             p_hat += z_hat
             rz = rz_next
-        # pocketfft raises nothing, and a field past float32 would be warped at NaN positions next
-        if not np.isfinite(field).all():
-            raise FloatingPointError(f"the flow field at {h}x{w} is not finite: products of the frames overflow float32")
     return field
 
 
@@ -360,8 +399,8 @@ def estimate_flows(
             shape, the frames are too small for the requested pyramid depth
             (coarsest level must keep both sides at least 8 px), or a start
             does not have the coarsest level's shape.
-        FloatingPointError: at the first operation that overflows, or if a
-            field stops being finite (products of the frames past float32).
+        FloatingPointError: at the first operation that overflows, such as
+            products of the frames past float32.
     """
     params = params or FlowParams()
     K = len(targets)

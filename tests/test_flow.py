@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -283,9 +284,12 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed, moved):
     got = solve(400)
     assert np.abs(stacked(got) - spsolve(a, b)).max() <= 1e-4
     # a few iterations in, it is the iterate of textbook conjugate gradients
-    # with the same DCT preconditioner, started from the same field
-    pcg = textbook_pcg(a, b, 5, dct_preconditioner(target, source, alpha, x0), x0.ravel())
-    assert np.abs(stacked(solve(5)) - pcg).max() <= 1e-4
+    # with the same DCT preconditioner, started from the same field; at 1
+    # iteration the first is also the last, whose residual update is skipped
+    precondition = dct_preconditioner(target, source, alpha, x0)
+    for iters in (1, 2, 5):
+        pcg = textbook_pcg(a, b, iters, precondition, x0.ravel())
+        assert np.abs(stacked(solve(iters)) - pcg).max() <= 1e-4, iters
 
     again = solve(400)
     assert got.u.tobytes() == again.u.tobytes() and got.v.tobytes() == again.v.tobytes()
@@ -342,6 +346,29 @@ def test_dct_eigenvalues_diagonalize_the_smoothness_term(h, w, alpha, seed):
     direct = alpha * alpha * (x.ravel() - hs_average_matrix(h, w) @ x.ravel())
     assert np.abs(spectral.ravel() - direct).max() <= 1e-12
     assert eig[0, 0] == 0.0 and (eig.ravel()[1:] > 0.0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(8, 40), w=st.integers(8, 40), seed=st.integers(0, 2**16))
+def test_dct_matrix_is_the_orthonormal_dct(h, w, seed):
+    # the cached float32 matrices are orthogonal, and their products are
+    # scipy's orthonormal 2-D DCT-II and its inverse, odd sides included
+    c_h, c_w = flow._dct_matrix(h), flow._dct_matrix(w)
+    assert c_h.dtype == np.float32 and c_h.shape == (h, h)
+    assert np.abs(c_h.astype(np.float64) @ c_h.T - np.eye(h)).max() <= 1e-6
+    x = np.random.default_rng(seed).standard_normal((h, w)).astype(np.float32)
+    assert np.abs(c_h @ x @ c_w.T - fft.dctn(x.astype(np.float64), norm="ortho")).max() <= 1e-5
+    assert np.abs(c_h.T @ x @ c_w - fft.idctn(x.astype(np.float64), norm="ortho")).max() <= 1e-5
+
+
+def test_an_overflowing_transform_raises_in_place():
+    # the first residual's DCT sums data terms that each fit float32 into
+    # coefficients that do not: the product raises there, before a field
+    # past float32 is warped
+    target, source = shifted_pair(32, 32, dx=1, dy=0, seed=3)
+    scaled = [Frame(f.samples * 1e20) for f in (target, source)]
+    with pytest.raises(FloatingPointError, match=r"^overflow encountered in matmul \(in estimate_flows\)$"):
+        estimate_flows(scaled[:1], scaled[1:], FlowParams(pyramid_levels=1))
 
 
 def test_flat_frames_hold_a_nonzero_start_at_its_mean():
@@ -516,9 +543,9 @@ def test_flow_color_default_scale_guard():
     assert np.isfinite(rgb).all()
 
 
-def test_scipy_fft_loads_only_when_flow_is_solved():
-    # the DCT preconditioner imports scipy.fft on its first solve, so the
-    # package, the CLI and a GAP-TV reconstruction leave it unloaded
+def test_khcv_never_loads_scipy_fft():
+    # the PCG's DCTs are products with cached matrices, so the package, the
+    # CLI, a GAP-TV reconstruction and a flow solve all leave scipy.fft unloaded
     script = textwrap.dedent(
         """
         import sys
@@ -544,4 +571,29 @@ def test_scipy_fft_loads_only_when_flow_is_solved():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def _two_pair_fields_digest():
+    """The sha256 of the fields estimate_flows gives two 128x128 pairs, which
+    share a stack at the two coarser levels."""
+    pairs = [shifted_pair(128, 128, dx=2, dy=-1, seed=11), shifted_pair(128, 128, dx=-1, dy=3, seed=12)]
+    fields = estimate_flows([t for t, _ in pairs], [s for _, s in pairs])
+    return hashlib.sha256(b"".join(f.samples.tobytes() for f in fields)).hexdigest()
+
+
+def test_flow_fields_do_not_depend_on_the_blas_thread_count():
+    # the PCG's transforms are BLAS products; on one BLAS thread they give
+    # the same bytes as in this process, whatever its thread count
+    script = "import test_flow; print(test_flow._two_pair_fields_digest())"
+    tests = Path(__file__).resolve().parent
+    src = str(Path(flow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)]), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [_two_pair_fields_digest()]
