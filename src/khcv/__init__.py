@@ -18,7 +18,7 @@ from .capture import (
     simulate_capture,
     write_measurement,
 )
-from .flow import FlowParams, estimate_flow, estimate_flows, flow_to_color, sample_bilinear
+from .flow import FlowParams, estimate_flows, flow_to_color, sample_bilinear
 from .fusion import (
     FusionParams,
     VisibleMap,

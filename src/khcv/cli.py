@@ -33,7 +33,7 @@ from .capture import (
     simulate_capture,
     write_measurement,
 )
-from .flow import FlowParams, _min_side, flow_to_color
+from .flow import FlowParams, _check_pyramid_fits, flow_to_color
 from .fusion import FusionParams, fuse_video
 from .metrics import _SSIM_WINDOW, l1_distance, psnr, ssim
 from .recon import GapTvParams, gap_tv_reconstruct
@@ -252,14 +252,12 @@ def _check_scorable(cube: VideoCube) -> None:
 
 
 def _check_frame_size(cfg: PipelineConfig, height: int, width: int) -> None:
-    """Check that frames of this size are large enough for the configured
-    flow pyramid."""
-    levels = cfg.flow.pyramid_levels
-    if min(height, width) < _min_side(levels):
-        raise ConfigError(
-            f"frames are {height}x{width} px but {levels} flow pyramid levels "
-            f"need both sides at least {_min_side(levels)} px"
-        )
+    """Check, by the rule estimate_flows applies, that frames of this size
+    are large enough for the configured flow pyramid."""
+    try:
+        _check_pyramid_fits(height, width, cfg.flow.pyramid_levels)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:

@@ -1,18 +1,18 @@
 """Dense optical flow estimation with a coarse-to-fine Horn-Schunck solver.
 
 A flow field f maps a source image onto a target grid through backward
-warping: out(p) = source(p + f(p)).  estimate_flow returns the field that
-makes that warp match the target.  The solver builds binomially filtered
-image pyramids and, at each level, linearizes the data term around the
-current warp a few times.  Each linearization is the sparse symmetric
-Horn-Schunck system, solved by a fixed number of preconditioned conjugate
-gradient (PCG) iterations started from the current field.  The orthonormal
-2-D DCT-II diagonalizes the system's smoothness term, the Horn-Schunck
-average with replicate borders (Simchony, Chellappa & Shao, IEEE TPAMI
-1990), so PCG keeps its residual and search direction in that basis: the
-smoothness term is a product with its eigenvalues there, and the
-preconditioner, which inverts it plus the mean of the data term, is a
-division.  Only the data term and the field update go back to the pixel
+warping: out(p) = source(p + f(p)).  estimate_flows returns, for each pair
+of frames, the field that makes that warp match the target.  The solver
+builds binomially filtered image pyramids and, at each level, linearizes
+the data term around the current warp a few times.  Each linearization is
+the sparse symmetric Horn-Schunck system, solved by a fixed number of
+preconditioned conjugate gradient (PCG) iterations started from the current
+field.  The orthonormal 2-D DCT-II diagonalizes the system's smoothness
+term, the Horn-Schunck average with replicate borders (Simchony, Chellappa
+& Shao, IEEE TPAMI 1990), so PCG keeps its residual and search direction in
+that basis: the smoothness term is a product with its eigenvalues there,
+and the preconditioner, which inverts it plus the mean of the data term, is
+a division.  Only the data term and the field update go back to the pixel
 grid.  The field is upsampled between levels.  The coarsest level starts
 from zero, or from a field the caller gives, such as a guess interpolated
 from nearby frames.
@@ -20,21 +20,22 @@ from nearby frames.
 The data term (warp, image gradients and their product with the warp
 error) is formed in float64; the PCG iterations run in float32 with float64
 inner products.  Each 2-D DCT is a pair of float32 matrix products with the
-orthonormal DCT-II matrix of each side, built once per side and cached:
-dct(x) = C_h x C_w^T and idct(X) = C_h^T X C_w.  On the stacks of the
-pyramid levels below 128x128 they take a quarter to a half of the time of
-scipy.fft's DCTs (pocketfft), and a tenth to a third more at 128x128, on
-one core of a 2-vCPU AVX-512 Xeon; unlike pocketfft they run under numpy's
-floating-point checks.
+orthonormal DCT-II matrix of each side: dct(x) = C_h x C_w^T and
+idct(X) = C_h^T X C_w.  A level's matrices and eigenvalues are built once
+per frame size and alpha and cached.  On the stacks of the pyramid levels
+below 128x128 they take a quarter to a half of the time of scipy.fft's DCTs
+(pocketfft), and a tenth to a third more at 128x128, on one core of a
+2-vCPU AVX-512 Xeon; unlike pocketfft they run under numpy's floating-point
+checks.
 
 estimate_flows solves many pairs of one frame size together: at each
 pyramid level their systems run as stacks that share every numpy pass, as
 many per stack as keep the work arrays within a fixed budget, while inner
 products and step lengths stay per system.  Every system runs every
 iteration, and none's arithmetic depends on another's, so each pair's field
-is bit for bit the one estimate_flow, its one-pair call, returns: a
-matrix product over a stack runs one product per plane.  An overflow
-raises FloatingPointError in place, the transforms' included.
+is bit for bit the field of a one-pair call: a matrix product over a stack
+runs one product per plane.  An overflow raises FloatingPointError in
+place, the transforms' included.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .tensors import FlowField, Frame
 
 __all__ = [
     "FlowParams",
-    "estimate_flow",
     "estimate_flows",
     "flow_to_color",
     "sample_bilinear",
@@ -63,18 +63,15 @@ _MIN_COARSE_SIDE = 8
 # The systems of one pyramid level are solved in stacks of at most
 # max(1, _PCG_STACK_ELEMENTS // (2 h w)), the systems whose float32 fields
 # fit this many elements, so that the PCG work arrays of a stack stay within
-# the 2 MB L2 cache.  Per-system cost of _relax_level at the default settings
-# with K systems stacked, against one at a time, on one pinned CPU of a
-# 2-vCPU Xeon (five runs): 0.28-0.34x at 12x12 (K=4), 0.30-0.41x at 24x24,
-# 0.47-0.74x at 32x32, 0.54-1.29x at 48x48 and 0.84-1.02x at 64x64 (all K=4),
-# 0.60-1.05x at 64x64 (K=2) and 1.04-1.23x at 128x128 (K=2); at 128x128 and
-# above a stack holds one system.  End to end the 64x64 stacks, the middle
-# level of the perfbench gate128 workload, are a wash: over six alternating
-# runs of 30 s each, budgets of 20,000 (two per stack) and 16,000 (one) read
-# +0.4% (ahead in 4) and -1.0% (behind in 5) frames per second against this
-# one in the median, inside the 4-5% spread of two identical runs.  These
-# figures were measured with the DCTs in pocketfft, before they became
-# matrix products.
+# the 2 MB L2 cache: one system per stack at 128x128 and above, four at
+# 64x64, seven at 48x48.  Measured with the DCTs as matrix products, on one
+# pinned CPU of a 2-vCPU Xeon with OPENBLAS_NUM_THREADS=1, over 30
+# interleaved runs of estimate_flows on shifted pairs: with no budget, one
+# stack per level took 1.20x this budget's time for four 128x128 one-level
+# solves, as fusion's refinements run (quartiles 1.15-1.28, faster in 0 of
+# 30), 1.14x for two (4 of 30) and 1.07x for four through three levels
+# (3 of 30); four 48x48 pairs, one stack either way, read the same (14 of
+# 30).  One system per stack took 2.1x the time at 48x48 and 2.4x at 32x32.
 _PCG_STACK_ELEMENTS = 36_000
 
 # binomial 5-tap prefilter applied before every 2x downsample
@@ -126,9 +123,15 @@ class FlowParams:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _min_side(pyramid_levels: int) -> int:
-    """Smallest frame side a pyramid of this depth accepts."""
-    return _MIN_COARSE_SIDE * 2 ** (pyramid_levels - 1)
+def _check_pyramid_fits(height: int, width: int, pyramid_levels: int) -> None:
+    """Raise ValueError unless frames of this size fit a pyramid of this
+    depth, whose coarsest level keeps both sides at least 8 px."""
+    min_side = _MIN_COARSE_SIDE * 2 ** (pyramid_levels - 1)
+    if min(height, width) < min_side:
+        raise ValueError(
+            f"frames are {height}x{width} px but {pyramid_levels} flow pyramid levels "
+            f"need both sides at least {min_side} px"
+        )
 
 
 def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,10 +223,9 @@ def _smoothness_eigenvalues(h: int, w: int, alpha_sq: float) -> np.ndarray:
     return eig
 
 
-@functools.lru_cache(maxsize=16)
 def _dct_matrix(n: int) -> np.ndarray:
-    """The (n, n) orthonormal DCT-II matrix C in float32, read-only: C @ x
-    transforms the columns of x, and C.T @ X inverts it.
+    """The (n, n) orthonormal DCT-II matrix C in float32: C @ x transforms
+    the columns of x, and C.T @ X inverts it.
 
     Row k samples cos(pi k (2j + 1) / 2n) over the columns j, scaled by
     sqrt(2 / n), and by sqrt(1 / n) for k = 0.  It is formed in float64
@@ -232,9 +234,35 @@ def _dct_matrix(n: int) -> np.ndarray:
     k = np.arange(n)[:, None]
     c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     c[0] *= np.sqrt(0.5)
-    c = c.astype(np.float32)
-    c.flags.writeable = False
-    return c
+    return c.astype(np.float32)
+
+
+@functools.lru_cache(maxsize=16)
+def _level_basis(h: int, w: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 arrays _relax_level reads at an (h, w) level, built once
+    per size and alpha and read-only: C_h, C_w, a C-contiguous copy of C_w^T
+    and the smoothness eigenvalues.  numpy multiplies a stack by the
+    transposed view C_w.T up to twice as slowly as by a contiguous copy
+    (64x64 and 32x32 stacks).
+
+    The four share one allocation, made before the temporaries that fill
+    it.  Kept as four arrays, each allocated among those temporaries, they
+    left holes in the heap that raised the peak RSS of the perfbench gate128
+    workload by about 2 MB in 6 of 10 runs; in one they add about 0.2 MB.
+    """
+    shapes = ((h, h), (w, w), (w, w), (h, w))
+    sizes = [m * n for m, n in shapes]
+    buf = np.empty(sum(sizes), np.float32)
+    c_h, c_w, c_w_t, eig = (
+        part.reshape(shape) for part, shape in zip(np.split(buf, np.cumsum(sizes[:-1])), shapes)
+    )
+    c_h[:] = _dct_matrix(h)
+    c_w[:] = _dct_matrix(w)
+    c_w_t[:] = c_w.T
+    eig[:] = _smoothness_eigenvalues(h, w, alpha * alpha)
+    for a in (c_h, c_w, c_w_t, eig):
+        a.flags.writeable = False
+    return c_h, c_w, c_w_t, eig
 
 
 def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -282,11 +310,7 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     it would from a stack of one.
     """
     K, h, w = target.shape
-    eig = _smoothness_eigenvalues(h, w, params.alpha * params.alpha).astype(np.float32)
-    c_h, c_w = _dct_matrix(h), _dct_matrix(w)
-    # numpy multiplies a stack by a transposed view up to twice as slowly as
-    # by a contiguous copy (64x64 and 32x32 stacks)
-    c_w_t = np.ascontiguousarray(c_w.T)
+    c_h, c_w, c_w_t, eig = _level_basis(h, w, params.alpha)
 
     def dct(x: np.ndarray) -> np.ndarray:
         return c_h @ x @ c_w_t
@@ -380,7 +404,9 @@ def estimate_flows(
     solved in stacks that share every numpy pass, as many per stack as keep
     the solver's work arrays within a fixed budget.  Every system runs the
     same iterations, with its own inner products and step lengths, so each
-    field is bit for bit the one estimate_flow gives for its pair alone.
+    field is bit for bit the field of a one-pair call.  Identical frames
+    give an exactly zero field from a zero start, and an all-zero start
+    gives the same field as none.
 
     Args:
         targets: frames the flows are anchored to, all of one shape.
@@ -397,8 +423,9 @@ def estimate_flows(
     Raises:
         ValueError: if the sequences differ in length, the frames differ in
             shape, the frames are too small for the requested pyramid depth
-            (coarsest level must keep both sides at least 8 px), or a start
-            does not have the coarsest level's shape.
+            (the coarsest level must keep both sides at least 8 px; the CLI
+            reports the same message), or a start does not have the
+            coarsest level's shape.
         FloatingPointError: at the first operation that overflows, such as
             products of the frames past float32.
     """
@@ -414,12 +441,7 @@ def estimate_flows(
             raise ValueError(f"target {target.samples.shape} and source {source.samples.shape} disagree")
         if target.samples.shape != shape:
             raise ValueError(f"frames of one call must share one shape, got {shape} and {target.samples.shape}")
-    min_side = min(shape)
-    if min_side < _min_side(params.pyramid_levels):
-        raise ValueError(
-            f"minimum side {min_side} is too small for {params.pyramid_levels} pyramid "
-            f"levels; need at least {_min_side(params.pyramid_levels)} px"
-        )
+    _check_pyramid_fits(*shape, params.pyramid_levels)
 
     target_levels = [np.array([t.samples for t in targets], np.float64)]
     source_levels = [np.array([s.samples for s in sources], np.float64)]
@@ -449,36 +471,6 @@ def estimate_flows(
             relaxed[part] = _relax_level(target_levels[level][part], source_levels[level][part], start, params)
         field = relaxed
     return [FlowField(f) for f in field]
-
-
-def estimate_flow(
-    target: Frame, source: Frame, params: FlowParams | None = None, *, start: FlowField | None = None
-) -> FlowField:
-    """Estimate the dense field f with source(p + f(p)) matching target(p).
-
-    The one-pair call of estimate_flows.
-
-    Args:
-        target: frame the flow is anchored to.
-        source: frame being sampled.
-        params: solver settings; defaults to FlowParams().
-        start: field the solve starts from at the coarsest pyramid level, in
-            place of zero; it must have that level's shape, which with
-            pyramid_levels=1 is the frame's.  An all-zero start gives the
-            same field as none.
-
-    Returns:
-        FlowField on the target grid.  Identical inputs give an exactly zero
-        field from a zero start.
-
-    Raises:
-        ValueError: if the shapes differ, the image is too small for the
-            requested pyramid depth (coarsest level must keep both sides at
-            least 8 px), or start does not have the coarsest level's shape.
-        FloatingPointError: as estimate_flows raises it.
-    """
-    (field,) = estimate_flows([target], [source], params, starts=None if start is None else [start])
-    return field
 
 
 def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarray:

@@ -330,10 +330,13 @@ def export_pgm(frame: Frame, path) -> None:
 
 
 def export_ppm(rgb: np.ndarray, path) -> None:
-    """Write an (H, W, 3) array of [0, 1] floats as binary PPM."""
+    """Write an (H, W, 3) array of [0, 1] floats as binary PPM; values are
+    clamped to [0, 1] first, and a non-finite one is a ValueError."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) array, got shape {rgb.shape}")
+    if not np.isfinite(rgb).all():
+        raise ValueError("PPM samples must all be finite")
     body = _quantize(rgb).tobytes()
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + body)

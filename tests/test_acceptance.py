@@ -19,7 +19,7 @@ from khcv import (
     build_schedule,
     compressive_ratio,
     encode,
-    estimate_flow,
+    estimate_flows,
     gap_tv_reconstruct,
     mean_epe,
     psnr,
@@ -89,7 +89,7 @@ def test_criterion_03_flow_recovers_translations():
     for (dx, dy), seed in (((3, 0), 9), ((-2, 1), 33)):
         target, source = shifted_pair(128, 128, dx=dx, dy=dy, seed=seed)
         t0 = time.perf_counter()
-        f = estimate_flow(target, source)
+        (f,) = estimate_flows([target], [source])
         elapsed = time.perf_counter() - t0
         err = mean_epe(f, _constant_flow(128, 128, float(dx), float(dy)), mask)
         assert err < 0.4
@@ -97,7 +97,7 @@ def test_criterion_03_flow_recovers_translations():
         results.append(f"({dx:+d},{dy:+d}) EPE {err:.3f} px in {elapsed:.2f} s")
 
     img = Frame(smooth_texture(128, 128, seed=40))
-    f0 = estimate_flow(img, img)
+    (f0,) = estimate_flows([img], [img])
     magnitude = float(np.hypot(f0.u, f0.v).mean())
     assert magnitude < 1e-2
     results.append(f"identity {magnitude:.1e} px")

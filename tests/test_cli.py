@@ -12,6 +12,7 @@ from khcv import (
     Frame,
     VideoCube,
     cli,
+    estimate_flows,
     export_pgm,
     fusion,
     l1_distance,
@@ -697,6 +698,14 @@ def test_cli_config_error_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def _flow_size_error(height: int, width: int, pyramid_levels: int) -> str:
+    """The message estimate_flows raises for frames of this size."""
+    frame = Frame(np.zeros((height, width), np.float32))
+    with pytest.raises(ValueError) as info:
+        estimate_flows([frame], [frame], FlowParams(pyramid_levels=pyramid_levels))
+    return str(info.value)
+
+
 def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     # 3 pyramid levels need sides of at least 32 px
     scene = translating_scene(24, 24, SCENE_FRAMES, step=(1, 0), seed=9)
@@ -707,6 +716,8 @@ def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
     assert result.exit_code == 2, result.output
     assert "pyramid" in result.output
+    # the CLI states the rule in flow's own words
+    assert result.stderr == f"error: {_flow_size_error(24, 24, 3)}\n"
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
 
@@ -756,6 +767,7 @@ def test_cli_fuse_with_frames_too_small_for_flow_pyramid_exits_2_before_writing(
     result = _fuse_24px_block(tmp_path, frames=4, pyramid_levels=3)
     assert result.exit_code == 2, result.output
     assert "pyramid" in result.output
+    assert result.stderr == f"error: {_flow_size_error(24, 24, 3)}\n"
     assert not (tmp_path / "fused").exists()
 
 

@@ -17,7 +17,6 @@ from khcv import (
     FlowField,
     FlowParams,
     Frame,
-    estimate_flow,
     estimate_flows,
     flow,
     flow_to_color,
@@ -30,6 +29,12 @@ from conftest import central_fraction_mask, shifted_pair, smooth_texture
 
 def constant_flow(h, w, dx, dy):
     return FlowField(np.stack((np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))))
+
+
+def one_pair(target, source, params=None, start=None):
+    """The field of a one-pair estimate_flows call."""
+    (field,) = estimate_flows([target], [source], params, starts=None if start is None else [start])
+    return field
 
 
 def test_params_validation():
@@ -124,20 +129,20 @@ def test_identical_frames_give_zero_flow():
     img = smooth_texture(64, 64, seed=4)
     from khcv import Frame
 
-    f = estimate_flow(Frame(img), Frame(img))
+    f = one_pair(Frame(img), Frame(img))
     assert not f.u.any() and not f.v.any()
 
 
 def test_recovers_integer_translation():
     target, source = shifted_pair(96, 96, dx=3, dy=0, seed=9)
-    f = estimate_flow(target, source)
+    f = one_pair(target, source)
     truth = constant_flow(96, 96, 3.0, 0.0)
     assert mean_epe(f, truth, central_fraction_mask(96, 96)) < 0.4
 
 
 def test_recovers_mixed_translation():
     target, source = shifted_pair(96, 96, dx=-2, dy=1, seed=33)
-    f = estimate_flow(target, source)
+    f = one_pair(target, source)
     truth = constant_flow(96, 96, -2.0, 1.0)
     assert mean_epe(f, truth, central_fraction_mask(96, 96)) < 0.4
 
@@ -156,7 +161,7 @@ def test_recovers_moving_blob():
 
     target = Frame(bump(30.0, 34.0))
     source = Frame(bump(32.0, 33.0))
-    f = estimate_flow(target, source)
+    f = one_pair(target, source)
     truth = constant_flow(h, w, 2.0, -1.0)
     support = target.samples > 0.15
     assert mean_epe(f, truth, support) < 0.3
@@ -275,7 +280,7 @@ def test_pcg_solves_the_horn_schunck_system(h, w, alpha, dx, dy, seed, moved):
 
     def solve(iters, src=source, start=FlowField(start)):
         params = FlowParams(pyramid_levels=1, alpha=alpha, iters_per_level=iters, warps_per_level=1)
-        return estimate_flow(target, src, params, start=start)
+        return one_pair(target, src, params, start=start)
 
     def stacked(f):
         return np.concatenate([f.u.ravel(), f.v.ravel()])
@@ -318,7 +323,7 @@ def test_solver_error_in_the_a_norm_never_rises(h, w, alpha, dx, dy, seed):
         if k == 0:  # the solve starts from zero
             return np.zeros_like(b)
         params = FlowParams(pyramid_levels=1, alpha=alpha, iters_per_level=k, warps_per_level=1)
-        f = estimate_flow(target, source, params)
+        f = one_pair(target, source, params)
         return np.concatenate([f.u.ravel(), f.v.ravel()]).astype(np.float64)
 
     def a_norm_error(x):
@@ -353,12 +358,45 @@ def test_dct_eigenvalues_diagonalize_the_smoothness_term(h, w, alpha, seed):
 def test_dct_matrix_is_the_orthonormal_dct(h, w, seed):
     # the cached float32 matrices are orthogonal, and their products are
     # scipy's orthonormal 2-D DCT-II and its inverse, odd sides included
-    c_h, c_w = flow._dct_matrix(h), flow._dct_matrix(w)
+    c_h, c_w, _, _ = flow._level_basis(h, w, 0.2)
     assert c_h.dtype == np.float32 and c_h.shape == (h, h)
     assert np.abs(c_h.astype(np.float64) @ c_h.T - np.eye(h)).max() <= 1e-6
     x = np.random.default_rng(seed).standard_normal((h, w)).astype(np.float32)
     assert np.abs(c_h @ x @ c_w.T - fft.dctn(x.astype(np.float64), norm="ortho")).max() <= 1e-5
     assert np.abs(c_h.T @ x @ c_w - fft.idctn(x.astype(np.float64), norm="ortho")).max() <= 1e-5
+
+
+def test_level_basis_is_read_only_and_matches_its_sources():
+    c_h, c_w, c_w_t, eig = flow._level_basis(24, 20, 0.3)
+    assert c_w_t.flags.c_contiguous and np.array_equal(c_w_t, c_w.T)
+    assert c_h.shape == (24, 24) and c_w.shape == (20, 20)
+    assert eig.dtype == np.float32
+    assert np.array_equal(eig, flow._smoothness_eigenvalues(24, 20, 0.3 * 0.3).astype(np.float32))
+    for a in (c_h, c_w, c_w_t, eig):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+def test_each_pyramid_level_builds_its_basis_once():
+    # three levels of two pairs, split into one stack per pair by a small
+    # budget: six level solves, but three bases, each built at its level's
+    # first solve; a second call only reads the cache
+    pairs = [shifted_pair(40, 36, dx=1, dy=0, seed=s) for s in (1, 2)]
+    targets, sources = [t for t, _ in pairs], [s for _, s in pairs]
+    params = FlowParams(pyramid_levels=3, alpha=0.37)
+    real_budget = flow._PCG_STACK_ELEMENTS
+    flow._PCG_STACK_ELEMENTS = 1
+    flow._level_basis.cache_clear()
+    try:
+        estimate_flows(targets, sources, params)
+        first = flow._level_basis.cache_info()
+        estimate_flows(targets, sources, params)
+        second = flow._level_basis.cache_info()
+    finally:
+        flow._PCG_STACK_ELEMENTS = real_budget
+    assert (first.misses, first.hits, first.currsize) == (3, 3, 3)
+    assert (second.misses, second.hits, second.currsize) == (3, 9, 3)
 
 
 def test_an_overflowing_transform_raises_in_place():
@@ -381,7 +419,7 @@ def test_flat_frames_hold_a_nonzero_start_at_its_mean():
     spread = np.ptp(start, axis=(1, 2))
     for iters in (1, 5, 22, 400):
         params = FlowParams(pyramid_levels=1, warps_per_level=1, iters_per_level=iters)
-        f = estimate_flow(flat, Frame(flat.samples.copy()), params, start=FlowField(start))
+        f = one_pair(flat, Frame(flat.samples.copy()), params, start=FlowField(start))
         assert np.isfinite(f.samples).all()
         assert (np.ptp(f.samples, axis=(1, 2)) <= 1e-5 * spread).all(), iters
         assert np.abs(f.samples.mean(axis=(1, 2)) - start.mean(axis=(1, 2))).max() <= 1e-6, iters
@@ -391,7 +429,7 @@ def test_identical_frames_from_a_zero_start_give_zero_flow():
     frame = Frame(smooth_texture(40, 36, seed=5))
     for levels, coarsest in ((1, (40, 36)), (3, (10, 9))):
         start = FlowField(np.zeros((2, *coarsest), np.float32))
-        f = estimate_flow(frame, Frame(frame.samples.copy()), FlowParams(pyramid_levels=levels), start=start)
+        f = one_pair(frame, Frame(frame.samples.copy()), FlowParams(pyramid_levels=levels), start=start)
         assert not f.samples.any()
 
 
@@ -399,14 +437,14 @@ def test_start_must_have_the_coarsest_level_shape():
     frame = Frame(smooth_texture(32, 32, seed=6))
     for levels, shape in ((1, (32, 31)), (1, (16, 16)), (3, (32, 32)), (3, (9, 8))):
         with pytest.raises(ValueError, match="coarsest level"):
-            estimate_flow(frame, frame, FlowParams(pyramid_levels=levels), start=FlowField(np.zeros((2, *shape))))
+            one_pair(frame, frame, FlowParams(pyramid_levels=levels), start=FlowField(np.zeros((2, *shape))))
 
 
 def test_a_zero_start_matches_no_start_at_one_level():
     target, source = shifted_pair(24, 28, dx=1, dy=-1, seed=7)
     params = FlowParams(pyramid_levels=1, warps_per_level=2)
-    free = estimate_flow(target, source, params)
-    zero = estimate_flow(target, source, params, start=FlowField(np.zeros((2, 24, 28), np.float32)))
+    free = one_pair(target, source, params)
+    zero = one_pair(target, source, params, start=FlowField(np.zeros((2, 24, 28), np.float32)))
     assert free.samples.tobytes() == zero.samples.tobytes()
 
 
@@ -424,7 +462,7 @@ def test_estimate_flows_matches_one_pair_calls(data):
     # One pair is an identical pair: its steps are 0 while the others' are
     # not, and its field stays exactly zero
     levels = data.draw(st.integers(1, 3), label="levels")
-    low = flow._min_side(levels)
+    low = flow._MIN_COARSE_SIDE * 2 ** (levels - 1)  # the smallest side the pyramid takes
     h = data.draw(st.integers(low, 40), label="h")
     w = data.draw(st.integers(low, 40), label="w")
     K = data.draw(st.integers(1, 5), label="K")
@@ -458,7 +496,7 @@ def test_estimate_flows_matches_one_pair_calls(data):
         flow._PCG_STACK_ELEMENTS = real_budget
     assert len(stacked) == K
     for k in range(K):
-        alone = estimate_flow(targets[k], sources[k], params, start=None if starts is None else starts[k])
+        alone = one_pair(targets[k], sources[k], params, start=None if starts is None else starts[k])
         assert stacked[k].samples.tobytes() == alone.samples.tobytes()
     assert not stacked[same].samples.any()
 
@@ -471,7 +509,7 @@ def test_an_identical_pair_takes_zero_steps_beside_a_moving_one():
     starts = [FlowField(np.zeros((2, 24, 24), np.float32)), FlowField(np.full((2, 24, 24), -0.0, np.float32))]
     moving, still = estimate_flows([target, target], [source, Frame(target.samples.copy())], params, starts=starts)
     assert not still.samples.any()
-    alone = estimate_flow(target, source, params, start=starts[0])
+    alone = one_pair(target, source, params, start=starts[0])
     assert moving.samples.tobytes() == alone.samples.tobytes()
 
 
@@ -515,7 +553,7 @@ def test_rejects_too_small_images():
 
     tiny = Frame(np.zeros((16, 16), np.float32))
     with pytest.raises(ValueError):
-        estimate_flow(tiny, tiny, FlowParams(pyramid_levels=3))
+        one_pair(tiny, tiny, FlowParams(pyramid_levels=3))
 
 
 def test_flow_color_conventions():
@@ -551,14 +589,14 @@ def test_khcv_never_loads_scipy_fft():
         import sys
         import numpy as np
         import khcv, khcv.cli
-        from khcv import CodingCube, FlowParams, Frame, estimate_flow, gap_tv_reconstruct
+        from khcv import CodingCube, FlowParams, Frame, estimate_flows, gap_tv_reconstruct
 
         rng = np.random.default_rng(0)
         masks = CodingCube((rng.random((4, 16, 16)) < 0.5).astype(np.uint8))
         gap_tv_reconstruct(Frame(rng.random((16, 16)).astype(np.float32)), masks)
         print("scipy.fft" in sys.modules)
         frame = Frame(rng.random((16, 16)).astype(np.float32))
-        estimate_flow(frame, frame, FlowParams(pyramid_levels=1))
+        estimate_flows([frame], [frame], FlowParams(pyramid_levels=1))
         print("scipy.fft" in sys.modules)
         """
     )

@@ -282,6 +282,17 @@ def test_ppm_export(tmp_path):
     assert raw[-18:] == bytes([255, 0, 0] * 6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ppm_export_refuses_non_finite_samples(tmp_path, bad):
+    # as every tensor type does; nothing is written
+    rgb = np.full((2, 2, 3), 0.5)
+    rgb[1, 0, 2] = bad
+    p = tmp_path / "c.ppm"
+    with pytest.raises(ValueError, match="finite"):
+        export_ppm(rgb, p)
+    assert not p.exists()
+
+
 # Every array type over one valid input: (name, constructor, input, stored arrays).
 CASES = [
     ("Frame", Frame, np.full((3, 4), 0.5, np.float32), lambda t: [t.samples]),
