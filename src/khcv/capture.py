@@ -46,8 +46,37 @@ _ROLE_KEY_RIGHT = 2
 
 
 def _is_int(value) -> bool:
-    """The integer rule: any integer type, numpy's too, but not a bool."""
+    """Any integer type, numpy's too, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str, low: int) -> None:
+    """The count rule: raise ValueError unless value is an integer, numpy's
+    too, but not a bool, and at least low."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+# The ranges of the number rule and the words that name them, each test
+# written so that NaN fails it; all but a probability's refuse infinity
+_NUMBER_RANGES = {
+    "> 0": ("a finite number > 0", lambda x: 0 < x < math.inf),
+    ">= 0": ("a finite number >= 0", lambda x: 0 <= x < math.inf),
+    "in (0, 1]": ("a number in (0, 1]", lambda x: 0 < x <= 1),
+}
+
+
+def _check_number(value, name: str, where: str) -> None:
+    """The number rule: raise ValueError unless value is a real number,
+    numpy's too, but not a bool, in the range where, a key of _NUMBER_RANGES."""
+    words, within = _NUMBER_RANGES[where]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not within(value):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
+
+
+def _check_density(density, name: str = "density") -> None:
+    """The mask density rule: a Bernoulli probability in (0, 1]."""
+    _check_number(density, name, "in (0, 1]")
 
 
 def _raise_fp_errors(fn):
@@ -78,12 +107,6 @@ def _check_seed(seed, name: str) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
-def _check_gap(gap_frames) -> None:
-    """Raise ValueError unless gap_frames is an integer (not a bool) >= 0."""
-    if not _is_int(gap_frames) or gap_frames < 0:
-        raise ValueError(f"gap_frames must be an integer >= 0, got {gap_frames!r}")
-
-
 def _json_scalar(value):
     """json.dumps default of the manifest and report writers: a numpy scalar
     is written as the Python number it holds."""
@@ -108,10 +131,8 @@ class TimingSchedule:
 
     def __post_init__(self):
         for name, low in (("t_x", 1), ("t_g", 0), ("B", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            _check_count(getattr(self, name), name, low)
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def t_y(self) -> int:
@@ -138,8 +159,7 @@ def build_schedule(t_x: int, B: int, t_g: int = 0) -> TimingSchedule:
 
 def compressive_ratio(B: int) -> float:
     """Fraction of frames read out per coded block: 2 key frames over B + 1 slots."""
-    if not _is_int(B) or B < 1:
-        raise ValueError(f"B must be an integer >= 1, got {B!r}")
+    _check_count(B, "B", 1)
     return 2.0 / (B + 1)
 
 
@@ -153,8 +173,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:  # written so that NaN fails too
-            raise ValueError(f"noise sigma must be a finite number >= 0, got {self.sigma}")
+        _check_number(self.sigma, "noise sigma", ">= 0")
         _check_seed(self.seed, "noise seed")
 
     @classmethod
@@ -196,7 +215,7 @@ class HybridMeasurement:
             raise ValueError(
                 f"mask count {self.masks.frames} disagrees with schedule B {self.schedule.B}"
             )
-        _check_gap(self.gap_frames)
+        _check_count(self.gap_frames, "gap_frames", 0)
         object.__setattr__(self, "gap_frames", int(self.gap_frames))
 
 
@@ -208,10 +227,9 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
     identical on every platform and independent of evaluation order.
     """
     _check_seed(seed, "seed")
-    if not all(_is_int(n) and n >= 1 for n in (height, width, frames)):
-        raise ValueError(f"mask dims must be integers >= 1, got {(frames, height, width)!r}")
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {density}")
+    for name, n in (("height", height), ("width", width), ("frames", frames)):
+        _check_count(n, name, 1)
+    _check_density(density)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     uniform = rng.random((frames, height, width))
     return CodingCube(uniform < density)
@@ -242,7 +260,7 @@ def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Fram
 
 def _block_start(scene_frames: int, B: int, gap_frames: int) -> int:
     """Index of the first coded frame; the coded block sits centered in the scene."""
-    _check_gap(gap_frames)
+    _check_count(gap_frames, "gap_frames", 0)
     start = (scene_frames - B) // 2
     if start - 1 - gap_frames < 0 or start + B + gap_frames > scene_frames - 1:
         raise ValueError(

@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -24,7 +23,8 @@ from .capture import (
     HybridMeasurement,
     NoiseModel,
     _block_start,
-    _check_gap,
+    _check_count,
+    _check_density,
     _check_seed,
     _json_scalar,
     build_schedule,
@@ -34,8 +34,8 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, _check_pyramid_fits, flow_to_color
-from .fusion import FusionParams, fuse_video
-from .metrics import _SSIM_WINDOW, l1_distance, psnr, ssim
+from .fusion import FusionParams, _check_intermediate, fuse_video
+from .metrics import _check_ssim_window, l1_distance, psnr, ssim
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -97,10 +97,9 @@ class PipelineConfig:
             build_schedule(self.t_x, self.B, self.t_g)
             NoiseModel(self.noise_sigma, self.noise_seed)
             _check_seed(self.mask_seed, "mask_seed")
-            if not 0.0 < self.mask_density <= 1.0:
-                raise ValueError(f"mask_density must lie in (0, 1], got {self.mask_density}")
-            _check_gap(self.gap_frames)
-        except (TypeError, ValueError) as exc:
+            _check_density(self.mask_density, "mask_density")
+            _check_count(self.gap_frames, "gap_frames", 0)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -122,23 +121,16 @@ class PipelineConfig:
         return cls.from_dict(raw)
 
 
-# JSON name and accepted Python types of each config field type.  Numpy numbers
-# pass; an int field takes no float, not even 3.0; only a bool field takes a bool;
-# a number must be finite, as Python's json reads NaN and Infinity.
-_JSON_TYPES = {
-    str: ("string", str),
-    bool: ("boolean", bool),
-    int: ("integer", numbers.Integral),
-    float: ("number", numbers.Real),
-    float | None: ("number or null", (numbers.Real, type(None))),
-}
+# JSON name of each config field type that no constructor checks; the count,
+# number and seed rules of capture check every int and float field
+_JSON_TYPES = {str: "string", bool: "boolean"}
 
 
 def _from_json(cls, raw, prefix: str = ""):
-    """Build dataclass cls from a JSON object, checking each value against its field's type
-    hint; nested dataclasses recurse unless already built.  Errors name fields by dotted path.
-    A numpy number is stored as the Python number it holds, so the manifest and report can
-    hold it."""
+    """Build dataclass cls from a JSON object, checking string and boolean values against their
+    field's type hint and leaving the rest to cls; nested dataclasses recurse unless already
+    built.  Errors name fields by dotted path.  A numpy number is stored as the Python number it
+    holds, so the manifest and report can hold it."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -151,15 +143,13 @@ def _from_json(cls, raw, prefix: str = ""):
         if dataclasses.is_dataclass(want):
             if not isinstance(value, want):
                 value = _from_json(want, value, f"{prefix}{name}.")
-        elif not isinstance(value, _JSON_TYPES[want][1]) or (isinstance(value, bool) and want is not bool):
-            raise ConfigError(f"{prefix}{name} must be a JSON {_JSON_TYPES[want][0]}, got {value!r}")
-        elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}")
+        elif want in _JSON_TYPES and not isinstance(value, want):
+            raise ConfigError(f"{prefix}{name} must be a JSON {_JSON_TYPES[want]}, got {value!r}")
         kwargs[name] = value.item() if isinstance(value, np.generic) else value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_scene(path) -> VideoCube:
@@ -232,32 +222,22 @@ class PipelineResult:
         return float(self.report["intermediate_mean"]["psnr_db"])
 
 
+def _call_as(error: type[Exception], fn, *args):
+    """Return fn(*args), raising a ValueError of fn's as error with its
+    message: how a library rule becomes the CLI's exit code.  fn must read
+    no file, as a FormatError (exit 3) is a ValueError too."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise error(str(exc)) from exc
+
+
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
     """Check that the scene holds enough frames for the block and that its
     frames are large enough for the configured flow pyramid and for scoring."""
-    try:
-        _block_start(scene.frames, cfg.B, cfg.gap_frames)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _check_frame_size(cfg, scene.height, scene.width)
-    _check_scorable(scene)
-
-
-def _check_scorable(cube: VideoCube) -> None:
-    """Check that the cube's frames are large enough for the SSIM window."""
-    if min(cube.height, cube.width) < _SSIM_WINDOW:
-        raise DataError(
-            f"frames are {cube.height}x{cube.width} px but SSIM needs both sides at least {_SSIM_WINDOW} px"
-        )
-
-
-def _check_frame_size(cfg: PipelineConfig, height: int, width: int) -> None:
-    """Check, by the rule estimate_flows applies, that frames of this size
-    are large enough for the configured flow pyramid."""
-    try:
-        _check_pyramid_fits(height, width, cfg.flow.pyramid_levels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _call_as(DataError, _block_start, scene.frames, cfg.B, cfg.gap_frames)
+    _call_as(ConfigError, _check_pyramid_fits, scene.height, scene.width, cfg.flow.pyramid_levels)
+    _call_as(DataError, _check_ssim_window, scene.height, scene.width)
 
 
 def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
@@ -287,10 +267,8 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     """Check that the intermediate cube fits the measurement, fuse the block
     and write fused.khcv; with dump_intermediates, write each frame's flows
     and visibility map under out/intermediates as that frame is fused."""
-    expected = (m.schedule.B, *m.y.samples.shape)
-    if x_mid.samples.shape != expected:
-        raise DataError(f"intermediate cube has shape {x_mid.samples.shape}, the measurement needs {expected}")
-    _check_frame_size(cfg, *m.y.samples.shape)
+    _call_as(DataError, _check_intermediate, m, x_mid)
+    _call_as(ConfigError, _check_pyramid_fits, *m.y.samples.shape, cfg.flow.pyramid_levels)
     out = Path(cfg.out_dir)
     dump = out / "intermediates"
 
@@ -518,7 +496,7 @@ def metrics(reference, candidate, out_path):
         raise DataError(f"cannot compare {type(ref).__name__} with {type(cand).__name__}")
     if truth.samples.shape != probe.samples.shape:
         raise DataError(f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}")
-    _check_scorable(truth)
+    _call_as(DataError, _check_ssim_window, truth.height, truth.width)
     per_frame, mean = _score(truth, probe)
     report = {"per_frame": per_frame, "mean": mean}
     text = json.dumps(report, indent=2)
@@ -536,11 +514,8 @@ def flowviz(flow_path, out_path, max_magnitude):
     data = load_tensor(flow_path)
     if not isinstance(data, FlowField):
         raise DataError(f"{flow_path} holds a {type(data).__name__}, expected a flow field")
-    try:
-        rgb = flow_to_color(data, max_magnitude)
-    except ValueError as exc:  # the only thing flow_to_color checks is max_magnitude
-        raise ConfigError(str(exc)) from exc
-    export_ppm(rgb, out_path)
+    # the only thing flow_to_color checks is max_magnitude
+    export_ppm(_call_as(ConfigError, flow_to_color, data, max_magnitude), out_path)
     click.echo(f"wrote {out_path}")
 
 

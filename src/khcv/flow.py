@@ -41,14 +41,13 @@ place, the transforms' included.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .capture import _is_int, _raise_fp_errors
+from .capture import _check_count, _check_number, _raise_fp_errors
 from .tensors import FlowField, Frame
 
 __all__ = [
@@ -88,8 +87,7 @@ class FlowParams:
     linearization is solved by exactly iters_per_level preconditioned
     conjugate-gradient iterations (float32), with no tolerance stop, so the
     work per call depends only on the image size and these settings.  The
-    counts are integers (a bool is not one), and alpha is a finite number
-    above 0.
+    counts are integers >= 1 and alpha a finite number > 0 (neither a bool).
 
     The defaults are what fusion runs: alpha this strong keeps the
     reconstruction artifacts of GAP-TV targets from dominating the data
@@ -114,13 +112,9 @@ class FlowParams:
     warps_per_level: int = 4
 
     def __post_init__(self):
-        # each check is written so that NaN and infinity fail it
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
+        _check_number(self.alpha, "alpha", "> 0")
         for name in ("pyramid_levels", "iters_per_level", "warps_per_level"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(getattr(self, name), name, 1)
 
 
 def _check_pyramid_fits(height: int, width: int, pyramid_levels: int) -> None:
@@ -487,8 +481,8 @@ def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarra
     mag = np.hypot(u, v)
     if max_magnitude is None:
         max_magnitude = float(np.percentile(mag, 99.0)) or 1.0
-    elif not 0.0 < max_magnitude < math.inf:
-        raise ValueError(f"max_magnitude must be a finite number > 0, got {max_magnitude}")
+    else:
+        _check_number(max_magnitude, "max_magnitude", "> 0")
     sat = np.clip(mag / max_magnitude, 0.0, 1.0)
     hue = (np.arctan2(v, u) / (2.0 * np.pi)) % 1.0
 

@@ -26,14 +26,13 @@ where the position is k / (B + 1), and tau does not change with the gap.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
-from .capture import HybridMeasurement, _is_int
+from .capture import HybridMeasurement, _check_count, _check_number
 from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
@@ -85,13 +84,10 @@ class FusionParams:
     fallback_threshold: float | None = 0.15
 
     def __post_init__(self):
-        # each check is written so that NaN and infinity fail it
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
-        if not _is_int(self.error_smooth_radius) or self.error_smooth_radius < 0:
-            raise ValueError(f"error_smooth_radius must be an integer >= 0, got {self.error_smooth_radius!r}")
-        if self.fallback_threshold is not None and not 0 < self.fallback_threshold < math.inf:
-            raise ValueError(f"fallback_threshold must be a finite number > 0 or None, got {self.fallback_threshold}")
+        _check_number(self.beta, "beta", "> 0")
+        _check_count(self.error_smooth_radius, "error_smooth_radius", 0)
+        if self.fallback_threshold is not None:
+            _check_number(self.fallback_threshold, "fallback_threshold", "> 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +165,13 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
     return Frame(out)
 
 
+def _check_intermediate(m: HybridMeasurement, x_mid: VideoCube) -> None:
+    """Raise ValueError unless x_mid holds B frames of the measurement's size."""
+    expected = (m.schedule.B, *m.y.samples.shape)
+    if x_mid.samples.shape != expected:
+        raise ValueError(f"intermediate cube has shape {x_mid.samples.shape}, the measurement needs {expected}")
+
+
 def fuse_video(
     m: HybridMeasurement,
     x_mid: VideoCube,
@@ -202,11 +205,8 @@ def fuse_video(
         VideoCube of the fused frames, clamped to [0, 1].
     """
     params = params or FusionParams()
+    _check_intermediate(m, x_mid)
     B = m.schedule.B
-    if x_mid.frames != B:
-        raise ValueError(f"intermediate cube has {x_mid.frames} frames, schedule says {B}")
-    if x_mid.samples.shape[1:] != m.y.samples.shape:
-        raise ValueError("intermediate frames must match the measurement size")
     flow = flow or FlowParams()
     refine = replace(flow, pyramid_levels=1, warps_per_level=_REFINE_WARPS)
     keys = (m.z_left, m.z_right)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from .capture import _check_number
 from .tensors import FlowField, Frame, VideoCube
 
 __all__ = [
@@ -20,6 +21,12 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+
+
+def _check_ssim_window(height: int, width: int) -> None:
+    """Raise ValueError unless frames of this size hold the SSIM window."""
+    if min(height, width) < _SSIM_WINDOW:
+        raise ValueError(f"frames are {height}x{width} px but SSIM needs both sides at least {_SSIM_WINDOW} px")
 
 
 def _data(x) -> np.ndarray:
@@ -37,8 +44,7 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
-    if not 0 < peak < math.inf:  # NaN fails it too
-        raise ValueError(f"peak must be a finite number > 0, got {peak}")
+    _check_number(peak, "peak", "> 0")
     a, b = _pair(a, b)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
@@ -70,13 +76,11 @@ def ssim(a, b, peak: float = 1.0) -> float:
     padding bias enters near the borders.  Inputs must be at least 11 pixels
     in each dimension.
     """
-    if not 0 < peak < math.inf:  # NaN fails it too
-        raise ValueError(f"peak must be a finite number > 0, got {peak}")
+    _check_number(peak, "peak", "> 0")
     a, b = _pair(a, b)
     if a.ndim != 2:
         raise ValueError(f"ssim expects single frames, got shape {a.shape}")
-    if min(a.shape) < _SSIM_WINDOW:
-        raise ValueError(f"frames must be at least {_SSIM_WINDOW} px per side, got {a.shape}")
+    _check_ssim_window(*a.shape)
 
     taps = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
     mu_a = _window_mean(a, taps)

@@ -27,13 +27,12 @@ dual's square of a huge measurement, raises FloatingPointError in place.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .capture import _is_int, _raise_fp_errors
+from .capture import _check_count, _check_number, _raise_fp_errors
 from .tensors import CodingCube, Frame, VideoCube
 
 __all__ = [
@@ -72,31 +71,23 @@ class GapTvParams:
     tv_inner_iters: int = 3
 
     def __post_init__(self):
-        # each check is written so that NaN and infinity fail it
         for name in ("outer_iters", "tv_inner_iters"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0 <= self.tv_weight < math.inf:
-            raise ValueError(f"tv_weight must be a finite number >= 0, got {self.tv_weight}")
+            _check_count(getattr(self, name), name, 1)
+        _check_number(self.tv_weight, "tv_weight", ">= 0")
 
 
 # ===== Total variation denoising =====
 
 
-def _grad(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # forward differences, replicate border (gradient 0 at the far edge)
-    gx = np.zeros_like(img)
-    gy = np.zeros_like(img)
-    gx[:, :-1] = img[:, 1:] - img[:, :-1]
-    gy[:-1, :] = img[1:, :] - img[:-1, :]
-    return gx, gy
-
-
 def total_variation(img) -> float:
-    """Discrete isotropic total variation (forward differences, replicate border)."""
-    arr = img.samples if isinstance(img, Frame) else np.asarray(img)
-    gx, gy = _grad(arr.astype(np.float64))
+    """Discrete isotropic total variation of one 2-D frame (forward
+    differences, replicate border); any other shape raises ValueError."""
+    arr = np.asarray(getattr(img, "samples", img), dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"total_variation expects one 2-D frame, got shape {arr.shape}")
+    flat = arr.ravel()
+    gx, gy = np.empty_like(flat), np.empty_like(flat)
+    _flat_grad(flat, arr.shape[1], flat.size, gx, gy)
     return float(np.hypot(gx, gy).sum())
 
 
@@ -118,7 +109,7 @@ def _tv_buffers(shape: tuple[int, int], frames: int = 1) -> np.ndarray:
 
 
 def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.ndarray) -> None:
-    # negative adjoint of _grad on flat planes of row length w, frames laid
+    # negative adjoint of _flat_grad on flat planes of row length w, frames laid
     # end to end.  Exact while px[:, -1] and py[-1, :] of every frame are zero:
     # the difference that wraps across a row or frame start then reduces to
     # the border term px[:, 0], and py[0, :] of a later frame is reached the
@@ -132,10 +123,10 @@ def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.n
 
 
 def _flat_grad(src: np.ndarray, w: int, n: int, gx: np.ndarray, gy: np.ndarray) -> None:
-    # _grad on flat planes of row length w, frames of n pixels laid end to
-    # end: the differences are read flat, and the pair straddling each row end
-    # is zeroed, as is the last row of every frame, which is the replicate
-    # border; gy is read as (frames, pixels), so no difference crosses a frame
+    # forward differences on flat planes of row length w, frames of n pixels
+    # laid end to end and read flat; the pair straddling each row end is
+    # zeroed, as is each frame's last row, the replicate border; gy is read as
+    # (frames, pixels), so no difference crosses a frame
     np.subtract(src[1:], src[:-1], out=gx[:-1])
     gx[w - 1 :: w] = 0.0
     src_frames = src.reshape(-1, n)
@@ -219,10 +210,8 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
         Denoised frame.  The discrete TV of the result never exceeds that of
         the input.  A dual past float32's range raises FloatingPointError.
     """
-    if not 0 <= weight < math.inf:
-        raise ValueError(f"weight must be a finite number >= 0, got {weight}")
-    if not _is_int(inner_iters) or inner_iters < 1:
-        raise ValueError(f"inner_iters must be an integer >= 1, got {inner_iters!r}")
+    _check_number(weight, "weight", ">= 0")
+    _check_count(inner_iters, "inner_iters", 1)
     img = frame.samples.astype(np.float64)
     if weight > 0:
         _tv_denoise(img, float(weight), int(inner_iters), _tv_buffers(img.shape))

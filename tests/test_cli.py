@@ -7,9 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from khcv import (
+    FlowField,
     FlowParams,
     FormatError,
     Frame,
+    TruncatedError,
     VideoCube,
     cli,
     estimate_flows,
@@ -775,6 +777,11 @@ def test_cli_fuse_with_intermediate_of_wrong_length_exits_3_before_writing(tmp_p
     result = _fuse_24px_block(tmp_path, frames=3, pyramid_levels=2)
     assert result.exit_code == 3, result.output
     assert "intermediate" in result.output
+    # the CLI states the rule in fuse_video's own words
+    m = read_measurement(tmp_path / "staged" / "manifest.json")
+    with pytest.raises(ValueError) as info:
+        fusion.fuse_video(m, VideoCube(np.zeros((3, 24, 24), np.float32)))
+    assert result.stderr == f"error: {info.value}\n"
     assert not (tmp_path / "fused").exists()
 
 
@@ -813,7 +820,46 @@ def test_cli_metrics_on_frames_below_the_ssim_window_exits_3_before_writing(tmp_
     result = CliRunner().invoke(main, ["metrics", str(pa), str(pb), "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "SSIM" in result.output
+    # the CLI states the rule in ssim's own words
+    with pytest.raises(ValueError) as info:
+        ssim(load_tensor(pa), load_tensor(pb))
+    assert result.stderr == f"error: {info.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "fuse", "metrics", "flowviz"])
+def test_commands_exit_3_on_a_truncated_tensor_before_writing(tmp_path, command):
+    # FormatError is a ValueError, so a load moved inside an `except
+    # ValueError` that maps to ConfigError would turn this exit 3 into exit 2
+    config_path, _, scene = write_config(tmp_path)
+    staged = tmp_path / "staged"
+    runner = CliRunner()
+    assert runner.invoke(main, ["simulate", "--config", str(config_path), "--out", str(staged)]).exit_code == 0
+    manifest = staged / "manifest.json"
+    ref, cube, flow, out = (tmp_path / name for name in ("ref.khcv", "cube.khcv", "flow.khcv", "result"))
+    save_tensor(VideoCube(scene.samples[:4]), ref)
+    save_tensor(VideoCube(scene.samples[:4]), cube)
+    save_tensor(FlowField(np.zeros((2, 16, 16), np.float32)), flow)
+    stage = ["--config", str(config_path), "--out", str(out)]
+    victims, args = {
+        "reconstruct": (
+            [staged / f"{role}.khcv" for role in ("y", "z_left", "z_right", "masks")],
+            ["reconstruct", "--manifest", str(manifest), *stage],
+        ),
+        "fuse": ([cube], ["fuse", "--manifest", str(manifest), "--intermediate", str(cube), *stage]),
+        "metrics": ([ref, cube], ["metrics", str(ref), str(cube), "--out", str(out)]),
+        "flowviz": ([flow], ["flowviz", str(flow), str(out)]),
+    }[command]
+    for victim in victims:
+        intact = victim.read_bytes()
+        victim.write_bytes(intact[:-5])
+        with pytest.raises(TruncatedError) as info:
+            load_tensor(victim)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, (victim.name, result.output)
+        assert result.stderr == f"error: {info.value}\n"
+        assert not out.exists(), victim.name
+        victim.write_bytes(intact)
 
 
 def test_report_means_match_per_frame_metrics(tmp_path):

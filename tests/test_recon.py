@@ -318,6 +318,23 @@ def test_total_variation_of_constant_is_zero():
     assert total_variation(np.full((9, 9), 0.4)) == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_total_variation_sums_forward_differences_of_one_frame(h, w, seed):
+    a = np.random.default_rng(seed).random((h, w))
+    assert total_variation(a) == pytest.approx(float(np.hypot(*ref_grad(a)).sum()), rel=1e-12, abs=1e-12)
+    assert total_variation(Frame(a.astype(np.float32))) == total_variation(a.astype(np.float32))
+
+
+def test_total_variation_refuses_anything_but_one_frame():
+    ramp = np.tile(np.arange(4.0), (4, 1))  # a step of 1 across 3 of 4 columns
+    assert total_variation(ramp) == 12.0
+    two = np.stack([ramp, ramp])  # per frame the sum would be 24, not a TV of the stack
+    for bad in (two, VideoCube(two.astype(np.float32)), np.arange(4.0), np.float64(1.0)):
+        with pytest.raises(ValueError, match="one 2-D frame"):
+            total_variation(bad)
+
+
 def test_coverage_map_counts_open_masks():
     c = CodingCube(np.stack([np.eye(4, dtype=np.uint8)] * 3))
     cov = coverage_map(c)
