@@ -50,11 +50,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_count(value, name: str, low: int) -> None:
+def _check_count(value, name: str, low: int) -> int:
     """The count rule: raise ValueError unless value is an integer, numpy's
-    too, but not a bool, and at least low."""
+    too, but not a bool, and at least low; return it as a Python int, which
+    the settings classes store, so that no narrow numpy integer wraps in
+    later arithmetic."""
     if not _is_int(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 # The ranges of the number rule and the words that name them, each test
@@ -131,8 +134,7 @@ class TimingSchedule:
 
     def __post_init__(self):
         for name, low in (("t_x", 1), ("t_g", 0), ("B", 1)):
-            _check_count(getattr(self, name), name, low)
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
 
     @property
     def t_y(self) -> int:
@@ -173,8 +175,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_number(self.sigma, "noise sigma", ">= 0")
-        _check_seed(self.seed, "noise seed")
+        _check_number(self.sigma, "sigma", ">= 0")
+        _check_seed(self.seed, "seed")
 
     @classmethod
     def off(cls) -> "NoiseModel":
@@ -215,8 +217,7 @@ class HybridMeasurement:
             raise ValueError(
                 f"mask count {self.masks.frames} disagrees with schedule B {self.schedule.B}"
             )
-        _check_count(self.gap_frames, "gap_frames", 0)
-        object.__setattr__(self, "gap_frames", int(self.gap_frames))
+        object.__setattr__(self, "gap_frames", _check_count(self.gap_frames, "gap_frames", 0))
 
 
 def generate_masks(seed: int, height: int, width: int, frames: int, density: float = 0.5) -> CodingCube:

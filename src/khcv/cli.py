@@ -25,6 +25,7 @@ from .capture import (
     _block_start,
     _check_count,
     _check_density,
+    _check_number,
     _check_seed,
     _json_scalar,
     build_schedule,
@@ -94,13 +95,18 @@ class PipelineConfig:
 
     def __post_init__(self):
         try:
-            build_schedule(self.t_x, self.B, self.t_g)
-            NoiseModel(self.noise_sigma, self.noise_seed)
+            schedule = build_schedule(self.t_x, self.B, self.t_g)
+            _check_number(self.noise_sigma, "noise_sigma", ">= 0")
+            _check_seed(self.noise_seed, "noise_seed")
             _check_seed(self.mask_seed, "mask_seed")
             _check_density(self.mask_density, "mask_density")
-            _check_count(self.gap_frames, "gap_frames", 0)
+            gap_frames = _check_count(self.gap_frames, "gap_frames", 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the counts are kept as the Python ints the rules return
+        for name in ("t_x", "t_g", "B"):
+            object.__setattr__(self, name, getattr(schedule, name))
+        object.__setattr__(self, "gap_frames", gap_frames)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

@@ -17,6 +17,13 @@ grid.  The field is upsampled between levels.  The coarsest level starts
 from zero, or from a field the caller gives, such as a guess interpolated
 from nearby frames.
 
+Every warp, the solver's, fusion's and the upsampling's, goes through one
+bilinear sampler with replicate borders.  It reads a copy of the source
+padded by one replicated row and column, so that every sample's four
+corners are gathered with one flat index, from views of the padded array
+offset by 0, 1, w + 1 and w + 2.  A level solve pads its sources once and
+warps them once per linearization; sample_bilinear pads per call.
+
 The data term (warp, image gradients and their product with the warp
 error) is formed in float64; the PCG iterations run in float32 with float64
 inner products.  Each 2-D DCT is a pair of float32 matrix products with the
@@ -114,7 +121,7 @@ class FlowParams:
     def __post_init__(self):
         _check_number(self.alpha, "alpha", "> 0")
         for name in ("pyramid_levels", "iters_per_level", "warps_per_level"):
-            _check_count(getattr(self, name), name, 1)
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
 
 
 def _check_pyramid_fits(height: int, width: int, pyramid_levels: int) -> None:
@@ -128,50 +135,91 @@ def _check_pyramid_fits(height: int, width: int, pyramid_levels: int) -> None:
         )
 
 
+def _pad_edge(img: np.ndarray) -> np.ndarray:
+    """img, one (h, w) image or a (K, h, w) stack, with its last row and
+    column replicated once more: an (h + 1, w + 1) copy of each plane, in
+    which every pixel has a +1 neighbour along both axes."""
+    h, w = img.shape[-2:]
+    padded = np.empty((*img.shape[:-2], h + 1, w + 1), img.dtype)
+    padded[..., :h, :w] = img
+    padded[..., :h, w] = img[..., w - 1]
+    padded[..., h, :] = padded[..., h - 1, :]
+    return padded
+
+
+def _sample_padded(padded: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sample_bilinear of the image that _pad_edge padded into padded.
+
+    Each sample's top-left corner has one flat index i into the padded
+    plane(s), row length wp = w + 1, formed in float64 and converted once;
+    its other three corners sit at i + 1, i + wp and i + wp + 1, and are
+    gathered with that same index from the flat array's views offset by
+    those amounts.  A corner on the last row or column reads the padding,
+    a copy of its neighbour, as replicate borders ask.
+    """
+    hp, wp = padded.shape[-2:]
+    x = np.clip(x, 0.0, wp - 2.0)
+    y = np.clip(y, 0.0, hp - 2.0)
+    x0 = np.floor(x, dtype=np.float64)
+    y0 = np.floor(y, dtype=np.float64)
+    # the corner of a coordinate of -0.0 is 0, not -0.0, so that its weight
+    # is -0.0 - 0 = -0.0, as an integer corner makes it
+    x0 += 0.0
+    y0 += 0.0
+    index = y0 * wp + x0
+    if padded.ndim == 3:  # plane k starts k*hp*wp on in the flat stack
+        index = index + np.arange(0, padded.size, hp * wp, dtype=np.float64).reshape(-1, 1, 1)
+    i = index.astype(np.intp)
+    # the clipped coordinates turn into the weights in place, keeping their
+    # dtype, and each temporary goes as soon as it is used, which keeps a
+    # stack's temporaries few
+    wx = np.subtract(x, x0, out=x)
+    wy = np.subtract(y, y0, out=y)
+    del x0, y0, index
+    flat = padded.ravel()
+    # top = v00 + wx * (v01 - v00), the difference in the image's dtype and
+    # the rest in that of wx * difference, as are bottom and the result;
+    # each in-place step keeps its operands' dtype, and a + b is b + a
+    v00 = np.take(flat, i)
+    v01 = np.take(flat[1:], i)
+    v01 -= v00
+    top = wx * v01
+    top += v00
+    del v00, v01
+    v10 = np.take(flat[wp:], i)
+    v11 = np.take(flat[wp + 1 :], i)
+    del i
+    v11 -= v10
+    bottom = wx * v11
+    bottom += v10
+    del v10, v11
+    # top + wy * (bottom - top); wy may be wider than top
+    bottom -= top
+    out = wy * bottom
+    out += top
+    return out
+
+
 def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sample img at continuous (x, y) positions with replicate borders.
 
     img is one (h, w) image or a (K, h, w) stack of them; for a stack, x and
     y broadcast against (K, ...) and plane k is sampled at x[k], y[k].  Uses
-    the lerp form a + t*(b - a), so sampling at integer coordinates
-    reproduces the stored values exactly.
+    the lerp form a + t*(b - a), with b - a in img's dtype and the rest in
+    the dtype numpy promotes img and the weights t to (float64 for float64
+    coordinates), so sampling at integer coordinates reproduces the stored
+    values exactly.  The four corners of every sample are gathered
+    with one index from a copy of img padded by one replicated row and
+    column; the flow solver pads each source once and warps it many times.
     """
-    h, w = img.shape[-2:]
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(np.intp)
-    y0 = np.floor(y).astype(np.intp)
-    # the clipped coordinates turn into the weights in place, and the index
-    # arrays go as soon as they are used, which keeps a stack's temporaries few
-    wx = np.subtract(x, x0, out=x)
-    wy = np.subtract(y, y0, out=y)
-    # the four corners are gathered from the flat image; a +1 neighbour past
-    # the last column or row is the corner itself
-    flat = img.ravel()
-    i00 = y0 * w + x0
-    if img.ndim == 3:  # plane k starts k*h*w on in the flat stack
-        i00 = i00 + np.arange(0, img.size, h * w).reshape(-1, 1, 1)
-    i01 = i00 + (x0 < w - 1)
-    below = (y0 < h - 1) * w
-    del x0, y0
-    v00 = np.take(flat, i00)
-    v01 = np.take(flat, i01)
-    i00 += below
-    i01 += below
-    del below
-    v10 = np.take(flat, i00)
-    v11 = np.take(flat, i01)
-    del i00, i01
-    top = v00 + wx * (v01 - v00)
-    bottom = v10 + wx * (v11 - v10)
-    return top + wy * (bottom - top)
+    return _sample_padded(_pad_edge(img), x, y)
 
 
-def _warp_by_flow(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Backward-warp img, one image or a stack: out(p) = img(p + (u, v)(p)),
-    sampled bilinearly."""
-    h, w = img.shape[-2:]
-    return sample_bilinear(img, np.arange(w) + u, np.arange(h)[:, None] + v)
+def _warp_by_flow(padded: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Backward-warp the image, or stack, that _pad_edge padded into padded:
+    out(p) = img(p + (u, v)(p)), sampled bilinearly."""
+    hp, wp = padded.shape[-2:]
+    return _sample_padded(padded, np.arange(wp - 1) + u, np.arange(hp - 1)[:, None] + v)
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -191,13 +239,15 @@ def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # central differences with replicate borders (half one-sided at the edges)
     dx = np.empty_like(img)
-    dx[..., 1:-1] = (img[..., 2:] - img[..., :-2]) * 0.5
-    dx[..., 0] = (img[..., 1] - img[..., 0]) * 0.5
-    dx[..., -1] = (img[..., -1] - img[..., -2]) * 0.5
+    np.subtract(img[..., 2:], img[..., :-2], out=dx[..., 1:-1])
+    np.subtract(img[..., 1], img[..., 0], out=dx[..., 0])
+    np.subtract(img[..., -1], img[..., -2], out=dx[..., -1])
+    dx *= 0.5
     dy = np.empty_like(img)
-    dy[..., 1:-1, :] = (img[..., 2:, :] - img[..., :-2, :]) * 0.5
-    dy[..., 0, :] = (img[..., 1, :] - img[..., 0, :]) * 0.5
-    dy[..., -1, :] = (img[..., -1, :] - img[..., -2, :]) * 0.5
+    np.subtract(img[..., 2:, :], img[..., :-2, :], out=dy[..., 1:-1, :])
+    np.subtract(img[..., 1, :], img[..., 0, :], out=dy[..., 0, :])
+    np.subtract(img[..., -1, :], img[..., -2, :], out=dy[..., -1, :])
+    dy *= 0.5
     return dx, dy
 
 
@@ -312,6 +362,7 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     def idct(x: np.ndarray) -> np.ndarray:
         return c_h.T @ x @ c_w
 
+    padded = _pad_edge(source)  # every warp samples the same sources
     field = np.array(start, np.float32)
     field_hat = dct(field)
     grad = np.empty_like(field)
@@ -335,7 +386,7 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         # arrays: target - warped, exactly -(warped - target), is built in
         # place in the warp, and each float32 plane takes its float64 result
         # straight from the ufunc
-        warped = _warp_by_flow(source, field[:, 0], field[:, 1])
+        warped = _warp_by_flow(padded, field[:, 0], field[:, 1])
         mean = np.add(target, warped)
         mean *= 0.5
         fx, fy = _central_diff(mean)
@@ -344,10 +395,18 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         grad[:, 1] = fy
         np.multiply(fx, error, out=data[:, 0], casting="same_kind")
         np.multiply(fy, error, out=data[:, 1], casting="same_kind")
-        # 1 / (eigenvalue + c); the constant mode keeps 0 where c is 0
+        # 1 / (eigenvalue + c), and 0 where that sum is 0.  Off the constant
+        # mode eig is at least about alpha^2 pi^2 / (3 n^2), n the longer
+        # side, which float32 holds above 0 for alpha > 1e-19 and n <= 4096,
+        # so only a constant mode whose c is 0 in float32 holds a 0: it is
+        # inverted as 1 and set back
         c = np.stack([np.einsum("kij,kij->k", d, d) for d in (fx, fy)], axis=1) / (h * w)
         np.add(eig, c[:, :, None, None], out=inv, casting="same_kind")
-        np.reciprocal(inv, out=inv, where=inv != 0.0)
+        constant = inv[:, :, 0, 0]
+        null = constant == 0.0
+        constant[null] = 1.0
+        np.reciprocal(inv, out=inv)
+        constant[null] = 0.0
 
     last = params.iters_per_level - 1
     for _ in range(params.warps_per_level):

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .capture import HybridMeasurement, _check_count, _check_number
-from .flow import FlowField, FlowParams, _warp_by_flow, estimate_flows
+from .flow import FlowField, FlowParams, _pad_edge, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
 __all__ = [
@@ -85,7 +85,8 @@ class FusionParams:
 
     def __post_init__(self):
         _check_number(self.beta, "beta", "> 0")
-        _check_count(self.error_smooth_radius, "error_smooth_radius", 0)
+        radius = _check_count(self.error_smooth_radius, "error_smooth_radius", 0)
+        object.__setattr__(self, "error_smooth_radius", radius)
         if self.fallback_threshold is not None:
             _check_number(self.fallback_threshold, "fallback_threshold", "> 0")
 
@@ -109,7 +110,7 @@ def warp(image: Frame, f: FlowField) -> Frame:
     """
     if image.samples.shape != f.u.shape:
         raise ValueError(f"image {image.samples.shape} and flow {f.u.shape} disagree")
-    return Frame(_warp_by_flow(image.samples, f.u, f.v))
+    return Frame(_warp_by_flow(_pad_edge(image.samples), f.u, f.v))
 
 
 def visibility_map(w_left: Frame, w_right: Frame, target: Frame, params: FusionParams | None = None) -> VisibleMap:

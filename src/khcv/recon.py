@@ -72,7 +72,7 @@ class GapTvParams:
 
     def __post_init__(self):
         for name in ("outer_iters", "tv_inner_iters"):
-            _check_count(getattr(self, name), name, 1)
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
         _check_number(self.tv_weight, "tv_weight", ">= 0")
 
 
@@ -92,13 +92,18 @@ def total_variation(img) -> float:
 
 
 # Frames of one reconstruction are denoised as stacks that share every numpy
-# pass, with at most this many pixels per stack (at least one frame).  The
-# six float32 work planes of a stack then stay within the 2 MB L2 cache.
-# Repeated micro-runs on one pinned CPU of a 2-vCPU Xeon, against one-frame
-# calls: four 48x48 frames as one stack take 0.32-0.45x the time; at
-# 128x128 two frames per stack read 0.75-1.10x, no steady gain, and all 16
-# read 1.38-1.64x, so a stack holds one frame there.
-_TV_STACK_PIXELS = 16_384
+# pass, with at most this many pixels per stack (at least one frame): two
+# 128x128 frames, one 256x256 frame, up to fourteen 48x48 frames.  The six
+# float32 work planes of a two-frame 128x128 stack take 0.8 MB of the 2 MB
+# L2 cache.  Micro-runs against one-frame calls, on one pinned CPU of a
+# 2-vCPU Xeon, read four 48x48 frames as one stack at 0.32-0.45x the time
+# but no steady gain at 128x128 (0.75-1.10x), so the budget is set from
+# pipeline runs of the perfbench gate128 workload (128x128, B=16), two
+# budgets alternating block by block in one process, on the same CPU.  Two
+# frames per stack against one ran faster in 26, 32 and 18 of 40, 40 and 20
+# blocks, by +5.0%, +3.3% and +7.9% in the median; four frames per stack
+# against two lost 4% (faster in 7 of 20) and 0.8% (9 of 20).
+_TV_STACK_PIXELS = 32_768
 
 
 def _tv_buffers(shape: tuple[int, int], frames: int = 1) -> np.ndarray:
@@ -211,10 +216,10 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
         the input.  A dual past float32's range raises FloatingPointError.
     """
     _check_number(weight, "weight", ">= 0")
-    _check_count(inner_iters, "inner_iters", 1)
+    inner_iters = _check_count(inner_iters, "inner_iters", 1)
     img = frame.samples.astype(np.float64)
     if weight > 0:
-        _tv_denoise(img, float(weight), int(inner_iters), _tv_buffers(img.shape))
+        _tv_denoise(img, float(weight), inner_iters, _tv_buffers(img.shape))
     return Frame(img)
 
 

@@ -75,7 +75,12 @@ def test_sample_bilinear_replicates_border():
 
 
 def reference_bilinear(img, x, y):
-    """sample_bilinear through plain 2-D indexing of all four corners."""
+    """sample_bilinear through plain 2-D indexing of all four corners; a
+    (K, h, w) stack is sampled one plane at a time, plane k at x[k], y[k]."""
+    if img.ndim == 3:
+        shape = np.broadcast_shapes(x.shape, y.shape, (len(img), 1, 1))
+        x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+        return np.stack([reference_bilinear(plane, xk, yk) for plane, xk, yk in zip(img, x, y)])
     h, w = img.shape
     x = np.clip(x, 0.0, w - 1.0)
     y = np.clip(y, 0.0, h - 1.0)
@@ -90,28 +95,37 @@ def reference_bilinear(img, x, y):
     return top + wy * (bottom - top)
 
 
-# in range, on and just past the borders, and far outside
+# in range, on and just past the borders, and far outside; -0.0 keeps its
+# sign through the clip and into the weight
 _COORDINATE = st.one_of(
     st.floats(-1.0, 1.0),
     st.floats(0.0, 1.0),
-    st.sampled_from([-1e6, -2.5, -1e-9, 0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 3.5, 1e6]),
+    st.sampled_from([-1e6, -2.5, -1e-9, -0.0, 0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 3.5, 1e6]),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     h=st.integers(1, 9),
     w=st.integers(1, 9),
+    planes=st.integers(0, 3),
     dtype=st.sampled_from([np.float32, np.float64]),
     xs=st.lists(_COORDINATE, min_size=1, max_size=12),
     ys=st.lists(_COORDINATE, min_size=1, max_size=12),
     broadcast=st.booleans(),
+    zeros=st.sampled_from([None, 0.0, -0.0]),
     seed=st.integers(0, 2**16),
 )
-def test_sample_bilinear_matches_two_dimensional_indexing(h, w, dtype, xs, ys, broadcast, seed):
+def test_sample_bilinear_matches_two_dimensional_indexing(h, w, planes, dtype, xs, ys, broadcast, zeros, seed):
     # coordinates are drawn as fractions of the image extent; broadcast gives
-    # (1, n) columns against (m, 1) rows as _resize_bilinear and the warp do
-    img = np.random.default_rng(seed).random((h, w)).astype(dtype)
+    # (1, n) columns against (m, 1) rows as _resize_bilinear and the warp do.
+    # planes > 0 samples a (planes, h, w) stack, plane k at the coordinates
+    # rolled by k, and zeros puts signed zeros at a quarter of the pixels
+    rng = np.random.default_rng(seed)
+    shape = (h, w) if planes == 0 else (planes, h, w)
+    img = rng.random(shape).astype(dtype)
+    if zeros is not None:
+        img[rng.random(shape) < 0.25] = zeros
     x = np.array(xs) * (w - 1)
     y = np.array(ys) * (h - 1)
     if broadcast:
@@ -119,10 +133,30 @@ def test_sample_bilinear_matches_two_dimensional_indexing(h, w, dtype, xs, ys, b
     else:
         n = min(len(xs), len(ys))
         x, y = x[:n].reshape(1, n), y[:n].reshape(1, n)
+    if planes:
+        x = np.stack([np.roll(x, k) for k in range(planes)])
+        y = np.stack([np.roll(y, -k) for k in range(planes)])
     got = sample_bilinear(img, x, y)
     want = reference_bilinear(img, x, y)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_sample_bilinear_lerps_a_float32_stack_in_float64():
+    # the corners' differences stay float32 and the weighted sums go to
+    # float64, as fusion warps the float32 key frames; -0.0 pixels sampled at
+    # a coordinate of -0.0 keep their sign
+    rng = np.random.default_rng(3)
+    img = rng.random((2, 5, 6)).astype(np.float32)
+    img[:, 0, 0] = -0.0
+    x = np.stack([rng.uniform(-1.0, 6.0, (5, 6)), np.full((5, 6), -0.0)])
+    y = np.stack([rng.uniform(-1.0, 5.0, (5, 6)), np.full((5, 6), -0.0)])
+    got = sample_bilinear(img, x, y)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_bilinear(img, x, y).tobytes()
+    assert np.signbit(got[1]).all()
+    # lerping into float32 corners would round every fraction to float32
+    assert not np.array_equal(got[0], got[0].astype(np.float32))
 
 
 def test_identical_frames_give_zero_flow():
@@ -191,7 +225,7 @@ def linearization(target, source, start):
     image gradients g = (fx, fy) and the temporal difference ft between the
     source warped by start and the target."""
     tgt = target.samples.astype(np.float64)
-    warped = flow._warp_by_flow(source.samples.astype(np.float64), *start)
+    warped = flow._warp_by_flow(flow._pad_edge(source.samples.astype(np.float64)), *start)
     fx, fy = flow._central_diff(0.5 * (tgt + warped))
     return fx, fy, warped - tgt
 

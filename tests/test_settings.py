@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from khcv import FlowParams, FusionParams, GapTvParams, NoiseModel, TimingSchedule, save_tensor
+from khcv import FlowParams, Frame, FusionParams, GapTvParams, NoiseModel, TimingSchedule, estimate_flows, save_tensor
 from khcv.cli import ConfigError, PipelineConfig, run_pipeline
 
 from conftest import translating_scene
@@ -49,8 +49,6 @@ NUMBERS = [
 ]
 # the dotted-path prefix of each class the JSON loader builds
 PREFIXES = {PipelineConfig: "", FlowParams: "flow.", GapTvParams: "gap_tv.", FusionParams: "fusion."}
-# the words a message names these fields by, where they are not the field's name
-LABELS = {(NoiseModel, "sigma"): "noise sigma", (PipelineConfig, "noise_sigma"): "noise sigma"}
 REQUIRED = {TimingSchedule: {"t_x": 1000, "t_g": 0, "B": 4}, PipelineConfig: {"scene": "scene.khcv"}}
 
 
@@ -74,7 +72,7 @@ def refused(cls, name, value) -> str:
     builds, to match the loader's message but for the field's dotted path;
     the loader reads a numpy number as the Python number it holds."""
     message = refusal(cls, name, value)
-    assert message.startswith(f"{LABELS.get((cls, name), name)} must be "), message
+    assert message.startswith(f"{name} must be "), message
     prefix = PREFIXES.get(cls)
     if prefix is not None:
         raw = {prefix[:-1]: {name: value}} if prefix else {name: value}
@@ -108,8 +106,26 @@ def test_counts_refuse_bools_strings_fractions_and_values_below_the_floor(cls, n
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_counts_take_numpy_integers(cls, name, low, data):
+    # and store the Python int each holds
     value = data.draw(_numpy(st.integers(low, low + 4), (np.int8, np.int64, np.uint16)))
-    assert getattr(build(cls, name, value), name) == value
+    stored = getattr(build(cls, name, value), name)
+    assert stored == value and type(stored) is int
+
+
+def test_a_narrow_numpy_count_does_not_wrap_in_the_pyramid_rule():
+    # 2 ** 8 is 0 in uint8: stored as given, 9 levels passed the frame-size
+    # rule for 40x40 frames and the solve died with an IndexError
+    params = FlowParams(pyramid_levels=np.uint8(9))
+    frame = Frame(np.zeros((40, 40), np.float32))
+    with pytest.raises(ValueError, match="9 flow pyramid levels need both sides at least 2048 px"):
+        estimate_flows([frame], [frame], params)
+
+
+def test_noise_settings_are_named_by_their_config_key():
+    with pytest.raises(ConfigError, match=r"^noise_seed must be an integer in \[0, 2\*\*64\), got -1$"):
+        PipelineConfig(scene="scene.khcv", noise_seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
+        NoiseModel(seed=-1)
 
 
 BAD_NUMBERS = {
