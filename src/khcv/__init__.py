@@ -27,7 +27,7 @@ from .fusion import (
     visibility_map,
     warp,
 )
-from .metrics import l1_distance, mean_epe, psnr, ssim
+from .metrics import l1_distance, mean_epe, psnr, score_frame, ssim
 from .recon import GapTvParams, coverage_map, gap_tv_reconstruct, total_variation, tv_denoise
 from .tensors import (
     CodingCube,

@@ -34,9 +34,9 @@ from .capture import (
     simulate_capture,
     write_measurement,
 )
-from .flow import FlowParams, _check_pyramid_fits, flow_to_color
+from .flow import FlowParams, _check_flow_fits, flow_to_color
 from .fusion import FusionParams, _check_intermediate, fuse_video
-from .metrics import _check_ssim_window, l1_distance, psnr, ssim
+from .metrics import _check_ssim_window, score_frame
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
     FlowField,
@@ -199,13 +199,16 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
         writer.writerows([row[c] for c in columns] for row in rows)
 
 
-def _score(truth: VideoCube, cube: VideoCube) -> tuple[list[dict], dict]:
-    """Per-frame rows and their mean block, computing each metric once per frame."""
-    scores = [(psnr(c, t), ssim(c, t), l1_distance(c, t)) for c, t in zip(cube.samples, truth.samples)]
-    rows = [{"k": k, "psnr_db": _encode_value(p), "ssim": s, "l1": l1} for k, (p, s, l1) in enumerate(scores, start=1)]
-    p, s, l1 = (float(np.mean(column)) for column in zip(*scores))
-    mean = {"psnr_db": _encode_value(p), "ssim": s, "l1": l1, "lpips": "unavailable"}
-    return rows, mean
+def _score(truth: VideoCube, *cubes: VideoCube) -> list[tuple[list[dict], dict]]:
+    """Per-frame rows and their mean block for each cube, in one pass over
+    the truth: each truth frame is prepared once for all cubes."""
+    per_frame = [score_frame(t, *frames) for t, *frames in zip(truth.samples, *(c.samples for c in cubes))]
+    results = []
+    for scores in zip(*per_frame):  # one cube's (psnr, ssim, l1) per frame
+        rows = [{"k": k, "psnr_db": _encode_value(p), "ssim": s, "l1": l1} for k, (p, s, l1) in enumerate(scores, start=1)]
+        p, s, l1 = (float(np.mean(column)) for column in zip(*scores))
+        results.append((rows, {"psnr_db": _encode_value(p), "ssim": s, "l1": l1, "lpips": "unavailable"}))
+    return results
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,9 @@ def _call_as(error: type[Exception], fn, *args):
 
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
     """Check that the scene holds enough frames for the block and that its
-    frames are large enough for the configured flow pyramid and for scoring."""
+    frames fit the configured flow settings and are large enough for scoring."""
     _call_as(DataError, _block_start, scene.frames, cfg.B, cfg.gap_frames)
-    _call_as(ConfigError, _check_pyramid_fits, scene.height, scene.width, cfg.flow.pyramid_levels)
+    _call_as(ConfigError, _check_flow_fits, scene.height, scene.width, cfg.flow)
     _call_as(DataError, _check_ssim_window, scene.height, scene.width)
 
 
@@ -274,7 +277,7 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     and write fused.khcv; with dump_intermediates, write each frame's flows
     and visibility map under out/intermediates as that frame is fused."""
     _call_as(DataError, _check_intermediate, m, x_mid)
-    _call_as(ConfigError, _check_pyramid_fits, *m.y.samples.shape, cfg.flow.pyramid_levels)
+    _call_as(ConfigError, _check_flow_fits, *m.y.samples.shape, cfg.flow)
     out = Path(cfg.out_dir)
     dump = out / "intermediates"
 
@@ -318,12 +321,12 @@ def _run(cfg: PipelineConfig, scene: VideoCube) -> PipelineResult:
 
     start = _block_start(scene.frames, cfg.B, cfg.gap_frames)
     truth = VideoCube(scene.samples[start : start + cfg.B])
-    per_frame, mean = _score(truth, fused)
+    (per_frame, mean), (_, intermediate_mean) = _score(truth, fused, x_mid)
     report = {
         "config": dataclasses.asdict(cfg),
         "per_frame": per_frame,
         "mean": mean,
-        "intermediate_mean": _score(truth, x_mid)[1],
+        "intermediate_mean": intermediate_mean,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2, default=_json_scalar) + "\n")
     _write_csv(out / "per_frame.csv", ["k", "psnr_db", "ssim", "l1"], [*per_frame, {"k": "mean", **mean}])
@@ -503,7 +506,7 @@ def metrics(reference, candidate, out_path):
     if truth.samples.shape != probe.samples.shape:
         raise DataError(f"shape mismatch: {truth.samples.shape} vs {probe.samples.shape}")
     _call_as(DataError, _check_ssim_window, truth.height, truth.width)
-    per_frame, mean = _score(truth, probe)
+    [(per_frame, mean)] = _score(truth, probe)
     report = {"per_frame": per_frame, "mean": mean}
     text = json.dumps(report, indent=2)
     click.echo(text)

@@ -124,15 +124,29 @@ class FlowParams:
             object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
 
 
-def _check_pyramid_fits(height: int, width: int, pyramid_levels: int) -> None:
-    """Raise ValueError unless frames of this size fit a pyramid of this
-    depth, whose coarsest level keeps both sides at least 8 px."""
-    min_side = _MIN_COARSE_SIDE * 2 ** (pyramid_levels - 1)
+def _check_flow_fits(height: int, width: int, params: FlowParams) -> None:
+    """Raise ValueError unless frames of this size fit the pyramid of
+    params, whose coarsest level keeps both sides at least 8 px, and unless
+    params.alpha leaves the smoothness term invertible in float32 there.
+
+    The smallest eigenvalue off the constant mode, alpha^2 (2/3)
+    (1 - cos(pi / n)) with n the longer side, is at the finest level.  A
+    flat pair adds no data term to it, so the preconditioner divides by it
+    alone, and its float32 reciprocal must be finite.
+    """
+    min_side = _MIN_COARSE_SIDE * 2 ** (params.pyramid_levels - 1)
     if min(height, width) < min_side:
         raise ValueError(
-            f"frames are {height}x{width} px but {pyramid_levels} flow pyramid levels "
+            f"frames are {height}x{width} px but {params.pyramid_levels} flow pyramid levels "
             f"need both sides at least {min_side} px"
         )
+    smallest = np.float32(_smoothness_eigenvalues(1, max(height, width), params.alpha * params.alpha)[0, 1])
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.isfinite(np.reciprocal(smallest)):
+            raise ValueError(
+                f"alpha {params.alpha} is too small for {height}x{width} px frames: the float32 "
+                f"reciprocal of its smallest smoothness eigenvalue, {float(smallest):.3g}, is not finite"
+            )
 
 
 def _pad_edge(img: np.ndarray) -> np.ndarray:
@@ -396,8 +410,8 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
         np.multiply(fx, error, out=data[:, 0], casting="same_kind")
         np.multiply(fy, error, out=data[:, 1], casting="same_kind")
         # 1 / (eigenvalue + c), and 0 where that sum is 0.  Off the constant
-        # mode eig is at least about alpha^2 pi^2 / (3 n^2), n the longer
-        # side, which float32 holds above 0 for alpha > 1e-19 and n <= 4096,
+        # mode eig is at least alpha^2 (2/3) (1 - cos(pi / n)), n the longer
+        # side, whose float32 reciprocal _check_flow_fits has found finite,
         # so only a constant mode whose c is 0 in float32 holds a 0: it is
         # inverted as 1 and set back
         c = np.stack([np.einsum("kij,kij->k", d, d) for d in (fx, fy)], axis=1) / (h * w)
@@ -476,8 +490,9 @@ def estimate_flows(
     Raises:
         ValueError: if the sequences differ in length, the frames differ in
             shape, the frames are too small for the requested pyramid depth
-            (the coarsest level must keep both sides at least 8 px; the CLI
-            reports the same message), or a start does not have the
+            (the coarsest level must keep both sides at least 8 px) or
+            alpha too small for their size (see _check_flow_fits; the CLI
+            reports the same messages), or a start does not have the
             coarsest level's shape.
         FloatingPointError: at the first operation that overflows, such as
             products of the frames past float32.
@@ -494,7 +509,7 @@ def estimate_flows(
             raise ValueError(f"target {target.samples.shape} and source {source.samples.shape} disagree")
         if target.samples.shape != shape:
             raise ValueError(f"frames of one call must share one shape, got {shape} and {target.samples.shape}")
-    _check_pyramid_fits(*shape, params.pyramid_levels)
+    _check_flow_fits(*shape, params)
 
     target_levels = [np.array([t.samples for t in targets], np.float64)]
     source_levels = [np.array([s.samples for s in sources], np.float64)]

@@ -700,11 +700,11 @@ def test_cli_config_error_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-def _flow_size_error(height: int, width: int, pyramid_levels: int) -> str:
-    """The message estimate_flows raises for frames of this size."""
+def _flow_fit_error(height: int, width: int, pyramid_levels: int, alpha: float = 0.2) -> str:
+    """The message estimate_flows raises for frames of this size under these settings."""
     frame = Frame(np.zeros((height, width), np.float32))
     with pytest.raises(ValueError) as info:
-        estimate_flows([frame], [frame], FlowParams(pyramid_levels=pyramid_levels))
+        estimate_flows([frame], [frame], FlowParams(pyramid_levels=pyramid_levels, alpha=alpha))
     return str(info.value)
 
 
@@ -719,9 +719,20 @@ def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     assert result.exit_code == 2, result.output
     assert "pyramid" in result.output
     # the CLI states the rule in flow's own words
-    assert result.stderr == f"error: {_flow_size_error(24, 24, 3)}\n"
+    assert result.stderr == f"error: {_flow_fit_error(24, 24, 3)}\n"
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_alpha_too_small_for_the_frames_exits_2_before_writing(tmp_path):
+    raw, _ = base_config(tmp_path, flow={"pyramid_levels": 1, "alpha": 1e-30})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
+    assert result.exit_code == 2, result.output
+    # the CLI states the rule in flow's own words
+    assert result.stderr == f"error: {_flow_fit_error(*SCENE_SHAPE, 1, alpha=1e-30)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["pipeline"], ["sweep", "--gaps", "0"]])
@@ -769,7 +780,7 @@ def test_cli_fuse_with_frames_too_small_for_flow_pyramid_exits_2_before_writing(
     result = _fuse_24px_block(tmp_path, frames=4, pyramid_levels=3)
     assert result.exit_code == 2, result.output
     assert "pyramid" in result.output
-    assert result.stderr == f"error: {_flow_size_error(24, 24, 3)}\n"
+    assert result.stderr == f"error: {_flow_fit_error(24, 24, 3)}\n"
     assert not (tmp_path / "fused").exists()
 
 
@@ -891,6 +902,26 @@ def test_report_means_match_per_frame_metrics(tmp_path):
             "lpips": "unavailable",
         }
         assert (mean["psnr_db"] == "inf") == (name == "one_exact")
+
+
+def test_pipeline_report_matches_lone_metric_calls(tmp_path):
+    # run_pipeline scores the fused and the intermediate cube in one pass
+    # over the truth; each number must still be what a lone psnr, ssim or
+    # l1_distance call on the written cubes gives, bit for bit
+    raw, scene = base_config(tmp_path)
+    result = run_pipeline(PipelineConfig.from_dict(raw))
+    report = json.loads((result.out_dir / "report.json").read_text())
+    start = (scene.frames - raw["B"]) // 2
+    truth = scene.samples[start : start + raw["B"]]
+
+    def lone(cube):
+        return [(psnr(c, t), ssim(c, t), l1_distance(c, t)) for c, t in zip(cube.samples, truth)]
+
+    fused = lone(load_tensor(result.out_dir / "fused.khcv"))
+    assert [(row["psnr_db"], row["ssim"], row["l1"]) for row in report["per_frame"]] == fused
+    intermediate = lone(load_tensor(result.out_dir / "intermediate.khcv"))
+    p, s, l1 = (float(np.mean(column)) for column in zip(*intermediate))
+    assert report["intermediate_mean"] == {"psnr_db": p, "ssim": s, "l1": l1, "lpips": "unavailable"}
 
 
 def test_cli_sweep_command(tmp_path):

@@ -590,6 +590,22 @@ def test_rejects_too_small_images():
         one_pair(tiny, tiny, FlowParams(pyramid_levels=3))
 
 
+def test_alpha_bound_on_a_flat_pair(monkeypatch):
+    # on 32 px sides the float32 reciprocal of the smallest smoothness
+    # eigenvalue, alpha^2 (2/3) (1 - cos(pi / 32)), stops being finite
+    # between these two alphas
+    flat = Frame(np.full((32, 32), 0.5, np.float32))
+    above, below = 9.5678749e-19, 9.5678748e-19
+    field = one_pair(flat, Frame(flat.samples.copy()), FlowParams(pyramid_levels=1, alpha=above))
+    assert not field.samples.any()
+    with pytest.raises(ValueError, match="alpha"):
+        one_pair(flat, flat, FlowParams(pyramid_levels=1, alpha=below))
+    # the bound is tight: below it the solve itself would fail
+    monkeypatch.setattr(flow, "_check_flow_fits", lambda *args: None)
+    with pytest.raises(FloatingPointError, match="reciprocal"):
+        one_pair(flat, flat, FlowParams(pyramid_levels=1, alpha=below))
+
+
 def test_flow_color_conventions():
     h = w = 16
     zero = constant_flow(h, w, 0.0, 0.0)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import correlate2d
 
-from khcv import FlowField, Frame, l1_distance, mean_epe, psnr, ssim
+from khcv import FlowField, Frame, l1_distance, mean_epe, psnr, score_frame, ssim
 
 from conftest import smooth_texture
 
@@ -43,24 +45,41 @@ def test_ssim_self_is_one():
     assert abs(ssim(img, img) - 1.0) < 1e-9
 
 
-def test_ssim_matches_windowed_oracle():
-    # brute-force local-statistics reference, then the same statistics as
-    # dense 11x11 valid-region correlations on non-square frames
-    win = 11
-    off = np.arange(win) - (win - 1) / 2
+def _window() -> np.ndarray:
+    """The normalized 11x11 Gaussian window, sigma 1.5."""
+    off = np.arange(11) - 5
     taps = np.exp(-(off**2) / (2 * 1.5**2))
     w = np.outer(taps, taps)
-    w /= w.sum()
+    return w / w.sum()
+
+
+def _dense_ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean SSIM from dense 11x11 valid-region correlations."""
+    w = _window()
+    c1, c2 = 0.01**2, 0.03**2
+    mu_a, mu_b, mu_aa, mu_bb, mu_ab = (correlate2d(x, w, mode="valid") for x in (a, b, a * a, b * b, a * b))
+    var_a, var_b, cov = mu_aa - mu_a * mu_a, mu_bb - mu_b * mu_b, mu_ab - mu_a * mu_b
+    scores = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    return float(scores.mean())
+
+
+def _noisy_pair(shape, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    a = rng.random(shape)
+    return a, np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
+
+
+def test_ssim_matches_windowed_oracle():
+    # brute-force local-statistics reference on non-square frames
+    w = _window()
     c1, c2 = 0.01**2, 0.03**2
     for shape in [(14, 14), (11, 64), (64, 11), (23, 40), (57, 31)]:
-        rng = np.random.default_rng(0)
-        a = rng.random(shape)
-        b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
+        a, b = _noisy_pair(shape, 0)
         scores = []
-        for i in range(a.shape[0] - win + 1):
-            for j in range(a.shape[1] - win + 1):
-                pa = a[i : i + win, j : j + win]
-                pb = b[i : i + win, j : j + win]
+        for i in range(a.shape[0] - 10):
+            for j in range(a.shape[1] - 10):
+                pa = a[i : i + 11, j : j + 11]
+                pb = b[i : i + 11, j : j + 11]
                 mu_a = (w * pa).sum()
                 mu_b = (w * pb).sum()
                 va = (w * pa * pa).sum() - mu_a**2
@@ -70,13 +89,45 @@ def test_ssim_matches_windowed_oracle():
                     (2 * mu_a * mu_b + c1) * (2 * cov + c2) / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
                 )
         assert abs(ssim(a, b) - np.mean(scores)) < 1e-6, shape
+        assert abs(ssim(a, b) - _dense_ssim(a, b)) < 1e-12, shape
 
-        mu_a, mu_b, mu_aa, mu_bb, mu_ab = (correlate2d(x, w, mode="valid") for x in (a, b, a * a, b * b, a * b))
-        var_a, var_b, cov = mu_aa - mu_a * mu_a, mu_bb - mu_b * mu_b, mu_ab - mu_a * mu_b
-        dense = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-            (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-        )
-        assert abs(ssim(a, b) - dense.mean()) < 1e-12, shape
+
+# sides whose valid region (side - 10) is 1, one short of a 32-output tile,
+# one tile, one past it and one past two tiles
+_TILE_EDGES = [11, 41, 42, 43, 75]
+
+
+@given(
+    h=st.one_of(st.sampled_from(_TILE_EDGES), st.integers(11, 300)),
+    w=st.one_of(st.sampled_from(_TILE_EDGES), st.integers(11, 300)),
+    seed=st.integers(0, 2**16),
+)
+@example(h=11, w=41, seed=0)
+@example(h=42, w=43, seed=1)
+@example(h=75, w=11, seed=2)
+@example(h=43, w=300, seed=3)
+@settings(max_examples=25, deadline=None)
+def test_ssim_matches_the_dense_window_on_any_frame(h, w, seed):
+    a, b = _noisy_pair((h, w), seed)
+    score = ssim(a, b)
+    assert abs(score - _dense_ssim(a, b)) < 1e-12
+    assert ssim(b, a) == score
+    assert -1.0 <= score <= 1.0
+    assert abs(ssim(a, a) - 1.0) < 1e-12
+
+
+def test_score_frame_gives_the_lone_metrics_bit_for_bit():
+    truth = Frame(smooth_texture(40, 52, seed=6))
+    rng = np.random.default_rng(2)
+    candidates = [np.clip(truth.samples + rng.normal(0, s, truth.samples.shape), 0, 1).astype(np.float32) for s in (0.02, 0.1)]
+    assert score_frame(truth, *candidates) == [
+        (psnr(c, truth), ssim(c, truth), l1_distance(c, truth)) for c in candidates
+    ]
+    assert score_frame(truth, truth)[0][0] == math.inf
+    with pytest.raises(ValueError):
+        score_frame(truth, np.zeros((40, 51), np.float32))
+    with pytest.raises(ValueError):
+        score_frame(np.zeros((10, 52)), np.zeros((10, 52)))
 
 
 def test_ssim_penalizes_noise():
