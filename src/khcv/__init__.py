@@ -19,14 +19,7 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, estimate_flows, flow_to_color, sample_bilinear
-from .fusion import (
-    FusionParams,
-    VisibleMap,
-    blend,
-    fuse_video,
-    visibility_map,
-    warp,
-)
+from .fusion import VisibleMap, blend, fuse_video, visibility_map, warp
 from .metrics import l1_distance, mean_epe, psnr, score_frame, ssim
 from .recon import GapTvParams, coverage_map, gap_tv_reconstruct, total_variation, tv_denoise
 from .tensors import (

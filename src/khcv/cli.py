@@ -35,7 +35,7 @@ from .capture import (
     write_measurement,
 )
 from .flow import FlowParams, _check_flow_fits, flow_to_color
-from .fusion import FusionParams, _check_intermediate, fuse_video
+from .fusion import _check_intermediate, fuse_video
 from .metrics import _check_ssim_window, score_frame
 from .recon import GapTvParams, gap_tv_reconstruct
 from .tensors import (
@@ -90,7 +90,6 @@ class PipelineConfig:
     dump_intermediates: bool = False
     save_pgm: bool = False
     gap_tv: GapTvParams = field(default_factory=GapTvParams)
-    fusion: FusionParams = field(default_factory=FusionParams)
     flow: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
@@ -178,12 +177,18 @@ def load_scene(path) -> VideoCube:
         if len(shapes) > 1:
             raise DataError(f"scene frames disagree in size: {sorted(shapes)}")
         return VideoCube(np.stack(stack))
+    return _load_as(path, VideoCube, f"scene {path}")
+
+
+def _load_as(path, cls: type, name=None):
+    """The tensor stored at path, which must be a cls; DataError names the
+    file as name (default: its path) and the expected type by its _what."""
     try:
         data = load_tensor(path)
     except FormatError as exc:
         raise DataError(str(exc)) from exc
-    if not isinstance(data, VideoCube):
-        raise DataError(f"scene {path} holds a {type(data).__name__}, expected a video cube")
+    if not isinstance(data, cls):
+        raise DataError(f"{name or path} holds a {type(data).__name__}, expected a {cls._what}")
     return data
 
 
@@ -291,7 +296,7 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_intermediates:
         dump.mkdir(exist_ok=True)
-    fused = fuse_video(m, x_mid, cfg.fusion, cfg.flow, write_dump if cfg.dump_intermediates else None)
+    fused = fuse_video(m, x_mid, cfg.flow, write_dump if cfg.dump_intermediates else None)
     save_tensor(fused, out / "fused.khcv")
     return fused
 
@@ -445,11 +450,7 @@ def reconstruct(manifest_path, config_path, **overrides):
 def fuse(manifest_path, intermediate_path, config_path, **overrides):
     """Fuse a stored intermediate reconstruction with its key frames."""
     cfg = _load_config(config_path, **overrides)
-    m = read_measurement(manifest_path)
-    data = load_tensor(intermediate_path)
-    if not isinstance(data, VideoCube):
-        raise DataError(f"{intermediate_path} holds a {type(data).__name__}, expected a video cube")
-    _fuse(cfg, m, data)
+    _fuse(cfg, read_measurement(manifest_path), _load_as(intermediate_path, VideoCube))
     click.echo(f"wrote {Path(cfg.out_dir) / 'fused.khcv'}")
 
 
@@ -520,9 +521,7 @@ def metrics(reference, candidate, out_path):
 @click.option("--max-magnitude", type=float, default=None, help="Saturation scale in pixels, finite and > 0; default is the 99th percentile.")
 def flowviz(flow_path, out_path, max_magnitude):
     """Colorize a stored flow field into a PPM image."""
-    data = load_tensor(flow_path)
-    if not isinstance(data, FlowField):
-        raise DataError(f"{flow_path} holds a {type(data).__name__}, expected a flow field")
+    data = _load_as(flow_path, FlowField)
     # the only thing flow_to_color checks is max_magnitude
     export_ppm(_call_as(ConfigError, flow_to_color, data, max_magnitude), out_path)
     click.echo(f"wrote {out_path}")

@@ -127,12 +127,15 @@ class FlowParams:
 def _check_flow_fits(height: int, width: int, params: FlowParams) -> None:
     """Raise ValueError unless frames of this size fit the pyramid of
     params, whose coarsest level keeps both sides at least 8 px, and unless
-    params.alpha leaves the smoothness term invertible in float32 there.
+    params.alpha leaves the smoothness term invertible and finite in float32
+    there.
 
-    The smallest eigenvalue off the constant mode, alpha^2 (2/3)
-    (1 - cos(pi / n)) with n the longer side, is at the finest level.  A
-    flat pair adds no data term to it, so the preconditioner divides by it
-    alone, and its float32 reciprocal must be finite.
+    The finest level holds both extreme eigenvalues.  The smallest off the
+    constant mode, alpha^2 (2/3) (1 - cos(pi / n)) with n the longer side,
+    bounds alpha below: a flat pair adds no data term to it, so the
+    preconditioner divides by it alone, and its float32 reciprocal must be
+    finite.  The largest, just under alpha^2 4/3, bounds alpha above: it
+    must itself be finite in float32, as the solver stores it there.
     """
     min_side = _MIN_COARSE_SIDE * 2 ** (params.pyramid_levels - 1)
     if min(height, width) < min_side:
@@ -140,13 +143,21 @@ def _check_flow_fits(height: int, width: int, params: FlowParams) -> None:
             f"frames are {height}x{width} px but {params.pyramid_levels} flow pyramid levels "
             f"need both sides at least {min_side} px"
         )
-    smallest = np.float32(_smoothness_eigenvalues(1, max(height, width), params.alpha * params.alpha)[0, 1])
-    with np.errstate(over="ignore", divide="ignore"):
+    # the eigenvalues as the solver stores them; a huge alpha overflows here
+    with np.errstate(all="ignore"):
+        eig = _smoothness_eigenvalues(height, width, params.alpha * params.alpha)
+        stored = eig.astype(np.float32)
+        smallest = min(stored[0, 1], stored[1, 0])
         if not np.isfinite(np.reciprocal(smallest)):
             raise ValueError(
                 f"alpha {params.alpha} is too small for {height}x{width} px frames: the float32 "
                 f"reciprocal of its smallest smoothness eigenvalue, {float(smallest):.3g}, is not finite"
             )
+    if not np.isfinite(stored[-1, -1]):
+        raise ValueError(
+            f"alpha {params.alpha} is too large: its largest smoothness eigenvalue, "
+            f"{float(eig[-1, -1]):.3g}, is not finite in float32"
+        )
 
 
 def _pad_edge(img: np.ndarray) -> np.ndarray:
@@ -359,11 +370,11 @@ def _relax_level(target: np.ndarray, source: np.ndarray, start: np.ndarray, para
     products, which the orthonormal basis leaves unchanged, accumulate in
     float64, one per system: r . z = sum R Z and
     p . A p = sum eig P^2 + sum (g . p)^2.  Every system runs all
-    iters_per_level iterations; its step r . z / p . A p and its beta
-    r' . z' / r . z are formed in float64 and read 0 where the denominator
-    is 0, so a system with nothing left to solve, such as an identical or a
-    flat pair, takes steps of 0, and identical frames leave a zero field
-    exactly zero.  The systems share every numpy pass and every transform,
+    iters_per_level iterations; its step r . z / p . A p and its direction
+    weight r' . z' / r . z are formed in float64 and read 0 where the
+    denominator is 0, so a system with nothing left to solve, such as an
+    identical or a flat pair, takes steps of 0, and identical frames leave a
+    zero field exactly zero.  The systems share every numpy pass and every transform,
     but no operation mixes two of them: each field comes out bit for bit as
     it would from a stack of one.
     """

@@ -7,7 +7,8 @@ keys, as captured, onto the frame grid with those fields, and blends the
 warps under a visibility map and a temporal weight tau = k / (B + 2).
 Pixels neither key explains well fall back to the intermediate
 reconstruction.  warp, visibility_map and blend are its steps, public so
-that each can be used and checked alone.
+that each can be used and checked alone.  Fusion has no settings of its
+own: its tuning values are measured module constants.
 
 Flow is solved in full, through the whole pyramid, only at anchor frames:
 every third frame from k = 1, and k = B.  A frame between anchors a and b
@@ -32,12 +33,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .capture import HybridMeasurement, _check_count, _check_number
+from .capture import HybridMeasurement
 from .flow import FlowField, FlowParams, _pad_edge, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
 __all__ = [
-    "FusionParams",
     "VisibleMap",
     "warp",
     "visibility_map",
@@ -66,29 +66,26 @@ __all__ = [
 _ANCHOR_STRIDE = 3
 _REFINE_WARPS = 2
 
-
-@dataclass(frozen=True)
-class FusionParams:
-    """Settings for key-frame fusion.
-
-    beta steepens the visibility sigmoid, error_smooth_radius sets the box
-    filter radius used on photometric errors, and fallback_threshold (None
-    disables it) reverts pixels no key explains to the intermediate frame.
-    Keys are used as captured, and flow always runs directly from each
-    intermediate frame to each key frame.  The flow settings are passed next
-    to these.
-    """
-
-    beta: float = 20.0
-    error_smooth_radius: int = 1
-    fallback_threshold: float | None = 0.15
-
-    def __post_init__(self):
-        _check_number(self.beta, "beta", "> 0")
-        radius = _check_count(self.error_smooth_radius, "error_smooth_radius", 0)
-        object.__setattr__(self, "error_smooth_radius", radius)
-        if self.fallback_threshold is not None:
-            _check_number(self.fallback_threshold, "fallback_threshold", "> 0")
+# Visibility is a logistic of slope _VISIBILITY_SLOPE over the difference of
+# the warps' absolute errors, box-filtered over (2 _ERROR_RADIUS + 1)^2 px; a
+# pixel whose smaller filtered error exceeds _FALLBACK_THRESHOLD keeps the
+# intermediate sample.  Each varied alone on the same four cases:
+#   slope 20, radius 1, 0.15 27.988/0.8540 25.692/0.9631 25.017/0.8024 25.583/0.8700
+#   slope 10                 28.018/0.8551 25.649/0.9602 25.013/0.8034 25.545/0.8671
+#   slope 40                 27.855/0.8511 25.696/0.9638 24.929/0.7995 25.595/0.8723
+#   radius 0                 27.196/0.8329 25.677/0.9614 24.101/0.7631 25.615/0.8769
+#   radius 2                 28.271/0.8590 25.688/0.9628 25.553/0.8176 25.580/0.8693
+#   no fallback              28.192/0.8577 23.358/0.9664 25.505/0.8162 23.368/0.8703
+#   threshold 0.1            26.134/0.7932 25.453/0.9518 23.104/0.7079 25.336/0.8596
+#   threshold 0.2            28.185/0.8576 25.856/0.9720 25.485/0.8157 25.696/0.8762
+#   threshold 0.25           28.192/0.8577 25.781/0.9737 25.505/0.8162 25.610/0.8775
+# Without the fallback both squares lose 2.2-2.3 dB, and without the box
+# filter both textures lose 0.8-0.9 dB.  Only thresholds 0.2 and 0.25 are at
+# least the first row on all four cases; they are yet to be measured on the
+# benchmark workloads.
+_VISIBILITY_SLOPE = 20.0
+_ERROR_RADIUS = 1
+_FALLBACK_THRESHOLD = 0.15
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,34 +110,34 @@ def warp(image: Frame, f: FlowField) -> Frame:
     return Frame(_warp_by_flow(_pad_edge(image.samples), f.u, f.v))
 
 
-def visibility_map(w_left: Frame, w_right: Frame, target: Frame, params: FusionParams | None = None) -> VisibleMap:
+def visibility_map(w_left: Frame, w_right: Frame, target: Frame) -> VisibleMap:
     """Per-pixel preference for the left warp over the right one.
 
     Box-filters the absolute photometric error of each warp against the
-    target and squashes their difference through a logistic of slope beta.
-    Swapping the two warps complements the map exactly: v -> 1 - v.
+    target and squashes their difference through a logistic of slope
+    _VISIBILITY_SLOPE.  Swapping the two warps complements the map exactly:
+    v -> 1 - v.
     """
-    params = params or FusionParams()
     if w_left.samples.shape != target.samples.shape or w_right.samples.shape != target.samples.shape:
         raise ValueError("warped keys and target must share one shape")
-    return _visibility(*_smoothed_errors(w_left, w_right, target, params.error_smooth_radius), params.beta)
+    return _visibility(*_smoothed_errors(w_left, w_right, target))
 
 
-def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame, radius: int) -> list[np.ndarray]:
+def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame) -> list[np.ndarray]:
     """Box-filtered absolute photometric error of each warp against the target."""
     errors = []
     for w in (w_left, w_right):
         err = np.abs(w.samples.astype(np.float64) - target.samples.astype(np.float64))
-        errors.append(ndimage.uniform_filter(err, size=2 * radius + 1, mode="nearest") if radius else err)
+        errors.append(ndimage.uniform_filter(err, size=2 * _ERROR_RADIUS + 1, mode="nearest"))
     return errors
 
 
-def _visibility(e_left: np.ndarray, e_right: np.ndarray, beta: float) -> VisibleMap:
-    """Logistic of slope beta over the error difference: the visibility_map rule."""
+def _visibility(e_left: np.ndarray, e_right: np.ndarray) -> VisibleMap:
+    """Logistic of slope _VISIBILITY_SLOPE over the error difference: the visibility_map rule."""
     diff = e_right - e_left
     # evaluate the logistic through exp(-|x|) so that negating the argument
     # complements the result bit for bit
-    winner = 1.0 / (1.0 + np.exp(-beta * np.abs(diff)))
+    winner = 1.0 / (1.0 + np.exp(-_VISIBILITY_SLOPE * np.abs(diff)))
     return VisibleMap(np.where(diff >= 0.0, winner, 1.0 - winner))
 
 
@@ -176,7 +173,6 @@ def _check_intermediate(m: HybridMeasurement, x_mid: VideoCube) -> None:
 def fuse_video(
     m: HybridMeasurement,
     x_mid: VideoCube,
-    params: FusionParams | None = None,
     flow: FlowParams | None = None,
     callback: Callable[[int, FlowField, FlowField, VisibleMap], None] | None = None,
 ) -> VideoCube:
@@ -189,13 +185,13 @@ def fuse_video(
     anchor interval at a time, each step one estimate_flows stack: the first
     interval's two anchors with both keys, then each later anchor with both
     keys, then the interval's in-between frames with both keys.  Only the
-    current interval's fields are held.
+    current interval's fields are held.  A pixel that neither warped key
+    explains within _FALLBACK_THRESHOLD keeps the intermediate sample.
 
     Args:
         m: the measurement, whose schedule gives B and whose key frames are
             warped onto each intermediate frame.
         x_mid: intermediate reconstruction of the block, (B, h, w).
-        params: fusion settings; defaults to FusionParams().
         flow: flow solver settings; defaults to FlowParams().
         callback: optional hook called as
             callback(k, flow_left, flow_right, visibility) once frame k is
@@ -205,7 +201,6 @@ def fuse_video(
     Returns:
         VideoCube of the fused frames, clamped to [0, 1].
     """
-    params = params or FusionParams()
     _check_intermediate(m, x_mid)
     B = m.schedule.B
     flow = flow or FlowParams()
@@ -228,13 +223,11 @@ def fuse_video(
         x_k = frame(k)
         w_left = warp(m.z_left, f_left)
         w_right = warp(m.z_right, f_right)
-        e_left, e_right = _smoothed_errors(w_left, w_right, x_k, params.error_smooth_radius)
-        v = _visibility(e_left, e_right, params.beta)
-        out = blend(w_left, w_right, v, k / (B + 2.0)).samples.astype(np.float64)
-        if params.fallback_threshold is not None:
-            bad = np.minimum(e_left, e_right) > params.fallback_threshold
-            out[bad] = x_k.samples.astype(np.float64)[bad]
-        fused[k - 1] = np.clip(out, 0.0, 1.0)
+        errors = _smoothed_errors(w_left, w_right, x_k)
+        v = _visibility(*errors)
+        bad = np.minimum(*errors) > _FALLBACK_THRESHOLD
+        blended = blend(w_left, w_right, v, k / (B + 2.0)).samples
+        fused[k - 1] = np.clip(np.where(bad, x_k.samples, blended), 0.0, 1.0)
         if callback is not None:
             callback(k, f_left, f_right, v)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,23 +79,25 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_rejects_unknown_nested_keys(tmp_path):
-    # a removed setting such as chain_flows is rejected like any unknown key
-    # and the message names it by its dotted path
-    for section, key, value in (
-        ("fusion", "bogus", 1),
-        ("fusion", "chain_flows", True),
-        ("fusion", "epsilon_blend", 1e-6),
-        ("fusion", "normalize_keys", True),
-        ("gap_tv", "epsilon_r", 1e-8),
-        # flow settings live only in the top-level "flow" section
-        ("fusion", "flow_params", {"alpha": 0.1}),
+    # a removed setting such as gap_tv.epsilon_r is rejected like any
+    # unknown key and the message names it by its dotted path
+    for overrides, name in (
+        ({"gap_tv": {"bogus": 1}}, "gap_tv.bogus"),
+        ({"gap_tv": {"epsilon_r": 1e-8}}, "gap_tv.epsilon_r"),
+        ({"flow": {"bogus": 1}}, "flow.bogus"),
+        # the whole fusion section is retired, with every setting it held
+        ({"fusion": {}}, "fusion"),
+        ({"fusion": {"chain_flows": True}}, "fusion"),
+        ({"fusion": {"epsilon_blend": 1e-6}}, "fusion"),
+        ({"fusion": {"normalize_keys": True}}, "fusion"),
+        ({"fusion": {"flow_params": {"alpha": 0.1}}}, "fusion"),
     ):
-        path, _, _ = write_config(tmp_path, **{section: {key: value}})
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}\b"):
+        path, _, _ = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^unknown config keys: \['{re.escape(name)}'\]$"):
             PipelineConfig.from_json(path)
         result = CliRunner().invoke(main, ["pipeline", "--config", str(path)])
         assert result.exit_code == 2, result.output
-        assert f"{section}.{key}" in result.stderr
+        assert f"'{name}'" in result.stderr
         assert not (tmp_path / "out").exists()
 
 
@@ -117,8 +120,6 @@ def test_config_validates_eagerly(tmp_path):
         {"noise_seed": 2**64},
         {"gap_tv": {"outer_iters": 0}},
         {"flow": {"alpha": -1.0}},
-        # flow settings live only under the top-level "flow" key
-        {"fusion": {"flow_params": {"alpha": 0.1}}},
         {"scene": 5},
         {"out_dir": 7},
         {"dump_intermediates": "no"},
@@ -127,7 +128,6 @@ def test_config_validates_eagerly(tmp_path):
         {"gap_tv": {"outer_iters": 2.5}},
         {"flow": {"iters_per_level": 2.5}},
         {"gap_frames": 0.5},
-        {"fusion": {"error_smooth_radius": 1.5}},
         {"mask_seed": 3.7},
         {"B": True},
         # float fields take numbers, not booleans
@@ -135,7 +135,6 @@ def test_config_validates_eagerly(tmp_path):
         {"mask_density": True},
         {"flow": {"alpha": True}},
         {"gap_tv": {"tv_weight": True}},
-        {"fusion": {"fallback_threshold": True}},
         # numbers are finite; each NaN fails its range check too
         {"flow": {"alpha": math.nan}},
         {"flow": {"alpha": math.inf}},
@@ -143,11 +142,9 @@ def test_config_validates_eagerly(tmp_path):
         {"noise_sigma": math.nan},
         {"noise_sigma": math.inf},
         {"mask_density": math.nan},
-        {"fusion": {"beta": math.inf}},
-        {"fusion": {"fallback_threshold": math.nan}},
         # every section is a JSON object
         {"gap_tv": [["outer_iters", 5]]},
-        {"fusion": []},
+        {"flow": []},
     ):
         raw, _ = base_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
@@ -173,12 +170,10 @@ def test_config_accepts_numpy_integers(tmp_path):
         tmp_path,
         mask_seed=np.int64(5),
         gap_tv={"outer_iters": np.int32(3)},
-        fusion={"fallback_threshold": None},
         flow={"alpha": np.float32(0.25)},
     )
     cfg = PipelineConfig.from_dict(raw)
     assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
-    assert cfg.fusion.fallback_threshold is None
     assert cfg.flow.alpha == 0.25
     # they are stored as Python numbers, so the manifest and report can hold them
     assert type(cfg.mask_seed) is int and type(cfg.flow.alpha) is float
@@ -225,7 +220,6 @@ def test_config_dict_round_trip(tmp_path):
         dump_intermediates=True,
         save_pgm=True,
         gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 4},
-        fusion={"beta": 15.0, "error_smooth_radius": 2, "fallback_threshold": 0.2},
         flow={"pyramid_levels": 2, "alpha": 0.3, "iters_per_level": 50, "warps_per_level": 2},
     )
     cfg = PipelineConfig.from_dict(raw)
@@ -233,7 +227,6 @@ def test_config_dict_round_trip(tmp_path):
     for params, base in (
         (cfg, default),
         (cfg.gap_tv, default.gap_tv),
-        (cfg.fusion, default.fusion),
         (cfg.flow, default.flow),
     ):
         for f in dataclasses.fields(params):
@@ -242,7 +235,6 @@ def test_config_dict_round_trip(tmp_path):
                 assert value != getattr(base, f.name), f.name
     again = PipelineConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
-    assert again.fusion.beta == 15.0
     assert again.flow.alpha == 0.3
 
 
@@ -418,7 +410,7 @@ def test_dumped_flows_are_the_ones_fusion_used(tmp_path):
     x_mid = load_tensor(result.out_dir / "intermediate.khcv")
     records = []
     refused = fusion.fuse_video(
-        m, x_mid, cfg.fusion, cfg.flow, callback=lambda k, left, right, v: records.append((left, right))
+        m, x_mid, cfg.flow, callback=lambda k, left, right, v: records.append((left, right))
     )
     dump = result.out_dir / "intermediates"
     stored = [
@@ -724,14 +716,17 @@ def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_cli_alpha_too_small_for_the_frames_exits_2_before_writing(tmp_path):
-    raw, _ = base_config(tmp_path, flow={"pyramid_levels": 1, "alpha": 1e-30})
+@pytest.mark.parametrize("alpha", [1e-30, 2e19, 1e21])
+def test_cli_alpha_out_of_float32_reach_exits_2_before_writing(tmp_path, alpha):
+    # too small, the smallest smoothness eigenvalue has no float32
+    # reciprocal; too large, the largest is not finite in float32
+    raw, _ = base_config(tmp_path, flow={"pyramid_levels": 1, "alpha": alpha})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
     assert result.exit_code == 2, result.output
     # the CLI states the rule in flow's own words
-    assert result.stderr == f"error: {_flow_fit_error(*SCENE_SHAPE, 1, alpha=1e-30)}\n"
+    assert result.stderr == f"error: {_flow_fit_error(*SCENE_SHAPE, 1, alpha=alpha)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -871,6 +866,31 @@ def test_commands_exit_3_on_a_truncated_tensor_before_writing(tmp_path, command)
         assert result.stderr == f"error: {info.value}\n"
         assert not out.exists(), victim.name
         victim.write_bytes(intact)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "fuse", "flowviz"])
+def test_commands_exit_3_on_a_tensor_of_the_wrong_type_before_writing(tmp_path, command):
+    config_path, _, _ = write_config(tmp_path)
+    staged = tmp_path / "staged"
+    runner = CliRunner()
+    assert runner.invoke(main, ["simulate", "--config", str(config_path), "--out", str(staged)]).exit_code == 0
+    frame, flow, out = tmp_path / "frame.khcv", tmp_path / "flow.khcv", tmp_path / "result"
+    save_tensor(Frame(np.zeros((16, 16), np.float32)), frame)
+    save_tensor(FlowField(np.zeros((2, 16, 16), np.float32)), flow)
+    wrong_scene, _, _ = write_config(tmp_path, scene=str(frame))
+    args, message = {
+        "pipeline": (["pipeline", "--config", str(wrong_scene)], f"scene {frame} holds a Frame, expected a video cube"),
+        "fuse": (
+            ["fuse", "--manifest", str(staged / "manifest.json"), "--intermediate", str(flow),
+             "--config", str(config_path)],
+            f"{flow} holds a FlowField, expected a video cube",
+        ),
+        "flowviz": (["flowviz", str(frame), str(out)], f"{frame} holds a Frame, expected a flow field"),
+    }[command]
+    result = runner.invoke(main, [*args, *(["--out", str(out)] if command != "flowviz" else [])])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_report_means_match_per_frame_metrics(tmp_path):

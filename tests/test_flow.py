@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,26 @@ def test_alpha_bound_on_a_flat_pair(monkeypatch):
     monkeypatch.setattr(flow, "_check_flow_fits", lambda *args: None)
     with pytest.raises(FloatingPointError, match="reciprocal"):
         one_pair(flat, flat, FlowParams(pyramid_levels=1, alpha=below))
+
+
+def test_alpha_upper_bound_on_a_shifted_pair(monkeypatch):
+    # on 32 px sides the largest smoothness eigenvalue, just under
+    # alpha^2 4/3, stops being finite in float32 between these two alphas
+    target, source = shifted_pair(32, 32, dx=1, dy=0, seed=3)
+    below, above = 1.59753e19, 1.59754e19
+    for alpha in (1.5e19, below):
+        field = one_pair(target, source, FlowParams(alpha=alpha))
+        assert np.isfinite(field.samples).all()
+    # past it the rule refuses, with no overflow warning of its own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (above, 2e19, 1e21, 1e200):
+            with pytest.raises(ValueError, match="too large"):
+                one_pair(target, source, FlowParams(alpha=alpha))
+    # the bound is tight: above it the solve itself would fail
+    monkeypatch.setattr(flow, "_check_flow_fits", lambda *args: None)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        one_pair(target, source, FlowParams(alpha=above))
 
 
 def test_flow_color_conventions():

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from khcv import (
     CodingCube,
     FlowField,
     FlowParams,
     Frame,
-    FusionParams,
     HybridMeasurement,
     VideoCube,
     VisibleMap,
@@ -32,16 +31,6 @@ from conftest import moving_square_scene, shifted_pair, smooth_texture
 
 def constant_flow(h, w, dx, dy):
     return FlowField(np.stack((np.full((h, w), dx, np.float32), np.full((h, w), dy, np.float32))))
-
-
-def test_params_validation():
-    nan = float("nan")
-    for bad in ({"beta": 0.0}, {"beta": nan}, {"beta": math.inf}, {"error_smooth_radius": -1},
-                {"error_smooth_radius": 1.5}, {"error_smooth_radius": True}, {"fallback_threshold": -0.1},
-                {"fallback_threshold": nan}, {"fallback_threshold": math.inf}):
-        with pytest.raises(ValueError):
-            FusionParams(**bad)
-    FusionParams(fallback_threshold=None)  # disabling the fallback is allowed
 
 
 def test_visible_map_validation():
@@ -118,12 +107,13 @@ def test_visibility_swap_complements_exactly():
     assert np.array_equal(v1.samples + v2.samples, np.ones_like(v1.samples))
 
 
-def test_visibility_flat_for_tiny_beta():
+def test_visibility_flat_for_a_tiny_slope(monkeypatch):
+    monkeypatch.setattr(fusion, "_VISIBILITY_SLOPE", 1e-6)
     rng = np.random.default_rng(10)
     t = Frame(rng.random((16, 16)).astype(np.float32))
     wl = Frame(rng.random((16, 16)).astype(np.float32))
     wr = Frame(rng.random((16, 16)).astype(np.float32))
-    v = visibility_map(wl, wr, t, FusionParams(beta=1e-6))
+    v = visibility_map(wl, wr, t)
     assert np.max(np.abs(v.samples - 0.5)) < 1e-6
 
 
@@ -242,12 +232,38 @@ def test_fuse_video_of_a_static_block_returns_the_block(B, height, width, seed):
     assert np.max(np.abs(out.samples - frame.samples)) < 3e-6
 
 
+def test_pixels_no_key_explains_keep_the_intermediate_samples():
+    # the keys hold a dark texture; the intermediate frames hold it too, but
+    # for a white patch, which no warp of the keys comes near.  Where neither
+    # warped key comes within 0.15 of the frame, in the error box-filtered
+    # over 3x3 pixels, the fused frame is the intermediate frame bit for bit;
+    # elsewhere it is the blend
+    B = 2
+    key = Frame(smooth_texture(48, 48, seed=24) / 2)
+    frames = np.stack([key.samples] * B)
+    frames[:, 16:32, 20:36] = 1.0
+    blends = {}
+
+    def record(k, flow_left, flow_right, visibility):
+        w_left, w_right = warp(key, flow_left), warp(key, flow_right)
+        errors = [
+            ndimage.uniform_filter(np.abs(w.samples.astype(np.float64) - frames[k - 1]), size=3, mode="nearest")
+            for w in (w_left, w_right)
+        ]
+        blended = np.clip(blend(w_left, w_right, visibility, k / (B + 2.0)).samples, 0.0, 1.0)
+        blends[k] = (np.minimum(*errors) > 0.15, blended)
+
+    fused = fuse_video(_tiny_measurement(key, B), VideoCube(frames), callback=record)
+    for k, (bad, blended) in blends.items():
+        assert bad[17:31, 21:35].all() and not bad[:8].any()
+        assert fused.samples[k - 1][bad].tobytes() == frames[k - 1][bad].tobytes()
+        assert fused.samples[k - 1][~bad].tobytes() == blended[~bad].tobytes()
+
+
 def test_fusion_recovers_fine_detail_lost_in_intermediate():
     # key frames carry texture; intermediate lost it to smoothing. Fusion
     # with honest keys must beat the intermediate frame.
     truth = Frame(smooth_texture(64, 64, seed=22, blur=1.0))
-    from scipy import ndimage
-
     degraded = Frame(ndimage.gaussian_filter(truth.samples, 1.2).astype(np.float32))
     fused = fuse_video(_tiny_measurement(truth, B=2), _repeat(degraded, 2))
     assert psnr(truth, Frame(fused.samples[0])) > psnr(truth, degraded)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from khcv import FlowParams, Frame, FusionParams, GapTvParams, NoiseModel, TimingSchedule, estimate_flows, save_tensor
+from khcv import FlowParams, Frame, GapTvParams, NoiseModel, TimingSchedule, estimate_flows, save_tensor
 from khcv.cli import ConfigError, PipelineConfig, run_pipeline
 
 from conftest import translating_scene
@@ -28,7 +28,6 @@ COUNTS = [
     (FlowParams, "warps_per_level", 1),
     (GapTvParams, "outer_iters", 1),
     (GapTvParams, "tv_inner_iters", 1),
-    (FusionParams, "error_smooth_radius", 0),
     (TimingSchedule, "t_x", 1),
     (TimingSchedule, "t_g", 0),
     (TimingSchedule, "B", 1),
@@ -41,14 +40,12 @@ COUNTS = [
 NUMBERS = [
     (FlowParams, "alpha", "> 0"),
     (GapTvParams, "tv_weight", ">= 0"),
-    (FusionParams, "beta", "> 0"),
-    (FusionParams, "fallback_threshold", "> 0"),
     (NoiseModel, "sigma", ">= 0"),
     (PipelineConfig, "mask_density", "in (0, 1]"),
     (PipelineConfig, "noise_sigma", ">= 0"),
 ]
 # the dotted-path prefix of each class the JSON loader builds
-PREFIXES = {PipelineConfig: "", FlowParams: "flow.", GapTvParams: "gap_tv.", FusionParams: "fusion."}
+PREFIXES = {PipelineConfig: "", FlowParams: "flow.", GapTvParams: "gap_tv."}
 REQUIRED = {TimingSchedule: {"t_x": 1000, "t_g": 0, "B": 4}, PipelineConfig: {"scene": "scene.khcv"}}
 
 
@@ -144,8 +141,7 @@ GOOD_NUMBERS = {
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_numbers_refuse_bools_strings_nan_infinity_and_values_out_of_range(cls, name, where, data):
-    not_real = NOT_REAL.filter(lambda v: v is not None or name != "fallback_threshold")  # None turns it off
-    bad = data.draw(not_real | NON_FINITE | _numpy(BAD_NUMBERS[where], (np.float64,)))
+    bad = data.draw(NOT_REAL | NON_FINITE | _numpy(BAD_NUMBERS[where], (np.float64,)))
     finite = "" if where == "in (0, 1]" else "finite "
     assert f"must be a {finite}number {where}, got" in refused(cls, name, bad)
 
@@ -169,11 +165,9 @@ def test_numbers_take_numpy_numbers(cls, name, where, data):
     # img / weight plane and exits 4, which is a separate question
     tv_weight=_numpy(st.just(0.0) | st.floats(1e-3, 0.1), (np.float32,)),
     outer_iters=_numpy(st.integers(1, 3), (np.int64,)),
-    beta=_numpy(st.floats(1.0, 30.0), (np.float64,)),
-    fallback_threshold=st.none() | _numpy(st.floats(0.05, 1.0), (np.float32,)),
     # a bool in a number field is what Python once took and JSON refused
     as_bool=st.none()
-    | st.sampled_from(["mask_density", "noise_sigma", "alpha", "tv_weight", "beta", "fallback_threshold"]),
+    | st.sampled_from(["mask_density", "noise_sigma", "alpha", "tv_weight"]),
     truth=st.booleans(),
 )
 def test_a_config_built_in_python_reloads_from_its_runs_report(tmp_path_factory, as_bool, truth, **values):
@@ -185,7 +179,6 @@ def test_a_config_built_in_python_reloads_from_its_runs_report(tmp_path_factory,
     top = {name: values[name] for name in ("B", "mask_density", "noise_sigma")}
     sections = {
         "gap_tv": (GapTvParams, {name: values[name] for name in ("outer_iters", "tv_weight")}),
-        "fusion": (FusionParams, {name: values[name] for name in ("beta", "fallback_threshold")}),
         "flow": (
             FlowParams,
             {"pyramid_levels": 1, "alpha": values["alpha"], "iters_per_level": values["iters"],
