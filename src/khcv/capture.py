@@ -61,10 +61,18 @@ def _check_count(value, name: str, low: int) -> int:
 
 
 # The ranges of the number rule and the words that name them, each test
-# written so that NaN fails it; all but a probability's refuse infinity
+# written so that NaN fails it; all but a probability's refuse infinity.
+# "0 or >= 1e-12" is the TV weight's: the TV dual forms -tau img / weight
+# in float32, tau = 1/4, and its first iteration squares the differences of
+# that plane, tau (a - b) / weight for neighbouring samples a and b.  The
+# square is finite in float32 only while |a - b| < 4 weight sqrt(3.4e38),
+# about 7.4e19 weight: at 1e-12 that is 7.4e7, far beyond the [0, 1]
+# intensity scale, while at 1e-20 a 0-to-1 edge overflows.  A weight below
+# the floor moves no sample by more than 4e-12 per TV step
 _NUMBER_RANGES = {
     "> 0": ("a finite number > 0", lambda x: 0 < x < math.inf),
     ">= 0": ("a finite number >= 0", lambda x: 0 <= x < math.inf),
+    "0 or >= 1e-12": ("0 or a finite number >= 1e-12", lambda x: x == 0 or 1e-12 <= x < math.inf),
     "in (0, 1]": ("a number in (0, 1]", lambda x: 0 < x <= 1),
 }
 

@@ -17,6 +17,16 @@ grid.  The field is upsampled between levels.  The coarsest level starts
 from zero, or from a field the caller gives, such as a guess interpolated
 from nearby frames.
 
+Each pyramid level is the one below filtered with Burt & Adelson's 5-tap
+binomial [1, 4, 6, 4, 1] / 16 (IEEE Trans. Commun. 1983) along both axes,
+with replicate borders, and kept at the even rows and columns.  The numpy
+decimation forms only the kept rows, then only the kept columns, and sums
+each sample in the order of scipy.ndimage.correlate1d's loop over a
+symmetric kernel, so the levels are bit for bit those of that filter; the
+package imports no scipy.  On one core of a 2-vCPU Xeon it takes about half
+the time of the two correlate1d calls on stacks of 128x128 planes, and
+about as long on stacks of 48x48.
+
 Every warp, the solver's, fusion's and the upsampling's, goes through one
 bilinear sampler with replicate borders.  It reads a copy of the source
 padded by one replicated row and column, so that every sample's four
@@ -48,11 +58,10 @@ place, the transforms' included.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .capture import _check_count, _check_number, _raise_fp_errors
 from .tensors import FlowField, Frame
@@ -80,8 +89,10 @@ _MIN_COARSE_SIDE = 8
 # 30).  One system per stack took 2.1x the time at 48x48 and 2.4x at 32x32.
 _PCG_STACK_ELEMENTS = 36_000
 
-# binomial 5-tap prefilter applied before every 2x downsample
-_BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# Burt & Adelson's 5-tap binomial [1, 4, 6, 4, 1] / 16, applied before every
+# 2x downsample: the weights of the centre sample, of its two neighbours and
+# of the two samples beyond them
+_BINOMIAL_CENTRE, _BINOMIAL_INNER, _BINOMIAL_OUTER = 6 / 16, 4 / 16, 1 / 16
 
 
 @dataclass(frozen=True)
@@ -247,10 +258,58 @@ def _warp_by_flow(padded: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return _sample_padded(padded, np.arange(wp - 1) + u, np.arange(hp - 1)[:, None] + v)
 
 
+def _separable(
+    img: np.ndarray, radius: int, step: int, line: Callable[[np.ndarray, np.ndarray], None]
+) -> np.ndarray:
+    """Filter each plane of img, one (h, w) image or a (K, h, w) stack, along
+    axis -2 and then along axis -1, with replicate borders, keeping every
+    step-th sample from the first along both: a float64 result of
+    ceil(h / step) x ceil(w / step) per plane.
+
+    line(padded, out) filters along the last axis: out[..., i] from
+    padded[..., step i : step i + 2 radius + 1], where padded holds each
+    line with radius replicated samples before and after it.  The first
+    pass forms only the kept rows, straight into the buffer that the second
+    pass reads padded, and the second forms only the kept columns.  Each
+    buffer is allocated once per call and the axis -2 pass runs on
+    transposed views of them, so nothing is copied but the input.
+    """
+    h, w = img.shape[-2:]
+    lead = img.shape[:-2]
+    rows = np.empty((*lead, h + 2 * radius, w))
+    rows[..., radius : h + radius, :] = img
+    rows[..., :radius, :] = img[..., :1, :]
+    rows[..., h + radius :, :] = img[..., -1:, :]
+    cols = np.empty((*lead, -(-h // step), w + 2 * radius))
+    line(rows.swapaxes(-1, -2), cols[..., radius : w + radius].swapaxes(-1, -2))
+    cols[..., :radius] = cols[..., radius : radius + 1]
+    cols[..., w + radius :] = cols[..., w + radius - 1 : w + radius]
+    out = np.empty((*lead, -(-h // step), -(-w // step)))
+    line(cols, out)
+    return out
+
+
+def _binomial_line(padded: np.ndarray, out: np.ndarray) -> None:
+    # every other sample of the 5-tap binomial, the first centred on
+    # padded[..., 2], summed as (c w_c + (l2 + r2) w_o) + (l1 + r1) w_i from
+    # the centre c, its neighbours l1, r1 and the samples l2, r2 beyond
+    # them: the order of scipy.ndimage.correlate1d's loop over a symmetric
+    # kernel, which the tests hold it to bit for bit
+    n = padded.shape[-1] - 4
+    np.multiply(padded[..., 2 : n + 2 : 2], _BINOMIAL_CENTRE, out=out)
+    pair = np.add(padded[..., 0:n:2], padded[..., 4 : n + 4 : 2])
+    pair *= _BINOMIAL_OUTER
+    out += pair
+    np.add(padded[..., 1 : n + 1 : 2], padded[..., 3 : n + 3 : 2], out=pair)
+    pair *= _BINOMIAL_INNER
+    out += pair
+
+
 def _downsample(img: np.ndarray) -> np.ndarray:
-    filtered = ndimage.correlate1d(img, _BINOMIAL5, axis=-2, mode="nearest")
-    filtered = ndimage.correlate1d(filtered, _BINOMIAL5, axis=-1, mode="nearest")
-    return filtered[..., ::2, ::2]
+    """The next pyramid level of img, one (h, w) image or a (K, h, w) stack:
+    the 5-tap binomial along both axes, replicate borders, at the even rows
+    and columns, ceil(h / 2) x ceil(w / 2) samples in float64."""
+    return _separable(img, 2, 2, _binomial_line)
 
 
 def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -10,6 +10,12 @@ reconstruction.  warp, visibility_map and blend are its steps, public so
 that each can be used and checked alone.  Fusion has no settings of its
 own: its tuning values are measured module constants.
 
+The warps' absolute errors are averaged over 3x3 boxes with replicate
+borders by running sums in numpy, along rows and then columns, added in
+the order scipy.ndimage.uniform_filter adds them, so the visibility maps
+are bit for bit those of that filter.  Both errors of a frame are filtered
+as one stack.
+
 Flow is solved in full, through the whole pyramid, only at anchor frames:
 every third frame from k = 1, and k = B.  A frame between anchors a and b
 starts each key's field from the linear interpolation in time of the two
@@ -31,10 +37,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .capture import HybridMeasurement
-from .flow import FlowField, FlowParams, _pad_edge, _warp_by_flow, estimate_flows
+from .flow import FlowField, FlowParams, _pad_edge, _separable, _warp_by_flow, estimate_flows
 from .tensors import Frame, VideoCube
 
 __all__ = [
@@ -123,13 +128,39 @@ def visibility_map(w_left: Frame, w_right: Frame, target: Frame) -> VisibleMap:
     return _visibility(*_smoothed_errors(w_left, w_right, target))
 
 
-def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame) -> list[np.ndarray]:
-    """Box-filtered absolute photometric error of each warp against the target."""
-    errors = []
-    for w in (w_left, w_right):
-        err = np.abs(w.samples.astype(np.float64) - target.samples.astype(np.float64))
-        errors.append(ndimage.uniform_filter(err, size=2 * _ERROR_RADIUS + 1, mode="nearest"))
-    return errors
+def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame) -> np.ndarray:
+    """Box-filtered absolute photometric error of each warp against the
+    target: a (2, h, w) stack, left warp first."""
+    errors = np.array([w_left.samples, w_right.samples], np.float64)
+    errors -= target.samples.astype(np.float64)
+    return _box_mean(np.abs(errors, out=errors), _ERROR_RADIUS)
+
+
+def _box_mean(x: np.ndarray, radius: int) -> np.ndarray:
+    """The mean of each (2 radius + 1)^2 box of x, one (h, w) image or a
+    (K, h, w) stack, with replicate borders, for radius >= 1: bit for bit
+    scipy.ndimage.uniform_filter of size 2 radius + 1 and mode "nearest"
+    over each plane, as it is formed the same way.
+
+    Along axis -2 and then axis -1, each line p, padded by radius
+    replicated samples at both ends, gets the running sum
+    s_0 = ((0 + p_0) + p_1) + ... + p_2radius and
+    s_i = s_(i-1) + (p_(i+2radius) - p_(i-1)), accumulated by np.cumsum,
+    and is divided by 2 radius + 1.
+    """
+    size = 2 * radius + 1
+
+    def line(padded: np.ndarray, out: np.ndarray) -> None:
+        n = out.shape[-1]
+        # 0 + p_0 turns a -0.0 positive, as a sum started from 0 does
+        np.add(padded[..., 0], 0.0, out=out[..., 0])
+        for j in range(1, size):
+            out[..., 0] += padded[..., j]
+        np.subtract(padded[..., size:], padded[..., : n - 1], out=out[..., 1:])
+        np.cumsum(out, axis=-1, out=out)
+        out /= size
+
+    return _separable(x, radius, 1, line)
 
 
 def _visibility(e_left: np.ndarray, e_right: np.ndarray) -> VisibleMap:

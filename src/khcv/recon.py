@@ -49,9 +49,11 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class GapTvParams:
     """Solver knobs for gap_tv_reconstruct: outer_iters projection and TV
-    rounds, each TV step of weight tv_weight (0 skips it) solved by
-    tv_inner_iters dual iterations.  The projection has no knob: its
-    normaliser R counts open binary masks, so it is 0 or at least 1.
+    rounds, each TV step of weight tv_weight (0 skips it, and a positive
+    weight is at least 1e-12, below which the float32 dual can overflow on
+    the [0, 1] scale) solved by tv_inner_iters dual iterations.  The
+    projection has no knob: its normaliser R counts open binary masks, so
+    it is 0 or at least 1.
 
     Every TV step restarts the dual from zero, so tv_inner_iters sets how
     hard a step smooths as much as tv_weight does.  The defaults are the
@@ -73,7 +75,7 @@ class GapTvParams:
     def __post_init__(self):
         for name in ("outer_iters", "tv_inner_iters"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
-        _check_number(self.tv_weight, "tv_weight", ">= 0")
+        _check_number(self.tv_weight, "tv_weight", "0 or >= 1e-12")
 
 
 # ===== Total variation denoising =====
@@ -206,7 +208,8 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
 
     Args:
         frame: input image.
-        weight: TV weight; 0 returns the input unchanged.
+        weight: TV weight; 0 returns the input unchanged, and a positive
+            weight is at least 1e-12, as GapTvParams.tv_weight.
         inner_iters: dual projected-gradient iterations, an integer >= 1
             (a bool is not one); defaults to GapTvParams().tv_inner_iters,
             the count gap_tv_reconstruct runs.
@@ -215,7 +218,7 @@ def tv_denoise(frame: Frame, weight: float, inner_iters: int = GapTvParams.tv_in
         Denoised frame.  The discrete TV of the result never exceeds that of
         the input.  A dual past float32's range raises FloatingPointError.
     """
-    _check_number(weight, "weight", ">= 0")
+    _check_number(weight, "weight", "0 or >= 1e-12")
     inner_iters = _check_count(inner_iters, "inner_iters", 1)
     img = frame.samples.astype(np.float64)
     if weight > 0:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from khcv import CodingCube, Frame, VideoCube, generate_masks
@@ -68,3 +70,17 @@ def central_fraction_mask(h: int, w: int, keep: float = 0.8) -> np.ndarray:
     out = np.zeros((h, w), dtype=bool)
     out[mh : h - mh, mw : w - mw] = True
     return out
+
+
+def transposed(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a with its last two axes swapped: each plane transposed."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
+def float_planes(max_stack: int) -> st.SearchStrategy:
+    """float64 (h, w) images and (K, h, w) stacks of up to max_stack planes,
+    sides 1-40, odd and even, samples in [-1e3, 1e3], -0.0 included."""
+    shapes = st.tuples(st.integers(1, 40), st.integers(1, 40)) | st.tuples(
+        st.integers(1, max_stack), st.integers(1, 40), st.integers(1, 40)
+    )
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3, width=32)))

@@ -139,6 +139,10 @@ def test_config_validates_eagerly(tmp_path):
         {"flow": {"alpha": math.nan}},
         {"flow": {"alpha": math.inf}},
         {"gap_tv": {"tv_weight": math.nan}},
+        # a positive TV weight below 1e-12 would overflow the float32 dual
+        # after the measurement is written
+        {"gap_tv": {"tv_weight": 1e-20}},
+        {"gap_tv": {"tv_weight": 1.175494351e-38}},
         {"noise_sigma": math.nan},
         {"noise_sigma": math.inf},
         {"mask_density": math.nan},

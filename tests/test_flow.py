@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft, sparse
+from scipy import fft, ndimage, sparse
 from scipy.sparse.linalg import spsolve
 
 from khcv import (
@@ -25,7 +25,7 @@ from khcv import (
     sample_bilinear,
 )
 
-from conftest import central_fraction_mask, shifted_pair, smooth_texture
+from conftest import central_fraction_mask, float_planes, shifted_pair, smooth_texture
 
 
 def constant_flow(h, w, dx, dy):
@@ -652,23 +652,36 @@ def test_flow_color_default_scale_guard():
     assert np.isfinite(rgb).all()
 
 
-def test_khcv_never_loads_scipy_fft():
-    # the PCG's DCTs are products with cached matrices, so the package, the
-    # CLI, a GAP-TV reconstruction and a flow solve all leave scipy.fft unloaded
+def test_khcv_never_loads_scipy():
+    # the PCG's DCTs are products with cached matrices and the pyramid's
+    # decimation and fusion's error box filter are numpy forms, so the
+    # package, the CLI, a GAP-TV reconstruction, a flow solve through two
+    # pyramid levels and a fusion all run with no scipy module loaded
     script = textwrap.dedent(
         """
         import sys
         import numpy as np
         import khcv, khcv.cli
-        from khcv import CodingCube, FlowParams, Frame, estimate_flows, gap_tv_reconstruct
+        from khcv import (
+            CodingCube, FlowParams, Frame, VideoCube, build_schedule, estimate_flows, fuse_video,
+            gap_tv_reconstruct, simulate_capture,
+        )
 
+        def scipy_loaded():
+            print(any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
+
+        scipy_loaded()
         rng = np.random.default_rng(0)
-        masks = CodingCube((rng.random((4, 16, 16)) < 0.5).astype(np.uint8))
-        gap_tv_reconstruct(Frame(rng.random((16, 16)).astype(np.float32)), masks)
-        print("scipy.fft" in sys.modules)
-        frame = Frame(rng.random((16, 16)).astype(np.float32))
-        estimate_flows([frame], [frame], FlowParams(pyramid_levels=1))
-        print("scipy.fft" in sys.modules)
+        scene = VideoCube(rng.random((4, 32, 32)).astype(np.float32))
+        masks = CodingCube((rng.random((2, 32, 32)) < 0.5).astype(np.uint8))
+        m = simulate_capture(scene, masks, build_schedule(1000, 2))
+        x_mid = gap_tv_reconstruct(m.y, m.masks)
+        scipy_loaded()
+        frames = [Frame(plane) for plane in scene.samples]
+        estimate_flows(frames[:2], frames[2:], FlowParams(pyramid_levels=2))
+        scipy_loaded()
+        fuse_video(m, x_mid, FlowParams(pyramid_levels=2))
+        scipy_loaded()
         """
     )
     src = str(Path(flow.__file__).resolve().parents[1])
@@ -680,7 +693,21 @@ def test_khcv_never_loads_scipy_fft():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"] * 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=float_planes(6))
+def test_downsample_is_scipys_binomial_decimation_bit_for_bit(img):
+    # the numpy decimation forms only the kept samples, summed in the order
+    # of ndimage.correlate1d's loop over a symmetric kernel
+    binomial = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    filtered = ndimage.correlate1d(img, binomial, axis=-2, mode="nearest")
+    filtered = ndimage.correlate1d(filtered, binomial, axis=-1, mode="nearest")
+    expected = filtered[..., ::2, ::2]
+    got = flow._downsample(img)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 def _two_pair_fields_digest():

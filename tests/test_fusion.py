@@ -13,20 +13,31 @@ from khcv import (
     FlowParams,
     Frame,
     HybridMeasurement,
+    NoiseModel,
     VideoCube,
     VisibleMap,
     blend,
     build_schedule,
     fuse_video,
     fusion,
+    gap_tv_reconstruct,
+    generate_masks,
     psnr,
     save_tensor,
+    simulate_capture,
     visibility_map,
     warp,
 )
 from khcv.cli import PipelineConfig, run_pipeline
 
-from conftest import moving_square_scene, shifted_pair, smooth_texture
+from conftest import (
+    float_planes,
+    moving_square_scene,
+    shifted_pair,
+    smooth_texture,
+    translating_scene,
+    transposed,
+)
 
 
 def constant_flow(h, w, dx, dy):
@@ -232,6 +243,20 @@ def test_fuse_video_of_a_static_block_returns_the_block(B, height, width, seed):
     assert np.max(np.abs(out.samples - frame.samples)) < 3e-6
 
 
+def box_filter_reference(x, size=3):
+    """scipy's mean over each size x size box of each plane, replicate borders."""
+    return ndimage.uniform_filter(x, size=(1,) * (x.ndim - 2) + (size, size), mode="nearest")
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=float_planes(4), radius=st.sampled_from([fusion._ERROR_RADIUS, 2]))
+def test_error_box_filter_is_scipys_uniform_filter_bit_for_bit(x, radius):
+    # the running sums along axis -2 and then -1 add in the order of
+    # ndimage.uniform_filter1d's loop
+    expected = box_filter_reference(x, 2 * radius + 1)
+    assert fusion._box_mean(x, radius).tobytes() == expected.tobytes()
+
+
 def test_pixels_no_key_explains_keep_the_intermediate_samples():
     # the keys hold a dark texture; the intermediate frames hold it too, but
     # for a white patch, which no warp of the keys comes near.  Where neither
@@ -247,8 +272,7 @@ def test_pixels_no_key_explains_keep_the_intermediate_samples():
     def record(k, flow_left, flow_right, visibility):
         w_left, w_right = warp(key, flow_left), warp(key, flow_right)
         errors = [
-            ndimage.uniform_filter(np.abs(w.samples.astype(np.float64) - frames[k - 1]), size=3, mode="nearest")
-            for w in (w_left, w_right)
+            box_filter_reference(np.abs(w.samples.astype(np.float64) - frames[k - 1])) for w in (w_left, w_right)
         ]
         blended = np.clip(blend(w_left, w_right, visibility, k / (B + 2.0)).samples, 0.0, 1.0)
         blends[k] = (np.minimum(*errors) > 0.15, blended)
@@ -258,6 +282,40 @@ def test_pixels_no_key_explains_keep_the_intermediate_samples():
         assert bad[17:31, 21:35].all() and not bad[:8].any()
         assert fused.samples[k - 1][bad].tobytes() == frames[k - 1][bad].tobytes()
         assert fused.samples[k - 1][~bad].tobytes() == blended[~bad].tobytes()
+
+
+@pytest.mark.parametrize(
+    "scene, mask_seed, sigma, B",
+    [
+        (lambda: translating_scene(128, 128, 18, seed=9), 21, 0.0, 16),
+        (lambda: moving_square_scene(128, 128, 18), 8, 0.02, 16),
+        (lambda: translating_scene(48, 64, 10, step=(1, 1), seed=4), 7, 0.02, 8),
+    ],
+    ids=["criterion6-texture", "square-noisy", "48x64-texture-noisy"],
+)
+def test_fuse_video_commutes_with_transposition(scene, mask_seed, sigma, B):
+    # transposing y, the masks, the keys and the intermediate transposes the
+    # fused cube up to rounding: the flow solver's transforms multiply the
+    # two axes in a fixed order.  A pixel near the fallback threshold may
+    # flip, so the share of pixels moved by more than 1e-4 is bounded as well
+    # as the largest move; a swapped u and v, or a stencil biased to one
+    # axis, moves most pixels far more
+    cube = scene()
+    h, w = cube.samples.shape[1:]
+    noise = NoiseModel(sigma=sigma, seed=1) if sigma else None
+    m = simulate_capture(cube, generate_masks(mask_seed, h, w, B), build_schedule(1000, B), noise=noise)
+    x_mid = gap_tv_reconstruct(m.y, m.masks)
+    turned = replace(
+        m,
+        y=Frame(transposed(m.y.samples)),
+        z_left=Frame(transposed(m.z_left.samples)),
+        z_right=Frame(transposed(m.z_right.samples)),
+        masks=CodingCube(transposed(m.masks.samples)),
+    )
+    fused = fuse_video(m, x_mid).samples
+    moved = np.abs(transposed(fuse_video(turned, VideoCube(transposed(x_mid.samples))).samples) - fused)
+    assert (moved > 1e-4).mean() <= 1e-3
+    assert moved.max() <= 1e-2
 
 
 def test_fusion_recovers_fine_detail_lost_in_intermediate():

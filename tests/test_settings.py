@@ -39,7 +39,7 @@ COUNTS = [
 # (settings class, field, range)
 NUMBERS = [
     (FlowParams, "alpha", "> 0"),
-    (GapTvParams, "tv_weight", ">= 0"),
+    (GapTvParams, "tv_weight", "0 or >= 1e-12"),
     (NoiseModel, "sigma", ">= 0"),
     (PipelineConfig, "mask_density", "in (0, 1]"),
     (PipelineConfig, "noise_sigma", ">= 0"),
@@ -128,12 +128,24 @@ def test_noise_settings_are_named_by_their_config_key():
 BAD_NUMBERS = {
     "> 0": st.floats(max_value=0.0),
     ">= 0": st.floats(max_value=0.0, exclude_max=True),
+    # below the floor, down past float32's smallest normal 1.17549435e-38
+    "0 or >= 1e-12": st.floats(max_value=0.0, exclude_max=True)
+    | st.floats(0.0, 1e-12, exclude_min=True, exclude_max=True),
     "in (0, 1]": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
 }
 GOOD_NUMBERS = {
     "> 0": st.floats(1e-3, 1e3),
     ">= 0": st.floats(0.0, 1e3),
+    # float32 rounds 1e-12 itself below the floor
+    "0 or >= 1e-12": st.just(0.0) | st.floats(2e-12, 1e3),
     "in (0, 1]": st.floats(1e-3, 1.0),
+}
+# the words that name each range in a refusal
+WORDS = {
+    "> 0": "a finite number > 0",
+    ">= 0": "a finite number >= 0",
+    "0 or >= 1e-12": "0 or a finite number >= 1e-12",
+    "in (0, 1]": "a number in (0, 1]",
 }
 
 
@@ -142,8 +154,7 @@ GOOD_NUMBERS = {
 @given(data=st.data())
 def test_numbers_refuse_bools_strings_nan_infinity_and_values_out_of_range(cls, name, where, data):
     bad = data.draw(NOT_REAL | NON_FINITE | _numpy(BAD_NUMBERS[where], (np.float64,)))
-    finite = "" if where == "in (0, 1]" else "finite "
-    assert f"must be a {finite}number {where}, got" in refused(cls, name, bad)
+    assert f"must be {WORDS[where]}, got" in refused(cls, name, bad)
 
 
 @pytest.mark.parametrize("cls, name, where", NUMBERS, ids=_ids(NUMBERS))
@@ -161,9 +172,9 @@ def test_numbers_take_numpy_numbers(cls, name, where, data):
     B=_numpy(st.integers(1, 3), (np.int32,)),
     alpha=_numpy(st.floats(0.05, 1.0), (np.float32,)),
     iters=_numpy(st.integers(1, 2), (np.uint8,)),
-    # a weight near float32's smallest normal overflows the TV dual's
-    # img / weight plane and exits 4, which is a separate question
-    tv_weight=_numpy(st.just(0.0) | st.floats(1e-3, 0.1), (np.float32,)),
+    # a positive weight below 1e-12, down to float32's smallest normal,
+    # would overflow the TV dual and is refused
+    tv_weight=_numpy(st.just(0.0) | st.floats(1e-3, 0.1) | st.floats(1.175494351e-38, 1e-13), (np.float32,)),
     outer_iters=_numpy(st.integers(1, 3), (np.int64,)),
     # a bool in a number field is what Python once took and JSON refused
     as_bool=st.none()
@@ -173,6 +184,7 @@ def test_numbers_take_numpy_numbers(cls, name, where, data):
 def test_a_config_built_in_python_reloads_from_its_runs_report(tmp_path_factory, as_bool, truth, **values):
     if as_bool is not None:
         values[as_bool] = truth
+    tiny = as_bool != "tv_weight" and 0 < values["tv_weight"] < 1e-12
     work = tmp_path_factory.mktemp("run")
     scene = work / "scene.khcv"
     save_tensor(translating_scene(16, 16, 7, seed=4), scene)
@@ -194,5 +206,6 @@ def test_a_config_built_in_python_reloads_from_its_runs_report(tmp_path_factory,
             PipelineConfig.from_dict({**raw, **{key: fields for key, (_, fields) in sections.items()}})
         event("refused")
         return
+    assert not tiny, values["tv_weight"]
     report = json.loads((run_pipeline(cfg).out_dir / "report.json").read_text())
     assert PipelineConfig.from_dict(report["config"]) == cfg
