@@ -247,8 +247,13 @@ def _call_as(error: type[Exception], fn, *args):
 
 
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
-    """Check that the scene holds enough frames for the block and that its
-    frames fit the configured flow settings and are large enough for scoring."""
+    """Check that the scene's samples lie in [0, 1], the scale every stage
+    and PSNR's peak of 1 assume, that it holds enough frames for the block,
+    and that its frames fit the configured flow settings and are large
+    enough for scoring."""
+    low, high = float(scene.samples.min()), float(scene.samples.max())
+    if low < 0.0 or high > 1.0:
+        raise DataError(f"scene samples must lie in [0, 1], found [{low:g}, {high:g}]")
     _call_as(DataError, _block_start, scene.frames, cfg.B, cfg.gap_frames)
     _call_as(ConfigError, _check_flow_fits, scene.height, scene.width, cfg.flow)
     _call_as(DataError, _check_ssim_window, scene.height, scene.width)

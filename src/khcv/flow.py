@@ -611,27 +611,65 @@ def estimate_flows(
     return [FlowField(f) for f in field]
 
 
+def _percentile_99(x: np.ndarray) -> float:
+    """np.percentile(x, 99.0) of a non-empty array of finite samples, bit
+    for bit: numpy's linear method takes the two order statistics around
+    the virtual index (n - 1) * 0.99 from a partition and interpolates them
+    as its _lerp does, from the upper one when the weight is at least 0.5."""
+    flat = x.ravel()
+    virtual = (flat.size - 1) * 0.99
+    low = int(virtual)
+    high = min(low + 1, flat.size - 1)
+    part = np.partition(flat, (low, high))
+    a, b = part[low], part[high]
+    gamma = virtual - low
+    if gamma >= 0.5:
+        return float(b - (b - a) * (1.0 - gamma))
+    return float(a + (b - a) * gamma)
+
+
 def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarray:
-    """Map a flow field to an (H, W, 3) RGB array in [0, 1].
+    """Map a flow field to an (H, W, 3) float32 RGB array in [0, 1].
 
     Direction selects the hue (angle of (u, v) on the color wheel), magnitude
     the saturation: zero flow is white, a vector at max_magnitude is fully
     saturated.  When max_magnitude is None the 99th percentile of the
     magnitudes is used (1 px if that is 0); a given max_magnitude must be a
     finite positive number of pixels, else ValueError.
+
+    With value fixed at 1, channel n of (r, g, b) = (5, 3, 1) is
+    1 - sat * clip(min(k, 4 - k), 0, 1), k = (n + 6 hue) mod 6, all in
+    float64 and rounded to float32 once.  Both remainders are formed
+    without np.remainder, on the ranges they can see, and equal it bit for
+    bit: hue = arctan2(v, u) / (2 pi) lies in [-0.5, 0.5], so hue mod 1 is
+    hue + 1 where hue < 0 (which also turns -0.0 into +0.0, as the
+    remainder does); k = n + 6 hue lies in [1, 12), so k mod 6 is k - 6
+    where k >= 6, a difference Sterbenz's lemma makes exact.
     """
     u = f.u.astype(np.float64)
     v = f.v.astype(np.float64)
-    mag = np.hypot(u, v)
+    sat = np.hypot(u, v)
     if max_magnitude is None:
-        max_magnitude = float(np.percentile(mag, 99.0)) or 1.0
+        max_magnitude = _percentile_99(sat) or 1.0
     else:
         _check_number(max_magnitude, "max_magnitude", "> 0")
-    sat = np.clip(mag / max_magnitude, 0.0, 1.0)
-    hue = (np.arctan2(v, u) / (2.0 * np.pi)) % 1.0
+    # mag / max_magnitude is never negative, so clipping it to [0, 1] is a
+    # minimum with 1
+    sat /= max_magnitude
+    np.minimum(sat, 1.0, out=sat)
+    hue = np.arctan2(v, u, out=u)
+    hue /= 2.0 * np.pi
+    hue += hue < 0.0
+    hue *= 6.0  # 6 hue from here on
 
-    # HSV to RGB with value fixed at 1: channel n of (r, g, b) = (5, 3, 1) is
-    # 1 - sat * clip(min(k, 4 - k), 0, 1) with k = (n + 6 hue) mod 6
-    k = (np.array([5.0, 3.0, 1.0]) + 6.0 * hue[..., np.newaxis]) % 6.0
-    rgb = 1.0 - sat[..., np.newaxis] * np.clip(np.minimum(k, 4.0 - k), 0.0, 1.0)
-    return rgb.astype(np.float32)
+    rgb = np.empty((*sat.shape, 3), np.float32)
+    k, ramp = v, np.empty_like(v)
+    for channel, n in enumerate((5.0, 3.0, 1.0)):
+        np.add(hue, n, out=k)
+        k -= 6.0 * (k >= 6.0)
+        np.subtract(4.0, k, out=ramp)
+        np.minimum(k, ramp, out=ramp)
+        np.clip(ramp, 0.0, 1.0, out=ramp)
+        ramp *= sat
+        np.subtract(1.0, ramp, out=rgb[..., channel], casting="same_kind")
+    return rgb

@@ -10,6 +10,14 @@ reconstruction.  warp, visibility_map and blend are its steps, public so
 that each can be used and checked alone.  Fusion has no settings of its
 own: its tuning values are measured module constants.
 
+fuse_video runs those steps on arrays through the same helpers as the
+public functions, so each formula is written once.  It pads each key for
+the warp once per block, not once per frame, and builds one Frame per
+intermediate frame, for its flow solve.  Each warp, visibility map and
+blend is rounded to float32 and checked where the public step's Frame or
+VisibleMap would be, so the fused frames are bit for bit those of the
+public steps; a VisibleMap is built only for the callback.
+
 The warps' absolute errors are averaged over 3x3 boxes with replicate
 borders by running sums in numpy, along rows and then columns, added in
 the order scipy.ndimage.uniform_filter adds them, so the visibility maps
@@ -40,7 +48,7 @@ import numpy as np
 
 from .capture import HybridMeasurement
 from .flow import FlowField, FlowParams, _pad_edge, _separable, _warp_by_flow, estimate_flows
-from .tensors import Frame, VideoCube
+from .tensors import Frame, VideoCube, _stored
 
 __all__ = [
     "VisibleMap",
@@ -101,8 +109,20 @@ class VisibleMap(Frame):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.samples.min() < 0.0 or self.samples.max() > 1.0:
-            raise ValueError("visibility values must lie in [0, 1]")
+        _check_unit(self.samples)
+
+
+def _check_unit(samples: np.ndarray) -> np.ndarray:
+    """samples, unless a value lies outside [0, 1]: the VisibleMap rule."""
+    if samples.min() < 0.0 or samples.max() > 1.0:
+        raise ValueError("visibility values must lie in [0, 1]")
+    return samples
+
+
+def _as_frame(x: np.ndarray, cls: type[Frame] = Frame) -> np.ndarray:
+    """The samples cls(x) would hold, rounded to float32 and checked as
+    Frame's constructor checks them, without building the object."""
+    return _stored(x, cls._dtype, cls._ndim, cls._what)
 
 
 def warp(image: Frame, f: FlowField) -> Frame:
@@ -125,14 +145,16 @@ def visibility_map(w_left: Frame, w_right: Frame, target: Frame) -> VisibleMap:
     """
     if w_left.samples.shape != target.samples.shape or w_right.samples.shape != target.samples.shape:
         raise ValueError("warped keys and target must share one shape")
-    return _visibility(*_smoothed_errors(w_left, w_right, target))
+    return VisibleMap(_visibility(_smoothed_errors(w_left.samples, w_right.samples, target.samples)))
 
 
-def _smoothed_errors(w_left: Frame, w_right: Frame, target: Frame) -> np.ndarray:
+def _smoothed_errors(w_left: np.ndarray, w_right: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Box-filtered absolute photometric error of each warp against the
-    target: a (2, h, w) stack, left warp first."""
-    errors = np.array([w_left.samples, w_right.samples], np.float64)
-    errors -= target.samples.astype(np.float64)
+    target, all three float32 samples, formed in float64: a (2, h, w)
+    stack, left warp first."""
+    errors = np.empty((2, *target.shape))
+    np.subtract(w_left, target, out=errors[0], dtype=np.float64)
+    np.subtract(w_right, target, out=errors[1], dtype=np.float64)
     return _box_mean(np.abs(errors, out=errors), _ERROR_RADIUS)
 
 
@@ -163,13 +185,22 @@ def _box_mean(x: np.ndarray, radius: int) -> np.ndarray:
     return _separable(x, radius, 1, line)
 
 
-def _visibility(e_left: np.ndarray, e_right: np.ndarray) -> VisibleMap:
-    """Logistic of slope _VISIBILITY_SLOPE over the error difference: the visibility_map rule."""
+def _visibility(errors: np.ndarray) -> np.ndarray:
+    """The float32 samples of the visibility map of the (2, h, w) smoothed
+    errors, checked as VisibleMap checks them: a logistic of slope
+    _VISIBILITY_SLOPE over the error difference, the visibility_map rule."""
+    e_left, e_right = errors
     diff = e_right - e_left
     # evaluate the logistic through exp(-|x|) so that negating the argument
-    # complements the result bit for bit
-    winner = 1.0 / (1.0 + np.exp(-_VISIBILITY_SLOPE * np.abs(diff)))
-    return VisibleMap(np.where(diff >= 0.0, winner, 1.0 - winner))
+    # complements the result bit for bit: 1 / (1 + exp(-slope |diff|)) where
+    # diff >= 0, and 1 less that elsewhere
+    v = np.abs(diff)
+    v *= -_VISIBILITY_SLOPE
+    np.exp(v, out=v)
+    v += 1.0
+    np.divide(1.0, v, out=v)
+    np.subtract(1.0, v, out=v, where=diff < 0.0)
+    return _check_unit(_as_frame(v, VisibleMap))
 
 
 def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
@@ -185,13 +216,21 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
         raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
     if w_left.samples.shape != w_right.samples.shape or w_left.samples.shape != v.samples.shape:
         raise ValueError("warped keys and visibility map must share one shape")
-    vv = v.samples.astype(np.float64)
-    wl = w_left.samples.astype(np.float64)
-    wr = w_right.samples.astype(np.float64)
-    left_w = (1.0 - tau) * vv
-    right_w = tau * (1.0 - vv)
-    out = (left_w * wl + right_w * wr) / (left_w + right_w)
-    return Frame(out)
+    return Frame(_blend(w_left.samples, w_right.samples, v.samples, tau))
+
+
+def _blend(w_left: np.ndarray, w_right: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+    """The blend formula on float32 samples, in float64."""
+    left_w = v.astype(np.float64)
+    right_w = np.subtract(1.0, left_w)
+    right_w *= tau
+    left_w *= 1.0 - tau
+    den = left_w + right_w
+    left_w *= w_left
+    right_w *= w_right
+    left_w += right_w
+    left_w /= den
+    return left_w
 
 
 def _check_intermediate(m: HybridMeasurement, x_mid: VideoCube) -> None:
@@ -237,30 +276,33 @@ def fuse_video(
     flow = flow or FlowParams()
     refine = replace(flow, pyramid_levels=1, warps_per_level=_REFINE_WARPS)
     keys = (m.z_left, m.z_right)
-
-    def frame(k: int) -> Frame:
-        return Frame(x_mid.samples[k - 1])
+    padded_left, padded_right = (_pad_edge(key.samples) for key in keys)
 
     def solve(
         ks: list[int], solver: FlowParams, starts: list[FlowField] | None = None
     ) -> dict[int, tuple[FlowField, FlowField]]:
-        # one stack of frames ks x keys; k -> (left field, right field)
-        fields = estimate_flows([frame(k) for k in ks for _ in keys], [*keys] * len(ks), solver, starts=starts)
+        # one stack of frames ks x keys; k -> (left field, right field).  Each
+        # frame k is solved in exactly one stack, so this is the one Frame
+        # built for it
+        targets = [Frame(x_mid.samples[k - 1]) for k in ks]
+        fields = estimate_flows([t for t in targets for _ in keys], [*keys] * len(ks), solver, starts=starts)
         return {k: (fields[2 * i], fields[2 * i + 1]) for i, k in enumerate(ks)}
 
     fused = np.empty_like(x_mid.samples)
 
     def fuse(k: int, f_left: FlowField, f_right: FlowField) -> None:
-        x_k = frame(k)
-        w_left = warp(m.z_left, f_left)
-        w_right = warp(m.z_right, f_right)
+        # warp, visibility_map and blend on arrays: each result is rounded to
+        # float32 and checked where the Frame or VisibleMap it stands for is
+        x_k = x_mid.samples[k - 1]
+        w_left = _as_frame(_warp_by_flow(padded_left, f_left.u, f_left.v))
+        w_right = _as_frame(_warp_by_flow(padded_right, f_right.u, f_right.v))
         errors = _smoothed_errors(w_left, w_right, x_k)
-        v = _visibility(*errors)
+        v = _visibility(errors)
+        blended = _as_frame(_blend(w_left, w_right, v, k / (B + 2.0)))
         bad = np.minimum(*errors) > _FALLBACK_THRESHOLD
-        blended = blend(w_left, w_right, v, k / (B + 2.0)).samples
-        fused[k - 1] = np.clip(np.where(bad, x_k.samples, blended), 0.0, 1.0)
+        np.clip(np.where(bad, x_k, blended), 0.0, 1.0, out=fused[k - 1])
         if callback is not None:
-            callback(k, f_left, f_right, v)
+            callback(k, f_left, f_right, VisibleMap(v))
 
     anchors = sorted({*range(1, B + 1, _ANCHOR_STRIDE), B})
     # only the fields of the current interval between anchors a < b are held.

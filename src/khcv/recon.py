@@ -163,6 +163,9 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
     h, w = img.shape[-2:]
     n = h * w
     size = img.size
+    # p = (px, py) and g = (gx, gy) are also read as (2, size) pairs, so that
+    # a step both components take is one numpy call
+    p, g = work[0:2, :size], work[2:4, :size]
     px, py, gx, gy, div, shift = work[:, :size]
     tau = 0.25
     np.divide(img.reshape(size), -weight / tau, out=shift, casting="same_kind")
@@ -173,24 +176,20 @@ def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarr
     for it in range(inner_iters):
         if it == 0:
             _flat_grad(shift, w, n, px, py)
-            np.multiply(px, px, out=gx)
-            np.multiply(py, py, out=gy)
+            np.multiply(p, p, out=g)
         else:
             _flat_div(px, py, w, div, gx)
             div *= tau
             div += shift
             _flat_grad(div, w, n, gx, gy)
-            px += gx
-            py += gy
-            gx *= gx
-            gy *= gy
+            p += g
+            g *= g
         # 1 + |tau g|: the square root of a sum of squares is far cheaper than
         # np.hypot in float32
         gx += gy
         np.sqrt(gx, out=gx)
         gx += 1.0
-        px /= gx
-        py /= gx
+        p /= gx
     _flat_div(px, py, w, div, gx)
     div *= np.float32(weight)
     np.subtract(img, div.reshape(img.shape), out=img)

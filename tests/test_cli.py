@@ -364,12 +364,24 @@ def test_run_pipeline_report_schema(tmp_path):
     jsonschema.validate(result.report, schema)
 
 
-def test_run_pipeline_is_deterministic(tmp_path):
-    raw, _ = base_config(tmp_path)
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+def test_run_pipeline_is_deterministic(tmp_path, dump):
+    # every file two runs write is byte for byte the same, the dumped flows,
+    # PPMs and PGMs included; report.json alone records out_dir
+    raw, _ = base_config(tmp_path, dump_intermediates=dump)
     a = run_pipeline(PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path / "a")}))
     b = run_pipeline(PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path / "b")}))
-    for name in ("y.khcv", "intermediate.khcv", "fused.khcv"):
-        assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
+
+    def files(out):
+        return {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+    written, again = files(a.out_dir), files(b.out_dir)
+    del written["report.json"], again["report.json"]
+    assert written == again
+    # the measurement's five files, intermediate.khcv, fused.khcv and
+    # per_frame.csv, and with the dump two flows, two PPMs and a PGM a frame
+    assert len(written) == 8 + (5 * raw["B"] if dump else 0)
+    assert ("intermediates/visibility_001.pgm" in written) == dump
 
 
 def test_run_pipeline_optional_outputs(tmp_path):
@@ -661,6 +673,45 @@ def test_measurements_and_flows_past_float32_exit_4(tmp_path):
         assert lines[-1].endswith(f" (in {stage})"), args[0]
         assert sum(line.startswith("error:") for line in lines) == 1
         assert not any((out / name).exists() for name in left_out), args[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline", "sweep"])
+def test_scene_outside_the_unit_range_exits_3_before_any_write(tmp_path, command):
+    # at 1e20 GAP-TV's float32 dual would overflow once the measurement was
+    # written; at -0.5 or 1.5 the run would end with PSNR against a peak of 1
+    # that means nothing.  Each is refused before the output directory gets
+    # a file
+    runner = CliRunner()
+    for value in (1e20, -0.5, 1.5):
+        samples = translating_scene(32, 32, 6, seed=9).samples.copy()
+        samples[2, 5, 7] = value  # a frame of the coded block
+        scene_path = tmp_path / f"scene_{value}.khcv"
+        save_tensor(VideoCube(samples), scene_path)
+        out = tmp_path / f"out_{value}"
+        out.mkdir()
+        config_path = tmp_path / f"config_{value}.json"
+        config_path.write_text(json.dumps({"scene": str(scene_path), "B": 2, "t_x": 1000, "out_dir": str(out)}))
+        args = [command, "--config", str(config_path)] + (["--gaps", "0,1"] if command == "sweep" else [])
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, (value, r.output)
+        found = f"[{float(samples.min()):g}, {float(samples.max()):g}]"
+        assert r.stderr == f"error: scene samples must lie in [0, 1], found {found}\n"
+        assert not any(out.iterdir()), value
+
+
+def test_scene_at_the_ends_of_the_unit_range_runs(tmp_path):
+    # 0 and 1 themselves, and -0.0, are in range
+    samples = translating_scene(32, 32, 6, seed=9).samples.copy()
+    samples[2, 5, 7] = 0.0
+    samples[2, 6, 7] = 1.0
+    samples[3, 5, 7] = -0.0
+    scene_path = tmp_path / "scene.khcv"
+    save_tensor(VideoCube(samples), scene_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scene": str(scene_path), "B": 2, "t_x": 1000, "out_dir": str(tmp_path / "out")}))
+    r = CliRunner().invoke(main, ["simulate", "--config", str(config_path)])
+    assert r.exit_code == 0, r.output
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_cli_pipeline_single_frame_block(tmp_path):

@@ -257,6 +257,47 @@ def test_error_box_filter_is_scipys_uniform_filter_bit_for_bit(x, radius):
     assert fusion._box_mean(x, radius).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "B, height, width", [(1, 17, 23), (2, 21, 19), (4, 19, 17), (7, 23, 21)], ids=["B1", "B2", "B4", "B7"]
+)
+def test_fuse_video_equals_the_public_steps_bit_for_bit(B, height, width):
+    # fuse_video runs warp, visibility_map and blend on arrays; rebuilt from
+    # the public steps on the fields the callback reports, with the fallback
+    # to the intermediate (errors filtered by scipy's uniform_filter) and the
+    # clip, every fused frame must come out bit for bit, and the callback's
+    # map must be visibility_map of the two warps
+    scene = translating_scene(height, width, B + 2, seed=B).samples
+    rng = np.random.default_rng(B)
+    x_mid = scene[1:-1] + rng.normal(0.0, 0.03, (B, height, width)).astype(np.float32)
+    x_mid[:, 3:9, 4:10] = 1.0  # a patch neither key shows, which falls back
+    m = _tiny_measurement(Frame(scene[0]), B, Frame(scene[-1]))
+    records = []
+    fused = fuse_video(m, VideoCube(x_mid), FlowParams(pyramid_levels=2), callback=lambda *r: records.append(r))
+    assert [r[0] for r in records] == list(range(1, B + 1))
+    kept = []
+    for k, f_left, f_right, v in records:
+        target = Frame(x_mid[k - 1])
+        w_left, w_right = warp(m.z_left, f_left), warp(m.z_right, f_right)
+        assert v == visibility_map(w_left, w_right, target)
+        blended = blend(w_left, w_right, v, k / (B + 2.0))
+        errors = [
+            ndimage.uniform_filter(
+                np.abs(w.samples.astype(np.float64) - target.samples.astype(np.float64)),
+                size=2 * fusion._ERROR_RADIUS + 1,
+                mode="nearest",
+            )
+            for w in (w_left, w_right)
+        ]
+        smoothed = fusion._smoothed_errors(w_left.samples, w_right.samples, target.samples)
+        assert smoothed.tobytes() == np.stack(errors).tobytes()
+        bad = np.minimum(*errors) > fusion._FALLBACK_THRESHOLD
+        want = np.clip(np.where(bad, target.samples, blended.samples), 0.0, 1.0)
+        assert fused.samples[k - 1].tobytes() == want.tobytes(), k
+        kept.append(bad)
+    # both branches ran: some pixels fell back and some were blended
+    assert np.any(kept) and not np.all(kept)
+
+
 def test_pixels_no_key_explains_keep_the_intermediate_samples():
     # the keys hold a dark texture; the intermediate frames hold it too, but
     # for a white patch, which no warp of the keys comes near.  Where neither

@@ -233,6 +233,28 @@ def test_stacked_tv_kernel_matches_one_frame_calls(frames, spare, h, w, weight, 
         assert stack[k].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("side, B, sizes", [(128, 3, [2, 1]), (48, 15, [14, 1])])
+def test_partial_last_tv_stack_matches_lone_frames(side, B, sizes):
+    # gap_tv_reconstruct's stacks under the real pixel budget: when B is not
+    # a multiple of the stack, the last stack reads work[:, :size] of planes
+    # sized for a full one, rows that are not contiguous, and its (2, n)
+    # views of the dual pairs are strided.  Every frame must come out bit for
+    # bit as a lone call
+    rng = np.random.default_rng(side + B)
+    imgs = image_with_zeros(rng, (B, side, side), "signed")
+    stack = min(B, max(1, recon._TV_STACK_PIXELS // (side * side)))
+    assert [len(range(B)[k : k + stack]) for k in range(0, B, stack)] == sizes
+    params = GapTvParams()
+    work = recon._tv_buffers((side, side), stack)
+    stacked = imgs.copy()
+    for k in range(0, B, stack):
+        recon._tv_denoise(stacked[k : k + stack], params.tv_weight, params.tv_inner_iters, work)
+    for k in range(B):
+        alone = imgs[k].copy()
+        recon._tv_denoise(alone, params.tv_weight, params.tv_inner_iters, recon._tv_buffers((side, side)))
+        assert stacked[k].tobytes() == alone.tobytes(), k
+
+
 def test_gap_tv_allocates_no_scratch_cube():
     # a reconstruction holds its float64 estimate, a float64 copy of the
     # masks, the TV work planes and the float32 result; the data step runs a
