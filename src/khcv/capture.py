@@ -244,12 +244,20 @@ def generate_masks(seed: int, height: int, width: int, frames: int, density: flo
     return CodingCube(uniform < density)
 
 
+def _forward(masks: np.ndarray, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sensing operator Phi: sum_k masks_k * frames_k in float64, with no
+    (B, H, W) temporary; the exact 0/1-mask products are added to +0.0 in frame
+    order.  einsum flags no floating-point error, and none can arise here: a
+    float64 sum of B float32-range values does not overflow."""
+    return np.einsum("kij,kij->ij", masks, frames, out=out, dtype=np.float64)
+
+
 @_raise_fp_errors
 def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Frame:
     """Integrate a coded block into one compressive frame.
 
-    Computes y = sum_k c_k * x_k + g elementwise, where g is drawn from the
-    noise model (deterministic for a given seed).
+    Computes y = Phi(x) + g = sum_k c_k * x_k + g through _forward, where g
+    is drawn from the noise model (deterministic for a given seed).
 
     Args:
         x: scene block, one frame per mask plane.
@@ -262,7 +270,7 @@ def encode(x: VideoCube, c: CodingCube, noise: NoiseModel | None = None) -> Fram
     if x.samples.shape != c.samples.shape:
         raise ValueError(f"scene {x.samples.shape} and masks {c.samples.shape} disagree")
     noise = noise or NoiseModel.off()
-    acc = np.sum(c.samples.astype(np.float64) * x.samples.astype(np.float64), axis=0)
+    acc = _forward(c.samples, x.samples)
     acc += noise.field(acc.shape, _ROLE_COMPRESSIVE)
     return Frame(acc)
 

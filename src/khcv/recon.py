@@ -4,7 +4,7 @@ Recovers the B frames behind one compressive measurement by alternating a
 per-pixel projection onto the measurement constraint with a per-frame total
 variation denoising step:
 
-    r   = y - sum_k c_k * x_k
+    r   = y - Phi(x) = y - sum_k c_k * x_k
     x_k = x_k + c_k * r / max(R, 1)          with R = sum_k c_k^2
     x_k = tv_denoise(x_k, weight)
 
@@ -13,8 +13,9 @@ is open; the TV step pulls each frame toward a piecewise-smooth image.
 
 The data step runs in float64, so the residual right after a projection,
 which the callback reports and the tests require to be non-increasing to
-1e-9, stays at rounding level.  It runs one frame at a time through two
-(H, W) planes, so beyond its estimate and its copy of the masks a
+1e-9, stays at rounding level.  Its residual subtracts capture's forward
+operator, summed into one (H, W) plane, and the projection adds that plane
+back a frame at a time, so beyond its estimate and its copy of the masks a
 reconstruction holds no (B, H, W) cube.  The TV step's dual iterations run
 in float32, in place on six work planes allocated once per reconstruction;
 the result stays within about 2e-7 of a float64 dual at a fraction of its
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capture import _check_count, _check_number, _raise_fp_errors
+from .capture import _check_count, _check_number, _forward, _raise_fp_errors
 from .tensors import CodingCube, Frame, VideoCube
 
 __all__ = [
@@ -259,9 +260,7 @@ def gap_tv_reconstruct(
     """
     params = params or GapTvParams()
     if y.samples.shape != c.samples.shape[1:]:
-        raise ValueError(
-            f"measurement {y.samples.shape} does not match mask planes {c.samples.shape[1:]}"
-        )
+        raise ValueError(f"measurement {y.samples.shape} does not match mask planes {c.samples.shape[1:]}")
 
     masks = c.samples.astype(np.float64)
     meas = y.samples.astype(np.float64)
@@ -278,23 +277,14 @@ def gap_tv_reconstruct(
     # where it is 0 every mask is closed and the update is 0 whatever the divisor
     safe_cov = np.maximum(coverage, 1.0)
 
-    # The data step stays float64 and runs one frame at a time through two
-    # (H, W) planes; only the TV dual is float32.
     x = masks * (meas / safe_cov)
     plane = np.empty_like(meas)
     product = np.empty_like(meas)
     stack = min(x.shape[0], max(1, _TV_STACK_PIXELS // meas.size))
     work = _tv_buffers(meas.shape, stack)
 
-    def residual() -> np.ndarray:
-        # meas - sum_k c_k x_k, the products added to zero in frame order: bit
-        # for bit numpy's axis-0 sum of the stack, for frames of more than one
-        # pixel
-        plane.fill(0.0)
-        for mask, frame in zip(masks, x):
-            np.multiply(mask, frame, out=product)
-            np.add(plane, product, out=plane)
-        return np.subtract(meas, plane, out=plane)
+    def residual() -> np.ndarray:  # meas - Phi(x), with the operator encode applies
+        return np.subtract(meas, _forward(masks, x, out=plane), out=plane)
 
     for it in range(params.outer_iters):
         residual()

@@ -219,7 +219,8 @@ def save_tensor(data: Tensor, path) -> None:
     planes = data.samples
     dims = planes.shape[-2:] + planes.shape[:-2]
     header = _MAGIC + struct.pack(f"<BBB{len(dims)}I", _VERSION, dtype, kind, *dims)
-    Path(path).write_bytes(header + planes.astype(_SAMPLE_DTYPES[dtype], copy=False).tobytes())
+    with open(path, "wb") as f:  # the header, then the samples' own buffer, uncopied
+        f.writelines((header, planes.astype(_SAMPLE_DTYPES[dtype], copy=False).data))
 
 
 def load_tensor(path) -> Tensor:

@@ -25,6 +25,7 @@ from khcv import (
     tv_denoise,
     write_measurement,
 )
+from khcv.capture import _ROLE_COMPRESSIVE, _forward
 from khcv.cli import ConfigError, PipelineConfig
 
 from conftest import translating_scene
@@ -168,6 +169,58 @@ def test_encode_adjoint_identity(B, h, w, density, seed):
     rhs = np.sum(x * (c.samples * y))
     scale = np.sum(np.abs(x * c.samples * y))
     assert abs(lhs - rhs) <= 1e-6 * scale
+
+
+def _loop_forward(masks, frames):
+    # the sensing operator as GAP-TV's residual once summed it: float64 mask
+    # and frame copies, each product added in frame order to a plane of +0.0
+    masks, frames = masks.astype(np.float64), frames.astype(np.float64)
+    plane = np.zeros(frames.shape[1:])
+    product = np.empty_like(plane)
+    for mask, frame in zip(masks, frames):
+        np.multiply(mask, frame, out=product)
+        np.add(plane, product, out=plane)
+    return plane
+
+
+def _formula_encode(c, x, noise):
+    # encode as it once read: a float64 product cube summed over its first axis
+    acc = np.sum(c.samples.astype(np.float64) * x.samples.astype(np.float64), axis=0)
+    acc += noise.field(acc.shape, _ROLE_COMPRESSIVE)
+    return Frame(acc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    B=st.integers(1, 9),
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    mask_dtype=st.sampled_from([np.uint8, np.float64]),
+    frame_dtype=st.sampled_from([np.float32, np.float64]),
+    zeros=st.floats(0.0, 0.5),
+    sigma=st.sampled_from([0.0, 0.01]),
+    use_out=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_operator_matches_the_frame_loop_bit_for_bit(
+    B, h, w, density, mask_dtype, frame_dtype, zeros, sigma, use_out, seed
+):
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((B, h, w)) < density).astype(mask_dtype)
+    frames = rng.standard_normal((B, h, w)).astype(frame_dtype)
+    # a share of +0.0 and -0.0 samples, whose products' signs the sum must keep
+    frames[rng.random((B, h, w)) < zeros] = 0.0
+    frames[rng.random((B, h, w)) < zeros / 2] = -0.0
+    out = np.full((h, w), np.nan) if use_out else None
+    got = _forward(masks, frames, out=out)
+    if use_out:
+        assert got is out
+    assert got.dtype == np.float64
+    assert got.tobytes() == _loop_forward(masks, frames).tobytes()
+    c, x = CodingCube(masks), VideoCube(frames)
+    noise = NoiseModel(sigma, seed)
+    assert encode(x, c, noise).samples.tobytes() == _formula_encode(c, x, noise).samples.tobytes()
 
 
 def test_keyframes_flank_coded_block():

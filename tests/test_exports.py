@@ -3,7 +3,8 @@
 A name left in an `__all__` or in the package imports after its definition
 is gone breaks `from khcv.<module> import *` and any tool that walks the
 exported names with getattr.  The entry points the benchmark under
-`perfbench/` calls must also keep the parameter names it relies on.
+`perfbench/` calls must also keep the parameter names it relies on, and the
+package reaches numpy through its public names alone.
 """
 
 import ast
@@ -65,3 +66,56 @@ def test_benchmark_entry_points_keep_their_parameters():
     assert _parameters(recon.coverage_map)[:1] == ["c"]
     assert _parameters(capture.generate_masks)[:5] == ["seed", "height", "width", "frames", "density"]
     assert _parameters(capture.simulate_capture)[:5] == ["scene", "masks", "schedule", "gap_frames", "noise"]
+
+
+def _private_numpy_uses(source: str) -> list[str]:
+    """Imports of numpy's private modules, `numpy._core` and the like, and
+    attributes with a leading underscore read from a name numpy is bound to;
+    dunders such as `np.__version__` are public."""
+    tree = ast.parse(source)
+    aliases = {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    aliases.add(alias.asname or "numpy")
+                elif alias.name.startswith("numpy._"):
+                    found.append(f"import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "numpy":
+            if node.module.startswith("numpy._"):
+                found.append(f"from {node.module} import ...")
+            found += [f"from {node.module} import {a.name}" for a in node.names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from numpy._core import multiarray", ["from numpy._core import ..."]),
+        ("from numpy._core.multiarray import c_einsum", ["from numpy._core.multiarray import ..."]),
+        ("import numpy._core.einsumfunc as ef", ["import numpy._core.einsumfunc"]),
+        ("from numpy import _core", ["from numpy import _core"]),
+        ("import numpy as np\nnp._core.multiarray.c_einsum", ["np._core"]),
+        ("import numpy as np\nnp.einsum; np.__version__; np.linalg.norm", []),
+    ],
+)
+def test_private_numpy_scan_finds_each_form(source, found):
+    assert _private_numpy_uses(source) == found
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_khcv_uses_no_private_numpy_name(name):
+    # a private numpy name, such as the C entry point behind np.einsum, can
+    # move or vanish in any numpy release
+    source = (Path(khcv.__file__).parent / f"{name}.py").read_text()
+    assert _private_numpy_uses(source) == []

@@ -257,9 +257,9 @@ def test_partial_last_tv_stack_matches_lone_frames(side, B, sizes):
 
 def test_gap_tv_allocates_no_scratch_cube():
     # a reconstruction holds its float64 estimate, a float64 copy of the
-    # masks, the TV work planes and the float32 result; the data step runs a
-    # frame at a time, so beyond those it allocates less than one float64
-    # cube, where a (B, H, W) scratch cube alone would be one
+    # masks, the TV work planes and the float32 result; the data step works
+    # through (H, W) planes, so beyond those it allocates less than one
+    # float64 cube, where a (B, H, W) scratch cube alone would be one
     B, side = 8, 64
     rng = np.random.default_rng(5)
     masks = CodingCube((rng.random((B, side, side)) < 0.5).astype(np.uint8))
@@ -318,7 +318,7 @@ def test_gap_tv_matches_float64_reference(frames, h, w, outer_iters, weight, inn
     with caplog.at_level(logging.WARNING, logger="khcv.recon"):
         got = gap_tv_reconstruct(y, masks, params, callback=lambda k, r: residuals[0].append(r))
     assert np.abs(got.samples - reference_gap_tv(y, masks, params)).max() <= 1e-6
-    # the data step a frame at a time adds in the order of the cube-wide sum,
+    # the solver's forward operator adds in the order of the cube-wide sum,
     # so the float64 residuals repeat bit for bit
     plain = reference_gap_tv(
         y, masks, params, plain_float32_tv_denoise, floor=1.0, callback=lambda k, r: residuals[1].append(r)
