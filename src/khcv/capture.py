@@ -248,8 +248,14 @@ def _forward(masks: np.ndarray, frames: np.ndarray, out: np.ndarray | None = Non
     """The sensing operator Phi: sum_k masks_k * frames_k in float64, with no
     (B, H, W) temporary; the exact 0/1-mask products are added to +0.0 in frame
     order.  einsum flags no floating-point error, and none can arise here: a
-    float64 sum of B float32-range values does not overflow."""
-    return np.einsum("kij,kij->ij", masks, frames, out=out, dtype=np.float64)
+    float64 sum of B float32-range values does not overflow.  einsum sums a
+    single pixel's products as a dot product, in its own order, so Python's
+    sum adds those."""
+    if masks.shape[1:] != (1, 1):
+        return np.einsum("kij,kij->ij", masks, frames, out=out, dtype=np.float64)
+    acc = np.zeros((1, 1)) if out is None else out
+    acc[...] = sum(np.multiply(masks, frames, dtype=np.float64), 0.0)
+    return acc
 
 
 @_raise_fp_errors

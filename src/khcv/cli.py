@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -37,7 +37,7 @@ from .capture import (
 from .flow import FlowParams, _check_flow_fits, flow_to_color
 from .fusion import _check_intermediate, fuse_video
 from .metrics import _check_ssim_window, score_frame
-from .recon import GapTvParams, gap_tv_reconstruct
+from .recon import gap_tv_reconstruct
 from .tensors import (
     FlowField,
     FormatError,
@@ -70,12 +70,19 @@ class DataError(Exception):
     """Input data is missing, malformed or mismatched."""
 
 
+# JSON name of each config field type that no constructor checks; the count,
+# number and seed rules of capture check every int and float field
+_JSON_TYPES = {str: "string", bool: "boolean"}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one pipeline run needs, loadable from JSON.
 
     Construction range-checks the fields, so from_dict and
-    dataclasses.replace alike raise ConfigError on a bad value."""
+    dataclasses.replace alike raise ConfigError on a bad value.  GAP-TV,
+    flow and fusion run their measured defaults; Python callers set the
+    solvers through GapTvParams and FlowParams."""
 
     scene: str
     B: int = 16
@@ -89,8 +96,6 @@ class PipelineConfig:
     out_dir: str = "out"
     dump_intermediates: bool = False
     save_pgm: bool = False
-    gap_tv: GapTvParams = field(default_factory=GapTvParams)
-    flow: FlowParams = field(default_factory=FlowParams)
 
     def __post_init__(self):
         try:
@@ -109,9 +114,22 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        """Build the config from a JSON object, checking string and boolean values against their
+        field's type hint and leaving the rest to construction.  A numpy number is stored as the
+        Python number it holds, so the manifest and report can hold it."""
         if "scene" not in raw:
             raise ConfigError("config must name a scene")
-        return _from_json(cls, raw)
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, value in raw.items():
+            want = hints[name]
+            if want in _JSON_TYPES and not isinstance(value, want):
+                raise ConfigError(f"{name} must be a JSON {_JSON_TYPES[want]}, got {value!r}")
+            kwargs[name] = value.item() if isinstance(value, np.generic) else value
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -124,37 +142,6 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
-
-
-# JSON name of each config field type that no constructor checks; the count,
-# number and seed rules of capture check every int and float field
-_JSON_TYPES = {str: "string", bool: "boolean"}
-
-
-def _from_json(cls, raw, prefix: str = ""):
-    """Build dataclass cls from a JSON object, checking string and boolean values against their
-    field's type hint and leaving the rest to cls; nested dataclasses recurse unless already
-    built.  Errors name fields by dotted path.  A numpy number is stored as the Python number it
-    holds, so the manifest and report can hold it."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        want = hints[name]
-        if dataclasses.is_dataclass(want):
-            if not isinstance(value, want):
-                value = _from_json(want, value, f"{prefix}{name}.")
-        elif want in _JSON_TYPES and not isinstance(value, want):
-            raise ConfigError(f"{prefix}{name} must be a JSON {_JSON_TYPES[want]}, got {value!r}")
-        kwargs[name] = value.item() if isinstance(value, np.generic) else value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:  # its message starts with the field's name
-        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_scene(path) -> VideoCube:
@@ -249,14 +236,13 @@ def _call_as(error: type[Exception], fn, *args):
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
     """Check that the scene's samples lie in [0, 1], the scale every stage
     and PSNR's peak of 1 assume, that it holds enough frames for the block,
-    and that its frames fit the configured flow settings and are large
-    enough for scoring."""
+    and that its frames fit the flow pyramid of FlowParams(), which needs
+    sides of 32 px and so also holds the SSIM window."""
     low, high = float(scene.samples.min()), float(scene.samples.max())
     if low < 0.0 or high > 1.0:
         raise DataError(f"scene samples must lie in [0, 1], found [{low:g}, {high:g}]")
     _call_as(DataError, _block_start, scene.frames, cfg.B, cfg.gap_frames)
-    _call_as(ConfigError, _check_flow_fits, scene.height, scene.width, cfg.flow)
-    _call_as(DataError, _check_ssim_window, scene.height, scene.width)
+    _call_as(DataError, _check_flow_fits, scene.height, scene.width, FlowParams())
 
 
 def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, Path]:
@@ -275,7 +261,7 @@ def _capture(cfg: PipelineConfig, scene: VideoCube) -> tuple[HybridMeasurement, 
 
 def _reconstruct(cfg: PipelineConfig, m: HybridMeasurement) -> VideoCube:
     """Reconstruct the coded block with GAP-TV and write intermediate.khcv."""
-    x_mid = gap_tv_reconstruct(m.y, m.masks, cfg.gap_tv)
+    x_mid = gap_tv_reconstruct(m.y, m.masks)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_tensor(x_mid, out / "intermediate.khcv")
@@ -283,11 +269,12 @@ def _reconstruct(cfg: PipelineConfig, m: HybridMeasurement) -> VideoCube:
 
 
 def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoCube:
-    """Check that the intermediate cube fits the measurement, fuse the block
-    and write fused.khcv; with dump_intermediates, write each frame's flows
-    and visibility map under out/intermediates as that frame is fused."""
+    """Check that the intermediate cube fits the measurement and its frames
+    the flow pyramid, fuse the block and write fused.khcv; with
+    dump_intermediates, write each frame's flows and visibility map under
+    out/intermediates as that frame is fused."""
     _call_as(DataError, _check_intermediate, m, x_mid)
-    _call_as(ConfigError, _check_flow_fits, *m.y.samples.shape, cfg.flow)
+    _call_as(DataError, _check_flow_fits, *m.y.samples.shape, FlowParams())
     out = Path(cfg.out_dir)
     dump = out / "intermediates"
 
@@ -301,7 +288,7 @@ def _fuse(cfg: PipelineConfig, m: HybridMeasurement, x_mid: VideoCube) -> VideoC
     out.mkdir(parents=True, exist_ok=True)
     if cfg.dump_intermediates:
         dump.mkdir(exist_ok=True)
-    fused = fuse_video(m, x_mid, cfg.flow, write_dump if cfg.dump_intermediates else None)
+    fused = fuse_video(m, x_mid, callback=write_dump if cfg.dump_intermediates else None)
     save_tensor(fused, out / "fused.khcv")
     return fused
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khcv import (
@@ -203,6 +203,9 @@ def _formula_encode(c, x, noise):
     use_out=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# a single-pixel frame, whose B products einsum would sum in its own order
+@example(B=5, h=1, w=1, density=1.0, mask_dtype=np.uint8, frame_dtype=np.float64, zeros=0.0, sigma=0.0,
+         use_out=False, seed=0)
 def test_forward_operator_matches_the_frame_loop_bit_for_bit(
     B, h, w, density, mask_dtype, frame_dtype, zeros, sigma, use_out, seed
 ):

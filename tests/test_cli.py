@@ -8,22 +8,26 @@ import pytest
 from click.testing import CliRunner
 
 from khcv import (
+    CodingCube,
     FlowField,
-    FlowParams,
     FormatError,
     Frame,
     TruncatedError,
     VideoCube,
+    build_schedule,
     cli,
     estimate_flows,
     export_pgm,
     fusion,
+    generate_masks,
     l1_distance,
     load_tensor,
     psnr,
     read_measurement,
     save_tensor,
+    simulate_capture,
     ssim,
+    write_measurement,
 )
 from khcv.cli import (
     ConfigError,
@@ -56,7 +60,6 @@ def base_config(tmp_path, **overrides):
         "t_x": 1000,
         "mask_seed": 3,
         "out_dir": str(tmp_path / "out"),
-        "gap_tv": {"outer_iters": 40},
     }
     raw.update(overrides)
     return raw, scene
@@ -78,14 +81,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         PipelineConfig.from_dict(raw)
 
 
-def test_config_rejects_unknown_nested_keys(tmp_path):
-    # a removed setting such as gap_tv.epsilon_r is rejected like any
-    # unknown key and the message names it by its dotted path
+def test_config_rejects_retired_sections(tmp_path):
+    # the gap_tv, flow and fusion sections are retired, with every setting
+    # they held: each is an unknown key, whatever it holds
     for overrides, name in (
-        ({"gap_tv": {"bogus": 1}}, "gap_tv.bogus"),
-        ({"gap_tv": {"epsilon_r": 1e-8}}, "gap_tv.epsilon_r"),
-        ({"flow": {"bogus": 1}}, "flow.bogus"),
-        # the whole fusion section is retired, with every setting it held
+        ({"gap_tv": {}}, "gap_tv"),
+        ({"gap_tv": {"outer_iters": 60}}, "gap_tv"),
+        ({"gap_tv": {"epsilon_r": 1e-8}}, "gap_tv"),
+        ({"gap_tv": [["outer_iters", 5]]}, "gap_tv"),
+        ({"flow": {"alpha": 0.2}}, "flow"),
+        ({"flow": []}, "flow"),
         ({"fusion": {}}, "fusion"),
         ({"fusion": {"chain_flows": True}}, "fusion"),
         ({"fusion": {"epsilon_blend": 1e-6}}, "fusion"),
@@ -99,6 +104,31 @@ def test_config_rejects_unknown_nested_keys(tmp_path):
         assert result.exit_code == 2, result.output
         assert f"'{name}'" in result.stderr
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", [{"gap_tv": {"outer_iters": 60}}, {"flow": {"alpha": 0.2}}], ids=["gap_tv", "flow"])
+def test_every_command_exits_2_on_a_solver_section_before_writing(tmp_path, section):
+    # the solvers run their measured defaults, and a config that names a solver's
+    # section, even at those defaults, is refused by each command that reads it
+    clean, raw, _ = write_config(tmp_path, out_dir=str(tmp_path / "staged"))
+    staged, out = tmp_path / "staged", tmp_path / "out"
+    runner = CliRunner()
+    assert runner.invoke(main, ["simulate", "--config", str(clean)]).exit_code == 0
+    stored = ["--manifest", str(staged / "manifest.json")]
+    assert runner.invoke(main, ["reconstruct", *stored, "--config", str(clean)]).exit_code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, **section, "out_dir": str(out)}))
+    for args in (
+        ["simulate"],
+        ["reconstruct", *stored],
+        ["fuse", *stored, "--intermediate", str(staged / "intermediate.khcv")],
+        ["pipeline"],
+        ["sweep", "--gaps", "0,1"],
+    ):
+        result = runner.invoke(main, [*args, "--config", str(bad)])
+        assert result.exit_code == 2, (args[0], result.output)
+        assert result.stderr == f"error: unknown config keys: {sorted(section)}\n"
+        assert not out.exists(), args[0]
 
 
 def test_config_requires_scene():
@@ -118,37 +148,21 @@ def test_config_validates_eagerly(tmp_path):
         {"noise_sigma": 0.01, "noise_seed": -5},
         # the noise seed is checked even when noise is off
         {"noise_seed": 2**64},
-        {"gap_tv": {"outer_iters": 0}},
-        {"flow": {"alpha": -1.0}},
         {"scene": 5},
         {"out_dir": 7},
         {"dump_intermediates": "no"},
         {"save_pgm": 1},
         # integer fields take integers only
-        {"gap_tv": {"outer_iters": 2.5}},
-        {"flow": {"iters_per_level": 2.5}},
         {"gap_frames": 0.5},
         {"mask_seed": 3.7},
         {"B": True},
         # float fields take numbers, not booleans
         {"noise_sigma": True},
         {"mask_density": True},
-        {"flow": {"alpha": True}},
-        {"gap_tv": {"tv_weight": True}},
         # numbers are finite; each NaN fails its range check too
-        {"flow": {"alpha": math.nan}},
-        {"flow": {"alpha": math.inf}},
-        {"gap_tv": {"tv_weight": math.nan}},
-        # a positive TV weight below 1e-12 would overflow the float32 dual
-        # after the measurement is written
-        {"gap_tv": {"tv_weight": 1e-20}},
-        {"gap_tv": {"tv_weight": 1.175494351e-38}},
         {"noise_sigma": math.nan},
         {"noise_sigma": math.inf},
         {"mask_density": math.nan},
-        # every section is a JSON object
-        {"gap_tv": [["outer_iters", 5]]},
-        {"flow": []},
     ):
         raw, _ = base_config(tmp_path, **bad)
         with pytest.raises(ConfigError):
@@ -160,30 +174,16 @@ def test_config_validates_eagerly(tmp_path):
         assert not (tmp_path / "out").exists(), bad
 
 
-def test_flow_section_overrides_only_the_fields_it_names(tmp_path):
-    raw, _ = base_config(tmp_path)
-    plain = PipelineConfig.from_dict(raw)
-    assert plain.flow == FlowParams()
-    assert PipelineConfig.from_dict({**raw, "flow": {"alpha": 0.2}}) == plain
-    partial = PipelineConfig.from_dict({**raw, "flow": {"warps_per_level": 2}})
-    assert partial.flow == dataclasses.replace(FlowParams(), warps_per_level=2)
-
-
 def test_config_accepts_numpy_integers(tmp_path):
-    raw, _ = base_config(
-        tmp_path,
-        mask_seed=np.int64(5),
-        gap_tv={"outer_iters": np.int32(3)},
-        flow={"alpha": np.float32(0.25)},
-    )
+    raw, _ = base_config(tmp_path, mask_seed=np.int64(5), B=np.int32(3), mask_density=np.float32(0.25))
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.mask_seed == 5 and cfg.gap_tv.outer_iters == 3
-    assert cfg.flow.alpha == 0.25
+    assert cfg.mask_seed == 5 and cfg.B == 3
+    assert cfg.mask_density == 0.25
     # they are stored as Python numbers, so the manifest and report can hold them
-    assert type(cfg.mask_seed) is int and type(cfg.flow.alpha) is float
+    assert type(cfg.mask_seed) is int and type(cfg.B) is int and type(cfg.mask_density) is float
     result = run_pipeline(cfg)
     assert json.loads((result.out_dir / "manifest.json").read_text())["seed"] == 5
-    assert result.report["config"]["gap_tv"]["outer_iters"] == 3
+    assert result.report["config"]["mask_density"] == 0.25
     assert math.isfinite(result.mean_psnr)
 
 
@@ -223,23 +223,13 @@ def test_config_dict_round_trip(tmp_path):
         noise_seed=8,
         dump_intermediates=True,
         save_pgm=True,
-        gap_tv={"outer_iters": 12, "tv_weight": 0.05, "tv_inner_iters": 4},
-        flow={"pyramid_levels": 2, "alpha": 0.3, "iters_per_level": 50, "warps_per_level": 2},
     )
     cfg = PipelineConfig.from_dict(raw)
     default = PipelineConfig(scene=cfg.scene)
-    for params, base in (
-        (cfg, default),
-        (cfg.gap_tv, default.gap_tv),
-        (cfg.flow, default.flow),
-    ):
-        for f in dataclasses.fields(params):
-            value = getattr(params, f.name)
-            if f.name != "scene" and not dataclasses.is_dataclass(value):
-                assert value != getattr(base, f.name), f.name
-    again = PipelineConfig.from_dict(dataclasses.asdict(cfg))
-    assert again == cfg
-    assert again.flow.alpha == 0.3
+    for f in dataclasses.fields(cfg):
+        if f.name != "scene":
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    assert PipelineConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 # ===== scene loading =====
@@ -275,6 +265,26 @@ def test_load_scene_errors(tmp_path):
     save_tensor(Frame(np.zeros((8, 8), np.float32)), frame_path)
     with pytest.raises(DataError):
         load_scene(frame_path)
+
+
+@pytest.mark.parametrize("broken", ["malformed-pgm", "two-sizes"])
+def test_simulate_exits_3_on_a_broken_pgm_scene_before_writing(tmp_path, broken):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    scene = translating_scene(32, 32, 6, seed=5)
+    for k in range(scene.frames):
+        export_pgm(Frame(scene.samples[k]), frames / f"frame_{k:03d}.pgm")
+    if broken == "malformed-pgm":
+        (frames / "frame_003.pgm").write_bytes(b"P6\n32 32\n255\n")
+        message = f"{frames / 'frame_003.pgm'}: expected P5, got b'P6'"
+    else:
+        export_pgm(Frame(np.zeros((32, 33), np.float32)), frames / "frame_003.pgm")
+        message = "scene frames disagree in size: [(32, 32), (32, 33)]"
+    config_path, _, _ = write_config(tmp_path, scene=str(frames), B=2)
+    r = CliRunner().invoke(main, ["simulate", "--config", str(config_path)])
+    assert r.exit_code == 3, r.output
+    assert r.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ===== pipeline =====
@@ -425,9 +435,7 @@ def test_dumped_flows_are_the_ones_fusion_used(tmp_path):
     m = read_measurement(result.out_dir / "manifest.json")
     x_mid = load_tensor(result.out_dir / "intermediate.khcv")
     records = []
-    refused = fusion.fuse_video(
-        m, x_mid, cfg.flow, callback=lambda k, left, right, v: records.append((left, right))
-    )
+    refused = fusion.fuse_video(m, x_mid, callback=lambda k, left, right, v: records.append((left, right)))
     dump = result.out_dir / "intermediates"
     stored = [
         (load_tensor(dump / f"flow_left_{k:03d}.khcv"), load_tensor(dump / f"flow_right_{k:03d}.khcv"))
@@ -600,8 +608,10 @@ def test_cli_stage_commands_match_pipeline(tmp_path):
         lambda m: [m],
         lambda m: {**m, "B": True},
         lambda m: {**m, "t_y": m["t_y"] + 1},
+        lambda m: {k: v for k, v in m.items() if k != "t_g"},
     ],
-    ids=["gap_frames-string", "gap_frames-float", "files-list", "top-level-list", "B-bool", "t_y-inconsistent"],
+    ids=["gap_frames-string", "gap_frames-float", "files-list", "top-level-list", "B-bool", "t_y-inconsistent",
+         "t_g-missing"],
 )
 def test_reconstruct_rejects_malformed_manifest(tmp_path, edit):
     # B=1, so a B stored as true is refused as a bool, not for disagreeing with the masks
@@ -616,6 +626,41 @@ def test_reconstruct_rejects_malformed_manifest(tmp_path, edit):
     assert r.exit_code == 3, r.output
     assert r.stderr.startswith("error: ")
     assert not (staged / "intermediate.khcv").exists()
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_reconstruct_rejects_a_manifest_that_is_not_json(tmp_path, text):
+    config_path, _, _ = write_config(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(text)
+    r = CliRunner().invoke(main, ["reconstruct", "--manifest", str(manifest), "--config", str(config_path)])
+    assert r.exit_code == 3, r.output
+    assert r.stderr.startswith(f"error: {manifest}: not valid JSON ("), r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "role, tensor, message",
+    [
+        ("y", CodingCube(np.ones((4, 48, 48), np.uint8)), "files must hold three frames and a coding cube, in that order"),
+        ("z_left", Frame(np.zeros((48, 47), np.float32)), "key frames must match the compressive frame size"),
+        ("masks", CodingCube(np.ones((4, 47, 48), np.uint8)), "mask planes must match the compressive frame size"),
+        ("masks", CodingCube(np.ones((5, 48, 48), np.uint8)), "mask count 5 disagrees with schedule B 4"),
+    ],
+    ids=["y-holds-masks", "key-frame-size", "mask-plane-size", "mask-count"],
+)
+def test_reconstruct_rejects_stored_tensors_that_do_not_fit_together(tmp_path, role, tensor, message):
+    # each file parses, but the measurement they make up is malformed
+    config_path, _, _ = write_config(tmp_path)
+    staged = tmp_path / "staged"
+    runner = CliRunner()
+    assert runner.invoke(main, ["simulate", "--config", str(config_path), "--out", str(staged)]).exit_code == 0
+    save_tensor(tensor, staged / f"{role}.khcv")
+    manifest = staged / "manifest.json"
+    r = runner.invoke(main, ["reconstruct", "--manifest", str(manifest), "--config", str(config_path)])
+    assert r.exit_code == 3, r.output
+    assert r.stderr == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_divergence_exits_4_from_pipeline_and_reconstruct(tmp_path, monkeypatch):
@@ -651,8 +696,9 @@ def test_measurements_and_flows_past_float32_exit_4(tmp_path):
 
     def config(name, sigma):
         path = tmp_path / f"{name}.json"
-        raw = {"scene": str(scene_path), "B": 4, "t_x": 1000, "noise_sigma": sigma, "out_dir": str(tmp_path / name)}
-        path.write_text(json.dumps({**raw, "gap_tv": {"outer_iters": 5}}))
+        path.write_text(json.dumps(
+            {"scene": str(scene_path), "B": 4, "t_x": 1000, "noise_sigma": sigma, "out_dir": str(tmp_path / name)}
+        ))
         return str(path)
 
     staged = tmp_path / "staged"
@@ -747,101 +793,69 @@ def test_cli_config_error_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-def _flow_fit_error(height: int, width: int, pyramid_levels: int, alpha: float = 0.2) -> str:
-    """The message estimate_flows raises for frames of this size under these settings."""
+def _flow_fit_error(height: int, width: int) -> str:
+    """The message estimate_flows raises for frames of this size at FlowParams()."""
     frame = Frame(np.zeros((height, width), np.float32))
     with pytest.raises(ValueError) as info:
-        estimate_flows([frame], [frame], FlowParams(pyramid_levels=pyramid_levels, alpha=alpha))
+        estimate_flows([frame], [frame])
     return str(info.value)
 
 
-def test_cli_frames_too_small_for_flow_pyramid_exit_2_before_writing(tmp_path):
-    # 3 pyramid levels need sides of at least 32 px
-    scene = translating_scene(24, 24, SCENE_FRAMES, step=(1, 0), seed=9)
-    save_tensor(scene, tmp_path / "small.khcv")
-    raw, _ = base_config(tmp_path, scene=str(tmp_path / "small.khcv"), flow={"pyramid_levels": 3})
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
-    assert result.exit_code == 2, result.output
-    assert "pyramid" in result.output
-    # the CLI states the rule in flow's own words
-    assert result.stderr == f"error: {_flow_fit_error(24, 24, 3)}\n"
-    out = tmp_path / "out"
-    assert not out.exists() or not any(out.iterdir())
-
-
-@pytest.mark.parametrize("alpha", [1e-30, 2e19, 1e21])
-def test_cli_alpha_out_of_float32_reach_exits_2_before_writing(tmp_path, alpha):
-    # too small, the smallest smoothness eigenvalue has no float32
-    # reciprocal; too large, the largest is not finite in float32
-    raw, _ = base_config(tmp_path, flow={"pyramid_levels": 1, "alpha": alpha})
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["pipeline", "--config", str(p)])
-    assert result.exit_code == 2, result.output
-    # the CLI states the rule in flow's own words
-    assert result.stderr == f"error: {_flow_fit_error(*SCENE_SHAPE, 1, alpha=alpha)}\n"
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("command", [["simulate"], ["pipeline"], ["sweep", "--gaps", "0"]])
-def test_cli_frames_below_the_ssim_window_exit_3_before_writing(tmp_path, command):
-    # one pyramid level takes 10 px sides, but the SSIM window needs 11
-    scene = translating_scene(10, 10, SCENE_FRAMES, step=(1, 0), seed=9)
-    save_tensor(scene, tmp_path / "small.khcv")
-    raw, _ = base_config(tmp_path, scene=str(tmp_path / "small.khcv"), flow={"pyramid_levels": 1})
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, [*command, "--config", str(p)])
+@pytest.mark.parametrize(
+    "height, width",
+    # 10 px is below the 11 px SSIM window too: the flow pyramid's rule is
+    # the one the scene check applies, and it refuses these frames first
+    [(10, 10), (24, 24), (31, 48)],
+    ids=["below-ssim-window", "24px", "31x48"],
+)
+def test_cli_frames_too_small_for_flow_pyramid_exit_3_before_writing(tmp_path, command, height, width):
+    # frame size is a property of the data: the 3 pyramid levels of
+    # FlowParams() need both sides at least 32 px
+    save_tensor(translating_scene(height, width, SCENE_FRAMES, step=(1, 0), seed=9), tmp_path / "small.khcv")
+    config_path, _, _ = write_config(tmp_path, scene=str(tmp_path / "small.khcv"))
+    result = CliRunner().invoke(main, [*command, "--config", str(config_path)])
     assert result.exit_code == 3, result.output
-    assert "SSIM" in result.output
+    # the CLI states the rule in flow's own words
+    assert result.stderr == f"error: {_flow_fit_error(height, width)}\n"
     assert not (tmp_path / "out").exists()
 
 
-def _fuse_24px_block(tmp_path, frames: int, pyramid_levels: int):
-    """Simulate a 24x24, B=4 measurement, then run `khcv fuse` on it with an
-    intermediate cube of this many frames and this flow pyramid depth."""
-    scene = translating_scene(24, 24, SCENE_FRAMES, step=(1, 0), seed=9)
-    save_tensor(scene, tmp_path / "small.khcv")
-    staged = tmp_path / "staged"
-    config_path, raw, _ = write_config(
-        tmp_path, scene=str(tmp_path / "small.khcv"), out_dir=str(staged), flow={"pyramid_levels": 2}
-    )
-    runner = CliRunner()
-    r = runner.invoke(main, ["simulate", "--config", str(config_path)])
-    assert r.exit_code == 0, r.output
+def _fuse_block(tmp_path, side: int, frames: int):
+    """Write a side x side, B=4 measurement with write_measurement, then run
+    `khcv fuse` on it with an intermediate cube of this many frames."""
+    scene = translating_scene(side, side, SCENE_FRAMES, step=(1, 0), seed=9)
+    m = simulate_capture(scene, generate_masks(3, side, side, 4), build_schedule(1000, 4))
+    manifest = write_measurement(m, tmp_path / "staged")
     save_tensor(VideoCube(scene.samples[:frames]), tmp_path / "intermediate.khcv")
-    fuse_config = tmp_path / "fuse.json"
-    fuse_config.write_text(json.dumps({**raw, "flow": {"pyramid_levels": pyramid_levels}}))
-    return runner.invoke(
+    config_path, _, _ = write_config(tmp_path)
+    return CliRunner().invoke(
         main,
         [
             "fuse",
-            "--manifest", str(staged / "manifest.json"),
+            "--manifest", str(manifest),
             "--intermediate", str(tmp_path / "intermediate.khcv"),
-            "--config", str(fuse_config),
+            "--config", str(config_path),
             "--out", str(tmp_path / "fused"),
         ],
     )
 
 
-def test_cli_fuse_with_frames_too_small_for_flow_pyramid_exits_2_before_writing(tmp_path):
-    result = _fuse_24px_block(tmp_path, frames=4, pyramid_levels=3)
-    assert result.exit_code == 2, result.output
-    assert "pyramid" in result.output
-    assert result.stderr == f"error: {_flow_fit_error(24, 24, 3)}\n"
+def test_cli_fuse_with_frames_too_small_for_flow_pyramid_exits_3_before_writing(tmp_path):
+    result = _fuse_block(tmp_path, side=24, frames=4)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"error: {_flow_fit_error(24, 24)}\n"
     assert not (tmp_path / "fused").exists()
 
 
 def test_cli_fuse_with_intermediate_of_wrong_length_exits_3_before_writing(tmp_path):
-    result = _fuse_24px_block(tmp_path, frames=3, pyramid_levels=2)
+    result = _fuse_block(tmp_path, side=32, frames=3)
     assert result.exit_code == 3, result.output
     assert "intermediate" in result.output
     # the CLI states the rule in fuse_video's own words
     m = read_measurement(tmp_path / "staged" / "manifest.json")
     with pytest.raises(ValueError) as info:
-        fusion.fuse_video(m, VideoCube(np.zeros((3, 24, 24), np.float32)))
+        fusion.fuse_video(m, VideoCube(np.zeros((3, 32, 32), np.float32)))
     assert result.stderr == f"error: {info.value}\n"
     assert not (tmp_path / "fused").exists()
 
@@ -872,6 +886,17 @@ def test_cli_metrics_command(tmp_path):
     save_tensor(c, pc)
     result = CliRunner().invoke(main, ["metrics", str(pa), str(pc)])
     assert result.exit_code == 3
+
+
+def test_cli_metrics_on_a_frame_against_a_cube_exits_3_before_writing(tmp_path):
+    frame, cube, out = tmp_path / "frame.khcv", tmp_path / "cube.khcv", tmp_path / "metrics.json"
+    save_tensor(Frame(np.zeros((16, 16), np.float32)), frame)
+    save_tensor(VideoCube(np.zeros((1, 16, 16), np.float32)), cube)
+    for a, b, names in ((frame, cube, "Frame with VideoCube"), (cube, frame, "VideoCube with Frame")):
+        result = CliRunner().invoke(main, ["metrics", str(a), str(b), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: cannot compare {names}\n"
+        assert not out.exists()
 
 
 def test_cli_metrics_on_frames_below_the_ssim_window_exits_3_before_writing(tmp_path):

@@ -117,6 +117,17 @@ def test_bad_dtype_code(tmp_path):
         load_tensor(p)
 
 
+def test_zero_sized_dimension(tmp_path):
+    # the header of a 4x4 frame with its height set to 0 and no payload
+    p = tmp_path / "bad.khcv"
+    save_tensor(Frame(np.zeros((4, 4), np.float32)), p)
+    raw = bytearray(p.read_bytes()[:15])
+    raw[7:11] = struct.pack("<I", 0)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"zero-sized dimension in \(0, 4\)$"):
+        load_tensor(p)
+
+
 def test_truncated_payload(tmp_path):
     p = tmp_path / "bad.khcv"
     save_tensor(Frame(np.zeros((4, 4), np.float32)), p)
