@@ -235,7 +235,7 @@ def _call_as(error: type[Exception], fn, *args):
 
 def _check_scene(cfg: PipelineConfig, scene: VideoCube) -> None:
     """Check that the scene's samples lie in [0, 1], the scale every stage
-    and PSNR's peak of 1 assume, that it holds enough frames for the block,
+    and score assume, that it holds enough frames for the block,
     and that its frames fit the flow pyramid of FlowParams(), which needs
     sides of 32 px and so also holds the SSIM window."""
     low, high = float(scene.samples.min()), float(scene.samples.max())

@@ -247,7 +247,11 @@ def sample_bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
     values exactly.  The four corners of every sample are gathered
     with one index from a copy of img padded by one replicated row and
     column; the flow solver pads each source once and warps it many times.
+    Infinite coordinates read the border too; a NaN one raises ValueError.
     """
+    for name, c in (("x", x), ("y", y)):
+        if np.isnan(c).any():
+            raise ValueError(f"sample_bilinear coordinates must not be NaN, found NaN in {name}")
     return _sample_padded(_pad_edge(img), x, y)
 
 
@@ -317,7 +321,7 @@ def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     ht, wt = shape
     ys = (np.arange(ht, dtype=np.float64) + 0.5) * (h / ht) - 0.5
     xs = (np.arange(wt, dtype=np.float64) + 0.5) * (w / wt) - 0.5
-    return sample_bilinear(img, xs[None, :], ys[:, None])
+    return _sample_padded(_pad_edge(img), xs[None, :], ys[:, None])
 
 
 def _central_diff(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -653,10 +657,10 @@ def flow_to_color(f: FlowField, max_magnitude: float | None = None) -> np.ndarra
         max_magnitude = _percentile_99(sat) or 1.0
     else:
         _check_number(max_magnitude, "max_magnitude", "> 0")
-    # mag / max_magnitude is never negative, so clipping it to [0, 1] is a
-    # minimum with 1
+    # min(mag / max_magnitude, 1), clipped first so that a tiny max_magnitude
+    # cannot overflow the quotient: above it, max_magnitude / max_magnitude = 1
+    np.minimum(sat, max_magnitude, out=sat)
     sat /= max_magnitude
-    np.minimum(sat, 1.0, out=sat)
     hue = np.arctan2(v, u, out=u)
     hue /= 2.0 * np.pi
     hue += hue < 0.0

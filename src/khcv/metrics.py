@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .capture import _check_number
 from .tensors import FlowField, Frame, VideoCube
 
 __all__ = [
@@ -19,8 +18,9 @@ __all__ = [
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
-_SSIM_K1 = 0.01
-_SSIM_K2 = 0.03
+# SSIM's constants (K1 L)^2 and (K2 L)^2, K1 = 0.01 and K2 = 0.03, at the range L = 1 of the [0, 1] scale
+_SSIM_C1 = 0.01**2
+_SSIM_C2 = 0.03**2
 
 
 def _check_ssim_window(height: int, width: int) -> None:
@@ -42,17 +42,16 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a.astype(np.float64), b.astype(np.float64)
 
 
-def _psnr_of(mse: float, peak: float) -> float:
+def _psnr_of(mse: float) -> float:
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
-    _check_number(peak, "peak", "> 0")
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1, the [0, 1] scale; identical inputs give math.inf."""
     a, b = _pair(a, b)
-    return _psnr_of(float(np.mean((a - b) ** 2)), peak)
+    return _psnr_of(float(np.mean((a - b) ** 2)))
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -109,21 +108,20 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, _window_mean(x), _window_mean(x * x)
 
 
-def _ssim_of(a: tuple, b: tuple, peak: float) -> float:
+def _ssim_of(a: tuple, b: tuple) -> float:
     """Mean SSIM of two frames given as their _moments.  The score is
     symmetric in a and b bit for bit."""
     x, mu_x, mu_xx = a
     y, mu_y, mu_yy = b
     xy, xx, yy = mu_x * mu_y, mu_x * mu_x, mu_y * mu_y
     cov = _window_mean(x * y) - xy
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
+    c1, c2 = _SSIM_C1, _SSIM_C2
     scores = ((2 * xy + c1) * (2 * cov + c2)) / ((xx + yy + c1) * ((mu_xx - xx) + (mu_yy - yy) + c2))
     return float(scores.mean())
 
 
-def ssim(a, b, peak: float = 1.0) -> float:
-    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5).
+def ssim(a, b) -> float:
+    """Mean structural similarity on the [0, 1] scale, 11x11 Gaussian window (sigma 1.5).
 
     The window is separable; each axis's pass is a product with a cached
     band of the 1-D taps, a tile of 32 outputs at a time.  Local statistics
@@ -131,12 +129,11 @@ def ssim(a, b, peak: float = 1.0) -> float:
     enters near the borders.  Inputs must be at least 11 pixels in each
     dimension.
     """
-    _check_number(peak, "peak", "> 0")
     a, b = _pair(a, b)
     if a.ndim != 2:
         raise ValueError(f"ssim expects single frames, got shape {a.shape}")
     _check_ssim_window(*a.shape)
-    return _ssim_of(_moments(a), _moments(b), peak)
+    return _ssim_of(_moments(a), _moments(b))
 
 
 def l1_distance(a, b) -> float:
@@ -147,7 +144,7 @@ def l1_distance(a, b) -> float:
 
 def score_frame(truth, *candidates) -> list[tuple[float, float, float]]:
     """psnr, ssim and l1_distance of each candidate frame against one truth
-    frame, on the [0, 1] scale (peak 1), as one (psnr, ssim, l1) tuple per
+    frame, on the [0, 1] scale, as one (psnr, ssim, l1) tuple per
     candidate in order.
 
     Each tuple is what psnr(c, truth), ssim(c, truth) and
@@ -169,7 +166,7 @@ def score_frame(truth, *candidates) -> list[tuple[float, float, float]]:
         diff = c - t
         mse = float(np.mean(diff * diff))
         l1 = float(np.mean(np.abs(diff, out=diff)))
-        scores.append((_psnr_of(mse, 1.0), _ssim_of(_moments(c), ref, 1.0), l1))
+        scores.append((_psnr_of(mse), _ssim_of(_moments(c), ref), l1))
     return scores
 
 

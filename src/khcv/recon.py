@@ -133,14 +133,12 @@ def _flat_div(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray, tmp: np.n
 def _flat_grad(src: np.ndarray, w: int, n: int, gx: np.ndarray, gy: np.ndarray) -> None:
     # forward differences on flat planes of row length w, frames of n pixels
     # laid end to end and read flat; the pair straddling each row end is
-    # zeroed, as is each frame's last row, the replicate border; gy is read as
-    # (frames, pixels), so no difference crosses a frame
+    # zeroed, as is each frame's last row, the replicate border, which is
+    # also where the only differences that cross a frame land
     np.subtract(src[1:], src[:-1], out=gx[:-1])
     gx[w - 1 :: w] = 0.0
-    src_frames = src.reshape(-1, n)
-    gy_frames = gy.reshape(-1, n)
-    np.subtract(src_frames[:, w:], src_frames[:, :-w], out=gy_frames[:, : n - w])
-    gy_frames[:, n - w :] = 0.0
+    np.subtract(src[w:], src[:-w], out=gy[:-w])
+    gy.reshape(-1, n)[:, n - w :] = 0.0
 
 
 def _tv_denoise(img: np.ndarray, weight: float, inner_iters: int, work: np.ndarray) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1071,3 +1072,21 @@ def test_cli_flowviz_takes_only_a_finite_positive_max_magnitude(tmp_path):
         assert result.exit_code == 2, (value, result.output)
         assert "max_magnitude" in result.stderr, value
         assert not out.exists(), value
+
+
+def test_cli_flowviz_saturates_at_a_subnormal_max_magnitude(tmp_path):
+    from khcv import FlowField
+
+    p = tmp_path / "f.khcv"
+    save_tensor(FlowField(np.ones((2, 8, 8), np.float32)), p)
+    full = tmp_path / "full.ppm"
+    assert CliRunner().invoke(main, ["flowviz", str(p), str(full), "--max-magnitude", "1e-3"]).exit_code == 0
+    for value in ("1e-310", "5e-324"):
+        out = tmp_path / f"{value}.ppm"
+        # an overflow in the scaling would raise here, not only print
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, ["flowviz", str(p), str(out), "--max-magnitude", value])
+        assert result.exit_code == 0, (value, result.output)
+        assert result.stderr == "", value
+        assert out.read_bytes() == full.read_bytes(), value

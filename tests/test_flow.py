@@ -76,6 +76,19 @@ def test_sample_bilinear_replicates_border():
     assert out[0, 1] == 4.0
 
 
+def test_sample_bilinear_refuses_nan_and_clips_infinite_coordinates():
+    img = np.array([[1.0, 2.0], [3.0, 4.0]])
+    inf = math.inf
+    out = sample_bilinear(img, np.array([[-inf, inf, -inf, inf]]), np.array([[-inf, inf, inf, -inf]]))
+    assert out.tolist() == [[1.0, 4.0, 3.0, 2.0]]
+    finite = np.zeros((1, 2))
+    for name, x, y in (("x", np.array([[0.0, math.nan]]), finite), ("y", finite, np.array([[math.nan, 0.5]]))):
+        with pytest.raises(ValueError, match=f"NaN in {name}$"):
+            sample_bilinear(img, x, y)
+    with pytest.raises(ValueError, match="NaN in x$"):
+        sample_bilinear(np.zeros((2, 4, 4)), np.full((2, 1, 1), math.nan), np.full((2, 1, 1), math.nan))
+
+
 def reference_bilinear(img, x, y):
     """sample_bilinear through plain 2-D indexing of all four corners; a
     (K, h, w) stack is sampled one plane at a time, plane k at x[k], y[k]."""
@@ -651,6 +664,23 @@ def test_flow_color_conventions():
 def test_flow_color_default_scale_guard():
     rgb = flow_to_color(constant_flow(8, 8, 0.0, 0.0))
     assert np.isfinite(rgb).all()
+
+
+def test_flow_to_color_saturates_fully_at_a_subnormal_scale():
+    # mag / 1e-310 overflows to inf for any mag above ~1.8e-2; the clip
+    # before the division keeps every quotient at 1, with no warning
+    uv = np.stack([np.full((4, 5), 3.0, np.float32), np.zeros((4, 5), np.float32)])
+    uv[:, 0, 0] = 0.0
+    field = FlowField(uv)
+    full = flow_to_color(field, 1e-3)
+    for tiny in (1e-310, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rgb = flow_to_color(field, tiny)
+        assert rgb.tobytes() == full.tobytes()
+    # every moving pixel is pure red, the still one white
+    assert np.array_equal(rgb[0, 0], [1.0, 1.0, 1.0])
+    assert np.array_equal(rgb[1:, 1:], np.broadcast_to(np.float32([1.0, 0.0, 0.0]), (3, 4, 3)))
 
 
 def _flow_to_color_reference(f, max_magnitude=None):

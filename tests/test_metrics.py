@@ -23,21 +23,9 @@ def test_psnr_known_offset():
     assert abs(psnr(a, b) - 28.1308) < 1e-2
 
 
-def test_psnr_peak_scaling():
-    a = np.zeros((8, 8))
-    b = a + 10.0
-    assert abs(psnr(a, b, peak=255.0) - 28.1308) < 1e-2
-
-
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
-    # the peak must be finite and positive; NaN and inf fail as 0 does
-    for peak in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            psnr(np.zeros((4, 4)), np.zeros((4, 4)), peak=peak)
-        with pytest.raises(ValueError):
-            ssim(np.zeros((12, 12)), np.zeros((12, 12)), peak=peak)
 
 
 def test_ssim_self_is_one():

@@ -355,6 +355,34 @@ def test_gap_tv_commutes_with_transposition(frames, h, w, density, outer_iters, 
     assert transposed(turned.samples).tobytes() == got.samples.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    frames=st.integers(2, 8),
+    h=st.integers(1, 32),
+    w=st.integers(1, 32),
+    density=st.sampled_from([0.2, 0.5, 0.9]),
+    outer_iters=st.integers(1, 20),
+    noise=st.booleans(),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gap_tv_reorders_with_its_masks(frames, h, w, density, outer_iters, noise, data, seed):
+    # reordering the masks reorders the reconstruction: frame k is the one
+    # mask k coded, whatever the order.  Only float64 rounding moves, as the
+    # residual sums its frames in the new order; a data step that pairs a
+    # mask with another frame moves whole samples
+    perm = np.array(data.draw(st.permutations(range(frames))))
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((frames, h, w)) < density).astype(np.uint8)
+    y = encode(VideoCube(rng.random((frames, h, w)).astype(np.float32)), CodingCube(masks))
+    if noise:
+        y = Frame(y.samples + rng.normal(0.0, 0.02, y.samples.shape).astype(np.float32))
+    params = GapTvParams(outer_iters=outer_iters)
+    permuted = gap_tv_reconstruct(y, CodingCube(masks), params).samples[perm]
+    reordered = gap_tv_reconstruct(y, CodingCube(masks[perm]), params).samples
+    assert np.abs(reordered.astype(np.float64) - permuted).max() <= 1e-6
+
+
 def test_tv_denoise_smooths_noise():
     clean = smooth_texture(32, 32, seed=3, blur=3.0)
     rng = np.random.default_rng(2)
