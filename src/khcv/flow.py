@@ -148,11 +148,14 @@ def _check_flow_fits(height: int, width: int, params: FlowParams) -> None:
     finite.  The largest, just under alpha^2 4/3, bounds alpha above: it
     must itself be finite in float32, as the solver stores it there.
     """
-    min_side = _MIN_COARSE_SIDE * 2 ** (params.pyramid_levels - 1)
-    if min(height, width) < min_side:
+    levels = params.pyramid_levels
+    # a shift, not 2 ** (levels - 1), whose digits grow without bound: the
+    # smallest side is written out only while it fits in an int64, as a
+    # frame's side does
+    if min(height, width) >> (levels - 1) < _MIN_COARSE_SIDE:
+        min_side = _MIN_COARSE_SIDE << (levels - 1) if levels <= 60 else f"{_MIN_COARSE_SIDE} * 2**{levels - 1}"
         raise ValueError(
-            f"frames are {height}x{width} px but {params.pyramid_levels} flow pyramid levels "
-            f"need both sides at least {min_side} px"
+            f"frames are {height}x{width} px but {levels} flow pyramid levels need both sides at least {min_side} px"
         )
     # the eigenvalues as the solver stores them; a huge alpha overflows here
     with np.errstate(all="ignore"):

@@ -1,36 +1,35 @@
 """Key-frame fusion: upgrade coarse coded-block reconstructions with the two
 sharp uncoded key frames.
 
-fuse_video is the one fusion driver.  For each intermediate frame k = 1..B
-of a block it finds the flow from that frame to both key frames, warps the
-keys, as captured, onto the frame grid with those fields, and blends the
-warps under a visibility map and a temporal weight tau = k / (B + 2).
-Pixels neither key explains well fall back to the intermediate
-reconstruction.  warp, visibility_map and blend are its steps, public so
-that each can be used and checked alone.  Fusion has no settings of its
-own: its tuning values are measured module constants.
+fuse_video, the one fusion driver, is a loop over two steps.  The field
+schedule (_frame_fields) gives each intermediate frame k = 1..B of a block
+its flow to both key frames.  The frame fuser (_fuse_frame) warps the keys,
+as captured, onto the frame grid with those fields and blends the warps
+under a visibility map and a temporal weight tau = k / (B + 2); pixels
+neither key explains well fall back to the intermediate reconstruction.
+Fusion has no settings of its own: its tuning values are measured module
+constants.
 
-fuse_video runs those steps on arrays through the same helpers as the
-public functions, so each formula is written once.  It pads each key for
-the warp once per block, not once per frame, and builds one Frame per
-intermediate frame, for its flow solve.  Each warp, visibility map and
-blend is rounded to float32 and checked where the public step's Frame or
-VisibleMap would be, so the fused frames are bit for bit those of the
-public steps; a VisibleMap is built only for the callback.
+The schedule solves flow in full, through the whole pyramid, only at anchor
+frames: every third frame from k = 1, and k = B.  A frame between anchors a
+and b starts each key's field from the linear interpolation in time of the
+two anchors' fields, ((b - k) F_a + (k - a) F_b) / (b - a), and refines it
+with a few warps at the finest level alone.  Each solve step is one stacked
+call of estimate_flows, which gives each pair the field it would get alone:
+the first two anchors, then each later anchor, then the frames between two
+anchors, each frame with both keys.  Frames come in order, and only the
+current anchor interval's fields are held.
 
+The fuser runs warp, visibility_map and blend, public so that each can be
+used and checked alone, on arrays through the same helpers, with the keys
+padded for the warp once per block.  Each warp, visibility map and blend is
+rounded to float32 and checked where the public step's Frame or VisibleMap
+would be, so the fused frames are bit for bit those of the public steps.
 The warps' absolute errors are averaged over 3x3 boxes with replicate
-borders by running sums in numpy, along rows and then columns, added in
-the order scipy.ndimage.uniform_filter adds them, so the visibility maps
-are bit for bit those of that filter.  Both errors of a frame are filtered
-as one stack.
-
-Flow is solved in full, through the whole pyramid, only at anchor frames:
-every third frame from k = 1, and k = B.  A frame between anchors a and b
-starts each key's field from the linear interpolation in time of the two
-anchors' fields, ((b - k) F_a + (k - a) F_b) / (b - a), and refines it with
-a few warps at the finest level alone.  The solves of one anchor interval
-share one stacked call of estimate_flows, which gives each pair the field
-it would get alone.
+borders by running sums in numpy, along rows and then columns, added in the
+order scipy.ndimage.uniform_filter adds them, so the visibility maps are
+bit for bit those of that filter.  Both errors of a frame are filtered as
+one stack.
 
 tau is a fixed ramp, not the frame's linear position between the keys.
 With a gap of g skipped frames on each side, frame k sits k + g frames
@@ -41,7 +40,7 @@ where the position is k / (B + 1), and tau does not change with the gap.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,23 +239,69 @@ def _check_intermediate(m: HybridMeasurement, x_mid: VideoCube) -> None:
         raise ValueError(f"intermediate cube has shape {x_mid.samples.shape}, the measurement needs {expected}")
 
 
+def _flow_stack(
+    x: np.ndarray, ks: Sequence[int], keys: tuple[Frame, Frame], solver: FlowParams, starts: list[FlowField] | None = None
+) -> list[tuple[FlowField, FlowField]]:
+    """The (left, right) fields of frames ks of the (B, h, w) samples x, from
+    one estimate_flows stack of each frame with both keys, left first.  Each
+    frame is in exactly one stack, so this is the one Frame built for it."""
+    targets = [Frame(x[k - 1]) for k in ks]
+    fields = estimate_flows([t for t in targets for _ in keys], [*keys] * len(targets), solver, starts=starts)
+    return list(zip(fields[::2], fields[1::2]))
+
+
+def _frame_fields(
+    x: np.ndarray, keys: tuple[Frame, Frame], flow: FlowParams
+) -> Iterator[tuple[int, tuple[FlowField, FlowField]]]:
+    """Yield (k, (left field, right field)) for k = 1..B of the (B, h, w)
+    samples x, in order, by the anchor schedule of the module docstring."""
+    B = len(x)
+    anchors = sorted({*range(1, B + 1, _ANCHOR_STRIDE), B})
+    refine = replace(flow, pyramid_levels=1, warps_per_level=_REFINE_WARPS)
+    # the first two anchors share one stack: solving them apart, anchor 1 and
+    # then anchor b, cut small48 frames per second by 7-15% (3 of 3 rounds),
+    # as small frames gain most from stacking.  Only the current interval's
+    # fields are held: holding a block's fields cost gate128 16% more peak memory
+    at_a, *later = _flow_stack(x, anchors[:2], keys, flow)
+    yield 1, at_a
+    for a, b in zip(anchors, anchors[1:]):
+        at_b = later.pop() if later else _flow_stack(x, [b], keys, flow)[0]
+        between = range(a + 1, b)
+        if between:
+            starts = [
+                FlowField(((b - k) * f_a.samples + (k - a) * f_b.samples) / (b - a))
+                for k in between
+                for f_a, f_b in zip(at_a, at_b)
+            ]
+            yield from zip(between, _flow_stack(x, between, keys, refine, starts))
+        yield b, at_b
+        at_a = at_b
+
+
+def _fuse_frame(
+    x_k: np.ndarray, padded_keys: list[np.ndarray], fields: tuple[FlowField, FlowField], tau: float, out: np.ndarray
+) -> np.ndarray:
+    """Fuse one intermediate frame x_k with the edge-padded keys under its
+    (left, right) fields into out, clipped to [0, 1]; return the float32
+    samples of its visibility map."""
+    w_left, w_right = (_as_frame(_warp_by_flow(p, f.u, f.v)) for p, f in zip(padded_keys, fields))
+    errors = _smoothed_errors(w_left, w_right, x_k)
+    v = _visibility(errors)
+    blended = _as_frame(_blend(w_left, w_right, v, tau))
+    bad = np.minimum(*errors) > _FALLBACK_THRESHOLD
+    np.clip(np.where(bad, x_k, blended), 0.0, 1.0, out=out)
+    return v
+
+
 def fuse_video(
     m: HybridMeasurement,
     x_mid: VideoCube,
     flow: FlowParams | None = None,
     callback: Callable[[int, FlowField, FlowField, VisibleMap], None] | None = None,
 ) -> VideoCube:
-    """Fuse every intermediate frame of a coded block with the two key frames.
-
-    Frames are fused one at a time, in order k = 1..B.  Each anchor frame
-    (k = 1, 4, 7, ... and B) costs two full flow solves, one per key frame.
-    Each other frame costs two finest-level refinements, started from the
-    fields interpolated between the anchors on either side.  Flow runs one
-    anchor interval at a time, each step one estimate_flows stack: the first
-    interval's two anchors with both keys, then each later anchor with both
-    keys, then the interval's in-between frames with both keys.  Only the
-    current interval's fields are held.  A pixel that neither warped key
-    explains within _FALLBACK_THRESHOLD keeps the intermediate sample.
+    """Fuse every intermediate frame of a coded block with the two key frames,
+    in order k = 1..B, under the fields of the anchor schedule (see the
+    module docstring).
 
     Args:
         m: the measurement, whose schedule gives B and whose key frames are
@@ -272,57 +317,11 @@ def fuse_video(
         VideoCube of the fused frames, clamped to [0, 1].
     """
     _check_intermediate(m, x_mid)
-    B = m.schedule.B
-    flow = flow or FlowParams()
-    refine = replace(flow, pyramid_levels=1, warps_per_level=_REFINE_WARPS)
     keys = (m.z_left, m.z_right)
-    padded_left, padded_right = (_pad_edge(key.samples) for key in keys)
-
-    def solve(
-        ks: list[int], solver: FlowParams, starts: list[FlowField] | None = None
-    ) -> dict[int, tuple[FlowField, FlowField]]:
-        # one stack of frames ks x keys; k -> (left field, right field).  Each
-        # frame k is solved in exactly one stack, so this is the one Frame
-        # built for it
-        targets = [Frame(x_mid.samples[k - 1]) for k in ks]
-        fields = estimate_flows([t for t in targets for _ in keys], [*keys] * len(ks), solver, starts=starts)
-        return {k: (fields[2 * i], fields[2 * i + 1]) for i, k in enumerate(ks)}
-
+    padded_keys = [_pad_edge(key.samples) for key in keys]
     fused = np.empty_like(x_mid.samples)
-
-    def fuse(k: int, f_left: FlowField, f_right: FlowField) -> None:
-        # warp, visibility_map and blend on arrays: each result is rounded to
-        # float32 and checked where the Frame or VisibleMap it stands for is
-        x_k = x_mid.samples[k - 1]
-        w_left = _as_frame(_warp_by_flow(padded_left, f_left.u, f_left.v))
-        w_right = _as_frame(_warp_by_flow(padded_right, f_right.u, f_right.v))
-        errors = _smoothed_errors(w_left, w_right, x_k)
-        v = _visibility(errors)
-        blended = _as_frame(_blend(w_left, w_right, v, k / (B + 2.0)))
-        bad = np.minimum(*errors) > _FALLBACK_THRESHOLD
-        np.clip(np.where(bad, x_k, blended), 0.0, 1.0, out=fused[k - 1])
+    for k, fields in _frame_fields(x_mid.samples, keys, flow or FlowParams()):
+        v = _fuse_frame(x_mid.samples[k - 1], padded_keys, fields, k / (m.schedule.B + 2.0), fused[k - 1])
         if callback is not None:
-            callback(k, f_left, f_right, VisibleMap(v))
-
-    anchors = sorted({*range(1, B + 1, _ANCHOR_STRIDE), B})
-    # only the fields of the current interval between anchors a < b are held.
-    # The first two anchors share one stack: solving them apart, anchor 1 and
-    # then anchor b, cut small48 frames per second by 7-15% (3 of 3 rounds),
-    # as small frames gain most from stacking
-    held = solve(anchors[:2], flow)
-    fuse(1, *held[1])
-    for a, b in zip(anchors, anchors[1:]):
-        if b not in held:
-            held = {a: held[a], **solve([b], flow)}
-        between = list(range(a + 1, b))
-        if between:
-            starts = [
-                FlowField(((b - k) * at_a.samples + (k - a) * at_b.samples) / (b - a))
-                for k in between
-                for at_a, at_b in zip(held[a], held[b])
-            ]
-            held.update(solve(between, refine, starts))
-        for k in [*between, b]:
-            fuse(k, *held[k])
-        held = {b: held[b]}
+            callback(k, *fields, VisibleMap(v))
     return VideoCube(fused)

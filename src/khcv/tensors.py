@@ -160,9 +160,11 @@ class CodingCube(_Cube):
     _what = "coding cube"
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.samples.max() > 1:
+        # checked before the uint8 cast, which wraps or truncates any other value
+        raw = np.asarray(self.samples)
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("coding cube samples must be 0 or 1")
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)

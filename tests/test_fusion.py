@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -442,3 +444,33 @@ def test_fuse_video_solves_flow_in_full_only_at_anchor_frames(B, flow, monkeypat
         if b > a + 1:
             want_stacks.append((False, list(range(a + 1, b)), a))
     assert stacks == want_stacks
+
+
+@pytest.mark.parametrize("B", [8, 16])
+def test_fuse_video_holds_the_fields_of_one_anchor_interval(B, monkeypatch):
+    # each field estimate_flows returns is tracked by a weak reference.  When
+    # a frame is fused, the fields alive must be at most one interval's: its
+    # two anchors' and those of the frames between them, two per frame.  At
+    # B = 8 the last interval, anchors 7 and 8, has no frame between
+    side = 32
+    frames = VideoCube(np.stack([smooth_texture(side, side, seed=50 + k) for k in range(B)]))
+    m = _tiny_measurement(Frame(smooth_texture(side, side, seed=30)), B, Frame(smooth_texture(side, side, seed=31)))
+    refs = []
+    live = []
+
+    def tracking(*args, **kwargs):
+        fields = real(*args, **kwargs)
+        refs.extend(weakref.ref(f) for f in fields)
+        return fields
+
+    def count(k, f_left, f_right, v):
+        gc.collect()
+        live.append(sum(r() is not None for r in refs))
+
+    real = fusion.estimate_flows
+    monkeypatch.setattr(fusion, "estimate_flows", tracking)
+    fuse_video(m, frames, callback=count)
+    assert len(live) == B and len(refs) == 2 * B
+    # the frame's own two fields are alive while it is reported
+    assert min(live) >= 2
+    assert max(live) <= 2 * (fusion._ANCHOR_STRIDE + 1), live

@@ -115,6 +115,14 @@ def test_a_narrow_numpy_count_does_not_wrap_in_the_pyramid_rule():
         estimate_flows([frame], [frame], params)
 
 
+def test_a_huge_level_count_fails_the_pyramid_rule_in_its_words():
+    # 8 * 2 ** 19999 has 6022 digits: formatting it hit Python's 4300-digit
+    # limit, whose ValueError named no setting
+    frame = Frame(np.zeros((40, 40), np.float32))
+    with pytest.raises(ValueError, match=r"20000 flow pyramid levels need both sides at least 8 \* 2\*\*19999 px$"):
+        estimate_flows([frame], [frame], FlowParams(pyramid_levels=20000))
+
+
 def test_noise_settings_are_named_by_their_config_key():
     with pytest.raises(ConfigError, match=r"^noise_seed must be an integer in \[0, 2\*\*64\), got -1$"):
         PipelineConfig(scene="scene.khcv", noise_seed=-1)

@@ -369,6 +369,17 @@ def test_coding_cube_requires_binary():
         CodingCube(np.full((2, 3, 3), 2, np.uint8))
 
 
+@pytest.mark.parametrize("value", [0.7, 257, 2.0**40, np.nan], ids=["0.7", "257", "2**40", "nan"])
+def test_coding_cube_checks_samples_before_the_uint8_cast(value):
+    # the cast stored 0.7, 2**40 and NaN (with a RuntimeWarning) as 0 and
+    # 257 as 1, each of which passed the 0-or-1 check
+    with pytest.raises(ValueError, match="^coding cube samples must be 0 or 1$"):
+        CodingCube(np.full((1, 2, 2), value))
+    # exact zeros and ones of any dtype are stored as they are
+    mask = np.array([[[0.0, 1.0], [1, 0]]])
+    assert CodingCube(mask).samples.tolist() == mask.tolist() == CodingCube(mask.astype(bool)).samples.tolist()
+
+
 def test_flow_field_requires_two_planes():
     for shape in ((3, 4), (1, 3, 4), (3, 3, 4)):
         with pytest.raises(ValueError):
