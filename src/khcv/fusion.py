@@ -20,11 +20,10 @@ the first two anchors, then each later anchor, then the frames between two
 anchors, each frame with both keys.  Frames come in order, and only the
 current anchor interval's fields are held.
 
-The fuser runs warp, visibility_map and blend, public so that each can be
-used and checked alone, on arrays through the same helpers, with the keys
-padded for the warp once per block.  Each warp, visibility map and blend is
-rounded to float32 and checked where the public step's Frame or VisibleMap
-would be, so the fused frames are bit for bit those of the public steps.
+The fuser runs the public steps on each frame: it warps each key with warp,
+forms the visibility map as visibility_map does and blends the warps with
+blend, so each step has one formula and one float32 rounding.  The callback
+of fuse_video receives the VisibleMap that blend read, not a copy.
 The warps' absolute errors are averaged over 3x3 boxes with replicate
 borders by running sums in numpy, along rows and then columns, added in the
 order scipy.ndimage.uniform_filter adds them, so the visibility maps are
@@ -47,7 +46,7 @@ import numpy as np
 
 from .capture import HybridMeasurement
 from .flow import FlowField, FlowParams, _pad_edge, _separable, _warp_by_flow, estimate_flows
-from .tensors import Frame, VideoCube, _stored
+from .tensors import Frame, VideoCube
 
 __all__ = [
     "VisibleMap",
@@ -108,20 +107,8 @@ class VisibleMap(Frame):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_unit(self.samples)
-
-
-def _check_unit(samples: np.ndarray) -> np.ndarray:
-    """samples, unless a value lies outside [0, 1]: the VisibleMap rule."""
-    if samples.min() < 0.0 or samples.max() > 1.0:
-        raise ValueError("visibility values must lie in [0, 1]")
-    return samples
-
-
-def _as_frame(x: np.ndarray, cls: type[Frame] = Frame) -> np.ndarray:
-    """The samples cls(x) would hold, rounded to float32 and checked as
-    Frame's constructor checks them, without building the object."""
-    return _stored(x, cls._dtype, cls._ndim, cls._what)
+        if self.samples.min() < 0.0 or self.samples.max() > 1.0:
+            raise ValueError("visibility values must lie in [0, 1]")
 
 
 def warp(image: Frame, f: FlowField) -> Frame:
@@ -185,9 +172,9 @@ def _box_mean(x: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _visibility(errors: np.ndarray) -> np.ndarray:
-    """The float32 samples of the visibility map of the (2, h, w) smoothed
-    errors, checked as VisibleMap checks them: a logistic of slope
-    _VISIBILITY_SLOPE over the error difference, the visibility_map rule."""
+    """The float64 visibility of the (2, h, w) smoothed errors, which
+    VisibleMap rounds and checks: a logistic of slope _VISIBILITY_SLOPE over
+    the error difference, the visibility_map rule."""
     e_left, e_right = errors
     diff = e_right - e_left
     # evaluate the logistic through exp(-|x|) so that negating the argument
@@ -199,7 +186,7 @@ def _visibility(errors: np.ndarray) -> np.ndarray:
     v += 1.0
     np.divide(1.0, v, out=v)
     np.subtract(1.0, v, out=v, where=diff < 0.0)
-    return _check_unit(_as_frame(v, VisibleMap))
+    return v
 
 
 def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
@@ -215,21 +202,17 @@ def blend(w_left: Frame, w_right: Frame, v: VisibleMap, tau: float) -> Frame:
         raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
     if w_left.samples.shape != w_right.samples.shape or w_left.samples.shape != v.samples.shape:
         raise ValueError("warped keys and visibility map must share one shape")
-    return Frame(_blend(w_left.samples, w_right.samples, v.samples, tau))
-
-
-def _blend(w_left: np.ndarray, w_right: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
-    """The blend formula on float32 samples, in float64."""
-    left_w = v.astype(np.float64)
+    # the formula in float64, rounded to float32 once, by Frame
+    left_w = v.samples.astype(np.float64)
     right_w = np.subtract(1.0, left_w)
     right_w *= tau
     left_w *= 1.0 - tau
     den = left_w + right_w
-    left_w *= w_left
-    right_w *= w_right
+    left_w *= w_left.samples
+    right_w *= w_right.samples
     left_w += right_w
     left_w /= den
-    return left_w
+    return Frame(left_w)
 
 
 def _check_intermediate(m: HybridMeasurement, x_mid: VideoCube) -> None:
@@ -279,17 +262,17 @@ def _frame_fields(
 
 
 def _fuse_frame(
-    x_k: np.ndarray, padded_keys: list[np.ndarray], fields: tuple[FlowField, FlowField], tau: float, out: np.ndarray
-) -> np.ndarray:
-    """Fuse one intermediate frame x_k with the edge-padded keys under its
-    (left, right) fields into out, clipped to [0, 1]; return the float32
-    samples of its visibility map."""
-    w_left, w_right = (_as_frame(_warp_by_flow(p, f.u, f.v)) for p, f in zip(padded_keys, fields))
-    errors = _smoothed_errors(w_left, w_right, x_k)
-    v = _visibility(errors)
-    blended = _as_frame(_blend(w_left, w_right, v, tau))
+    x_k: np.ndarray, keys: tuple[Frame, Frame], fields: tuple[FlowField, FlowField], tau: float, out: np.ndarray
+) -> VisibleMap:
+    """Fuse one intermediate frame, the float32 samples x_k, with the keys
+    under its (left, right) fields into out, clipped to [0, 1]; return the
+    visibility map the blend used."""
+    w_left, w_right = (warp(key, f) for key, f in zip(keys, fields))
+    errors = _smoothed_errors(w_left.samples, w_right.samples, x_k)
+    v = VisibleMap(_visibility(errors))
+    blended = blend(w_left, w_right, v, tau)
     bad = np.minimum(*errors) > _FALLBACK_THRESHOLD
-    np.clip(np.where(bad, x_k, blended), 0.0, 1.0, out=out)
+    np.clip(np.where(bad, x_k, blended.samples), 0.0, 1.0, out=out)
     return v
 
 
@@ -310,18 +293,17 @@ def fuse_video(
         flow: flow solver settings; defaults to FlowParams().
         callback: optional hook called as
             callback(k, flow_left, flow_right, visibility) once frame k is
-            fused, with the fields and visibility map that frame used (the
-            refined fields, for a frame between anchors).
+            fused, with the fields that frame used (the refined fields, for
+            a frame between anchors) and the visibility map its blend read.
 
     Returns:
         VideoCube of the fused frames, clamped to [0, 1].
     """
     _check_intermediate(m, x_mid)
     keys = (m.z_left, m.z_right)
-    padded_keys = [_pad_edge(key.samples) for key in keys]
     fused = np.empty_like(x_mid.samples)
     for k, fields in _frame_fields(x_mid.samples, keys, flow or FlowParams()):
-        v = _fuse_frame(x_mid.samples[k - 1], padded_keys, fields, k / (m.schedule.B + 2.0), fused[k - 1])
+        v = _fuse_frame(x_mid.samples[k - 1], keys, fields, k / (m.schedule.B + 2.0), fused[k - 1])
         if callback is not None:
-            callback(k, *fields, VisibleMap(v))
+            callback(k, *fields, v)
     return VideoCube(fused)

@@ -30,9 +30,16 @@ def _check_ssim_window(height: int, width: int) -> None:
 
 
 def _data(x) -> np.ndarray:
+    """The samples of a Frame or VideoCube, finite and non-empty by
+    construction, or x as an array, refused unless it is both."""
     if isinstance(x, (Frame, VideoCube)):
         return x.samples
-    return np.asarray(x)
+    x = np.asarray(x)
+    if x.size == 0:
+        raise ValueError(f"metrics need a non-empty array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("metric inputs must all be finite")
+    return x
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +159,14 @@ def score_frame(truth, *candidates) -> list[tuple[float, float, float]]:
     its two window means are built once for all candidates, and PSNR and L1
     come from one difference per candidate.
     """
-    t = _data(truth).astype(np.float64)
+    t, *candidates = [_data(x) for x in (truth, *candidates)]
+    t = t.astype(np.float64)
     if t.ndim != 2:
         raise ValueError(f"score_frame expects single frames, got shape {t.shape}")
     _check_ssim_window(*t.shape)
     ref = _moments(t)
     scores = []
     for c in candidates:
-        c = _data(c)
         if c.shape != t.shape:
             raise ValueError(f"shape mismatch: {c.shape} vs {t.shape}")
         c = c.astype(np.float64)

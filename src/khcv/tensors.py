@@ -326,7 +326,10 @@ def _quantize(values: np.ndarray) -> np.ndarray:
 
 
 def export_pgm(frame: Frame, path) -> None:
-    """Write a Frame as binary PGM; values are clamped to [0, 1] first."""
+    """Write a Frame as binary PGM; values are clamped to [0, 1] first.
+    Anything else, a cube or a flow field included, is a TypeError."""
+    if not isinstance(frame, Frame):
+        raise TypeError(f"cannot write {type(frame).__name__} as a PGM image")
     body = _quantize(frame.samples).tobytes()
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + body)

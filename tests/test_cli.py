@@ -570,7 +570,9 @@ def test_cli_pipeline_command(tmp_path):
 
 
 def test_cli_stage_commands_match_pipeline(tmp_path):
-    config_path, raw, _ = write_config(tmp_path)
+    # with the intermediates dumped, the stage commands write every file the
+    # pipeline writes for the block, byte for byte
+    config_path, raw, _ = write_config(tmp_path, dump_intermediates=True)
     runner = CliRunner()
 
     staged = tmp_path / "staged"
@@ -596,8 +598,14 @@ def test_cli_stage_commands_match_pipeline(tmp_path):
 
     r = runner.invoke(main, ["pipeline", "--config", str(config_path)])
     assert r.exit_code == 0, r.output
-    whole = (tmp_path / "out" / "fused.khcv").read_bytes()
-    assert (staged / "fused.khcv").read_bytes() == whole
+    whole = tmp_path / "out"
+    for name in ("intermediate.khcv", "fused.khcv"):
+        assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+    dumped = sorted(p.name for p in (whole / "intermediates").iterdir())
+    assert sorted(p.name for p in (staged / "intermediates").iterdir()) == dumped
+    assert len(dumped) == 5 * raw["B"]  # two flows, two colour images and a visibility map per frame
+    for name in dumped:
+        assert (staged / "intermediates" / name).read_bytes() == (whole / "intermediates" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -263,11 +263,10 @@ def test_error_box_filter_is_scipys_uniform_filter_bit_for_bit(x, radius):
     "B, height, width", [(1, 17, 23), (2, 21, 19), (4, 19, 17), (7, 23, 21)], ids=["B1", "B2", "B4", "B7"]
 )
 def test_fuse_video_equals_the_public_steps_bit_for_bit(B, height, width):
-    # fuse_video runs warp, visibility_map and blend on arrays; rebuilt from
-    # the public steps on the fields the callback reports, with the fallback
-    # to the intermediate (errors filtered by scipy's uniform_filter) and the
-    # clip, every fused frame must come out bit for bit, and the callback's
-    # map must be visibility_map of the two warps
+    # rebuilt from the public steps on the fields the callback reports, with
+    # the fallback to the intermediate (errors filtered by scipy's
+    # uniform_filter) and the clip, every fused frame must come out bit for
+    # bit, and the callback's map must be visibility_map of the two warps
     scene = translating_scene(height, width, B + 2, seed=B).samples
     rng = np.random.default_rng(B)
     x_mid = scene[1:-1] + rng.normal(0.0, 0.03, (B, height, width)).astype(np.float32)
@@ -298,6 +297,26 @@ def test_fuse_video_equals_the_public_steps_bit_for_bit(B, height, width):
         kept.append(bad)
     # both branches ran: some pixels fell back and some were blended
     assert np.any(kept) and not np.all(kept)
+
+
+@pytest.mark.parametrize("B", [1, 4, 8])
+def test_callback_gets_the_visibility_map_the_blend_used(B, monkeypatch):
+    # a dumped visibility map must be the object the fusion blended with, not
+    # one rebuilt from its samples
+    used = []
+    public_blend = fusion.blend
+
+    def recording_blend(w_left, w_right, v, tau):
+        used.append(v)
+        return public_blend(w_left, w_right, v, tau)
+
+    monkeypatch.setattr(fusion, "blend", recording_blend)
+    scene = translating_scene(32, 32, B + 2, seed=B).samples
+    m = _tiny_measurement(Frame(scene[0]), B, Frame(scene[-1]))
+    seen = []
+    fuse_video(m, VideoCube(scene[1:-1]), callback=lambda k, f_left, f_right, v: seen.append(v))
+    assert len(seen) == len(used) == B
+    assert all(s is u for s, u in zip(seen, used))
 
 
 def test_pixels_no_key_explains_keep_the_intermediate_samples():

@@ -118,6 +118,33 @@ def test_score_frame_gives_the_lone_metrics_bit_for_bit():
         score_frame(np.zeros((10, 52)), np.zeros((10, 52)))
 
 
+@pytest.mark.parametrize("metric", ["psnr", "ssim", "l1_distance", "score_frame-truth", "score_frame-candidate"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (None, "non-empty")],
+    ids=["nan", "inf", "-inf", "empty"],
+)
+def test_metrics_refuse_empty_or_non_finite_arrays(metric, bad, message):
+    # refused before any arithmetic: no math domain error, nan score or
+    # empty-mean RuntimeWarning, which the warning filter makes an error
+    good = np.full((16, 16), 0.5)
+    if bad is None:
+        bad_array = good[:0]
+        good = good[:0]
+    else:
+        bad_array = good.copy()
+        bad_array[3, 5] = bad
+    calls = {
+        "psnr": lambda: psnr(bad_array, good),
+        "ssim": lambda: ssim(good, bad_array),
+        "l1_distance": lambda: l1_distance(bad_array, good),
+        "score_frame-truth": lambda: score_frame(bad_array, good),
+        "score_frame-candidate": lambda: score_frame(good, good, bad_array),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[metric]()
+
+
 def test_ssim_penalizes_noise():
     img = smooth_texture(32, 32, seed=5)
     rng = np.random.default_rng(1)

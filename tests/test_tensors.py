@@ -286,6 +286,20 @@ def test_pgm_round_trip(tmp_path):
     assert np.max(np.abs(g.samples - f.samples)) <= 0.5 / 255 + 1e-7
 
 
+@pytest.mark.parametrize(
+    "data",
+    [VideoCube(np.full((2, 3, 3), 0.5, np.float32)), FlowField(np.zeros((2, 3, 3), np.float32)), np.zeros((3, 3))],
+    ids=["cube", "flow", "ndarray"],
+)
+def test_pgm_export_refuses_anything_but_a_frame(tmp_path, data):
+    # a cube or a flow field has a .samples array, but its PGM would hold
+    # every plane under a header of one; nothing is written
+    p = tmp_path / "g.pgm"
+    with pytest.raises(TypeError, match="PGM"):
+        export_pgm(data, p)
+    assert not p.exists()
+
+
 def test_pgm_rejects_wide_maxval(tmp_path):
     p = tmp_path / "g.pgm"
     p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
